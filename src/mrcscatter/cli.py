@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -48,19 +47,20 @@ def _setup_logging() -> None:
     )
 
 
-def _load_config(path: str, schema: str) -> dict:
+def _load_document(path, schema: str) -> dict:
+    """Read a JSON file and validate it against the named schema."""
     p = Path(path)
     if not p.is_file():
-        raise CliError(f"config file not found: {path}")
+        raise CliError(f"file not found: {path}")
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise CliError(f"config is not valid JSON: {exc}") from exc
+        raise CliError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        serialize.validate(cfg, schema)
+        serialize.validate(doc, schema)
     except serialize.SchemaError as exc:
         raise CliError(str(exc)) from exc
-    return cfg
+    return doc
 
 
 def _surface(cfg: dict):
@@ -81,20 +81,28 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """CSV of numbers at 17 significant digits (exact round trip)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(float(x), ".17g") for x in row] for row in rows)
+
+
+# escalation settings a configuration may set; mrc_solve holds their defaults
+_ESCALATION_KEYS = ("L_start", "L_max", "quad_degree_factor", "svd_cutoff")
+
+
+def _solve(surface, ctx: WaveContext, bc: str, eps_target: float, opts: dict):
+    settings = {key: opts[key] for key in _ESCALATION_KEYS if key in opts}
+    return mrc_solve(surface, ctx, bc=bc, eps_target=eps_target, **settings)
+
+
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config, "config_solve")
+    cfg = _load_document(args.config, "config_solve")
     surface = _surface(cfg)
     ctx = _context(cfg["k"], cfg["alpha"])
-    sol = mrc_solve(
-        surface,
-        ctx,
-        bc=cfg["bc"],
-        eps_target=cfg["eps_target"],
-        L_start=cfg.get("L_start", 0),
-        L_max=cfg.get("L_max", 30),
-        quad_degree_factor=cfg.get("quad_degree_factor", 2.5),
-        svd_cutoff=cfg.get("svd_cutoff", 1e-12),
-    )
+    sol = _solve(surface, ctx, cfg["bc"], cfg["eps_target"], cfg)
     out = _out_dir(args.out)
     doc = serialize.solution_to_jsonable(sol, ctx, surface.descriptor(), cfg["eps_target"])
     serialize.validate(doc, "direct_solution")
@@ -105,28 +113,8 @@ def cmd_solve(args) -> int:
     return EXIT_OK if sol.converged else EXIT_UNCONVERGED
 
 
-def _forward_solutions(cfg: dict, surface):
-    fw = cfg.get("forward", {})
-    bc = cfg.get("bc", "dirichlet")
-    sols = []
-    for e in cfg["entries"]:
-        ctx = _context(e["k"], e["alpha"])
-        sol = mrc_solve(
-            surface,
-            ctx,
-            bc=bc,
-            eps_target=fw.get("eps_target", 1e-8),
-            L_start=fw.get("L_start", 0),
-            L_max=fw.get("L_max", 30),
-            quad_degree_factor=fw.get("quad_degree_factor", 2.5),
-            svd_cutoff=fw.get("svd_cutoff", 1e-12),
-        )
-        sols.append((ctx, sol))
-    return sols
-
-
 def cmd_synthesize(args) -> int:
-    cfg = _load_config(args.config, "config_synthesize")
+    cfg = _load_document(args.config, "config_synthesize")
     surface = _surface(cfg)
     R = float(cfg["R"])
     if R <= surface.max_radius():
@@ -136,7 +124,11 @@ def cmd_synthesize(args) -> int:
         )
     qcfg = cfg.get("quadrature", {"n_theta": 24, "n_phi": 48})
     quad = make_quadrature(qcfg["n_theta"], qcfg["n_phi"])
-    sols = _forward_solutions(cfg, surface)
+    fw = cfg.get("forward", {})
+    bc = cfg.get("bc", "dirichlet")
+    fw_eps = fw.get("eps_target", 1e-8)
+    contexts = [_context(e["k"], e["alpha"]) for e in cfg["entries"]]
+    sols = [(ctx, _solve(surface, ctx, bc, fw_eps, fw)) for ctx in contexts]
     entries = []
     all_converged = True
     for ctx, sol in sols:
@@ -148,8 +140,8 @@ def cmd_synthesize(args) -> int:
     data = inverse_solver.add_noise(data, delta, seed=args.seed)
     provenance = {
         "surface": surface.descriptor(),
-        "bc": cfg.get("bc", "dirichlet"),
-        "forward_eps": cfg.get("forward", {}).get("eps_target", 1e-8),
+        "bc": bc,
+        "forward_eps": fw_eps,
         "forward_L": [sol.coefficients.L for _, sol in sols],
         "forward_residual": [sol.residual for _, sol in sols],
         "delta": delta,
@@ -164,15 +156,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    cfg = _load_config(args.config, "config_invert")
-    data_path = Path(args.data)
-    if not data_path.is_file():
-        raise CliError(f"data file not found: {args.data}")
-    doc = json.loads(data_path.read_text(encoding="utf-8"))
-    try:
-        serialize.validate(doc, "near_field_data")
-    except serialize.SchemaError as exc:
-        raise CliError(str(exc)) from exc
+    cfg = _load_document(args.config, "config_invert")
+    doc = _load_document(args.data, "near_field_data")
     data = serialize.near_field_from_jsonable(doc)
     dcfg = cfg["directions"]
     if dcfg["type"] == "fibonacci":
@@ -195,13 +180,8 @@ def cmd_invert(args) -> int:
     rdoc = serialize.reconstruction_to_jsonable(rec)
     serialize.validate(rdoc, "reconstruction")
     serialize.dump_file(out / "reconstruction.json", rdoc)
-    with open(out / "reconstruction.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "phi", "r"])
-        for d, r in zip(rec.directions, rec.radii):
-            writer.writerow(
-                [format(d.theta, ".17g"), format(d.phi, ".17g"), format(float(r), ".17g")]
-            )
+    rows = [(d.theta, d.phi, r) for d, r in zip(rec.directions, rec.radii)]
+    _write_csv(out / "reconstruction.csv", ["theta", "phi", "r"], rows)
     logger.info(
         "invert: L=%d resolved %.0f%% converged=%s",
         rec.L_selected, 100 * rec.resolution_fraction, rec.converged,
@@ -210,7 +190,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _load_config(args.config, "config_oracle")
+    cfg = _load_document(args.config, "config_oracle")
     ctx = _context(cfg["k"], cfg["alpha"])
     coeffs = sphere_oracle.sphere_scattering_coeffs(
         float(cfg["radius"]), ctx, int(cfg["L"]), cfg["bc"]
@@ -223,13 +203,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fieldmap(args) -> int:
-    cfg = _load_config(args.config, "config_fieldmap")
+    cfg = _load_document(args.config, "config_fieldmap")
     sol_path = Path(cfg["solution"])
     if not sol_path.is_absolute():
         sol_path = Path(args.config).parent / sol_path
-    if not sol_path.is_file():
-        raise CliError(f"solution file not found: {sol_path}")
-    sdoc = json.loads(sol_path.read_text(encoding="utf-8"))
+    sdoc = _load_document(sol_path, "direct_solution")
     coeffs, ctx = serialize.solution_from_jsonable(sdoc)
     ray = cfg["ray"]
     d = Direction(float(ray["direction"][0]), float(ray["direction"][1]))
@@ -237,14 +215,9 @@ def cmd_fieldmap(args) -> int:
     points = radii[:, None] * d.vector[None, :]
     v = fields.scattered_field(coeffs, ctx, points)
     u = fields.total_field(coeffs, ctx, points)
-    out = _out_dir(args.out)
-    with open(out / "fieldmap.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "re_scattered", "im_scattered", "re_total", "im_total"])
-        for p, vs, us in zip(points, v, u):
-            writer.writerow(
-                [format(c, ".17g") for c in (*p, vs.real, vs.imag, us.real, us.imag)]
-            )
+    header = ["x", "y", "z", "re_scattered", "im_scattered", "re_total", "im_total"]
+    rows = [(*p, vs.real, vs.imag, us.real, us.imag) for p, vs, us in zip(points, v, u)]
+    _write_csv(_out_dir(args.out) / "fieldmap.csv", header, rows)
     return EXIT_OK
 
 
@@ -259,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (synthesize)")
-        p.add_argument("--threads", type=int, default=None, help="reserved thread cap")
 
     for name, fn in [
         ("solve", cmd_solve),
@@ -281,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        logger.info("thread cap %d noted; computations are deterministic regardless", args.threads)
     try:
         return args.func(args)
     except CliError as exc:

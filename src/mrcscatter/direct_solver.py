@@ -21,6 +21,7 @@ from .geometry import (
     Direction,
     SphereQuadrature,
     StarSurface,
+    outward_normal,
     quadrature_for_degree,
     surface_element,
     _normal_spherical_components,
@@ -109,10 +110,41 @@ def incident_trace(
     u0 = np.exp(1j * ctx.k * points @ ctx.alpha.vector)
     if bc == DIRICHLET:
         return u0
-    from .geometry import outward_normal
-
     N = outward_normal(surface, quad.theta, quad.phi)
     return 1j * ctx.k * (N @ ctx.alpha.vector) * u0
+
+
+def _boundary_weight(surface: StarSurface, quad: SphereQuadrature) -> np.ndarray:
+    """sqrt(w_p * omega_p): turns the Euclidean norm over the nodes into the
+    discretized L2 boundary norm."""
+    return np.sqrt(quad.weights * surface_element(surface, quad.theta, quad.phi))
+
+
+def _basis_columns(
+    surface: StarSurface, quad: SphereQuadrature, ctx: WaveContext, L: int, bc: str
+) -> np.ndarray:
+    """Unweighted collocation matrix: psi[ell, m] (or its outward normal
+    derivative) at the boundary points, rows by node, columns by flat mode."""
+    _check_bc(bc)
+    if L < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {L}")
+    if quad.degree < 2 * L:
+        raise ValueError(
+            f"quadrature degree {quad.degree} insufficient for L={L} "
+            f"(needs >= {2 * L}: aliasing risk)"
+        )
+    ells = specfun.mode_degrees(L)
+    f = surface.radius(quad.theta, quad.phi)
+    Y = specfun.sph_harm_table(L, quad.theta, quad.phi)
+    H = specfun.hankel_out_table(L, ctx.k, f)
+    if bc == DIRICHLET:
+        return Y * H[ells].T
+    Hd = specfun.hankel_out_dr_table(L, ctx.k, f)
+    dY = specfun.sph_harm_dtheta_table(L, quad.theta, quad.phi)
+    pY = specfun.sph_harm_dphi_over_sin_table(L, quad.theta, quad.phi)
+    nr, nt, nph = _normal_spherical_components(surface, quad.theta, quad.phi)
+    ang = nt[:, None] * dY + nph[:, None] * pY
+    return (nr * Hd)[ells].T * Y + (H / f)[ells].T * ang
 
 
 def assemble_basis_matrix(
@@ -128,36 +160,8 @@ def assemble_basis_matrix(
     outward normal derivative), so the Euclidean residual of the linear system
     is the discretized L2 boundary norm.  Requires quadrature degree >= 2L.
     """
-    _check_bc(bc)
-    if L < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {L}")
-    if quad.degree < 2 * L:
-        raise ValueError(
-            f"quadrature degree {quad.degree} insufficient for L={L} "
-            f"(needs >= {2 * L}: aliasing risk)"
-        )
-    f = surface.radius(quad.theta, quad.phi)
-    w = surface_element(surface, quad.theta, quad.phi)
-    scale = np.sqrt(quad.weights * w)
-    Y = specfun.sph_harm_table(L, quad.theta, quad.phi)
-    if bc == DIRICHLET:
-        H = specfun.hankel_out_table(L, ctx.k, f)
-        A = Y.astype(complex)
-        for ell in range(L + 1):
-            base = ell * ell + ell
-            A[:, base - ell : base + ell + 1] *= H[ell][:, None]
-    else:
-        H = specfun.hankel_out_table(L, ctx.k, f)
-        Hd = specfun.hankel_out_dr_table(L, ctx.k, f)
-        dY = specfun.sph_harm_dtheta_table(L, quad.theta, quad.phi)
-        pY = specfun.sph_harm_dphi_over_sin_table(L, quad.theta, quad.phi)
-        nr, nt, nph = _normal_spherical_components(surface, quad.theta, quad.phi)
-        A = np.empty_like(Y)
-        ang = nt[:, None] * dY + nph[:, None] * pY
-        for ell in range(L + 1):
-            sl = slice(ell * ell, (ell + 1) * (ell + 1))
-            A[:, sl] = (nr * Hd[ell])[:, None] * Y[:, sl] + (H[ell] / f)[:, None] * ang[:, sl]
-    return scale[:, None] * A
+    A = _basis_columns(surface, quad, ctx, L, bc)
+    return _boundary_weight(surface, quad)[:, None] * A
 
 
 def solve_least_squares(
@@ -177,7 +181,8 @@ def solve_least_squares(
     col_norms[col_norms == 0.0] = 1.0
     A = matrix / col_norms
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    keep = s >= svd_cutoff * s[0]
+    # an all-zero matrix (s[0] == 0) keeps nothing
+    keep = (s > 0.0) & (s >= svd_cutoff * s[0])
     rank = int(np.count_nonzero(keep))
     if rank == 0:
         coeffs = np.zeros(matrix.shape[1], dtype=complex)
@@ -221,36 +226,30 @@ def mrc_solve(
         # floor keeps small-L residual estimates trustworthy
         degree = max(math.ceil(quad_degree_factor * L), 2 * L, 16)
         quad = quadrature_for_degree(degree)
-        A = assemble_basis_matrix(surface, quad, ctx, L, bc)
-        b = incident_trace(surface, quad, ctx, bc) * np.sqrt(
-            quad.weights * surface_element(surface, quad.theta, quad.phi)
-        )
+        scale = _boundary_weight(surface, quad)
+        A = scale[:, None] * _basis_columns(surface, quad, ctx, L, bc)
+        b = incident_trace(surface, quad, ctx, bc) * scale
         info = solve_least_squares(A, b, svd_cutoff)
         rel = info.residual / np.linalg.norm(b)
         history.append((L, rel))
         logger.debug("L=%d relative residual %.3e (rank %d)", L, rel, info.rank)
+        # every earlier step missed the target, so a converged step is the best
         if best is None or rel < best[0]:
             best = (rel, L, info)
         if rel <= eps_target:
-            return DirectSolution(
-                coefficients=CoefficientSet(L, info.coeffs),
-                residual=rel,
-                boundary_condition=bc,
-                converged=True,
-                condition=info.condition,
-                rank=info.rank,
-                history=history,
-            )
+            break
     rel, L, info = best
-    logger.warning(
-        "escalation exhausted at L_max=%d with relative residual %.3e > %.3e",
-        L_max, rel, eps_target,
-    )
+    converged = bool(rel <= eps_target)
+    if not converged:
+        logger.warning(
+            "escalation exhausted at L_max=%d with relative residual %.3e > %.3e",
+            L_max, rel, eps_target,
+        )
     return DirectSolution(
         coefficients=CoefficientSet(L, info.coeffs),
         residual=rel,
         boundary_condition=bc,
-        converged=False,
+        converged=converged,
         condition=info.condition,
         rank=info.rank,
         history=history,

@@ -27,33 +27,28 @@ def _angles_of(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _radial_sum(coeffs: CoefficientSet, radial: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """sum over modes of c[ell,m] * radial[ell] * Y[:, (ell,m)]."""
-    out = np.zeros(Y.shape[0], dtype=complex)
-    for ell in range(coeffs.L + 1):
-        sl = slice(ell * ell, (ell + 1) * (ell + 1))
-        out += radial[ell] * (Y[:, sl] @ coeffs.coeffs[sl])
-    return out
+    """sum over modes of c[ell,m] * radial[ell] * Y[:, (ell,m)]; radial has
+    shape (L+1,) for one shared radius or (L+1, n) for one radius per row."""
+    return (Y * radial[specfun.mode_degrees(coeffs.L)].T) @ coeffs.coeffs
+
+
+def _expansion_at(coeffs: CoefficientSet, ctx: WaveContext, points, radial_table) -> np.ndarray:
+    single = np.ndim(points) == 1
+    r, theta, phi = _angles_of(points)
+    Y = specfun.sph_harm_table(coeffs.L, theta, phi)
+    out = _radial_sum(coeffs, radial_table(coeffs.L, ctx.k, r), Y)
+    return out[0] if single else out
 
 
 def scattered_field(coeffs: CoefficientSet, ctx: WaveContext, points) -> np.ndarray:
     """Outgoing expansion sum(c[ell,m] Y[ell,m](x/|x|) hankel_out(ell,k,|x|))
     at Cartesian points; shape (n,) (scalars accepted)."""
-    single = np.ndim(points) == 1
-    r, theta, phi = _angles_of(points)
-    Y = specfun.sph_harm_table(coeffs.L, theta, phi)
-    H = specfun.hankel_out_table(coeffs.L, ctx.k, r)
-    out = _radial_sum(coeffs, H, Y)
-    return out[0] if single else out
+    return _expansion_at(coeffs, ctx, points, specfun.hankel_out_table)
 
 
 def scattered_field_dr(coeffs: CoefficientSet, ctx: WaveContext, points) -> np.ndarray:
     """Radial derivative of the outgoing expansion at Cartesian points."""
-    single = np.ndim(points) == 1
-    r, theta, phi = _angles_of(points)
-    Y = specfun.sph_harm_table(coeffs.L, theta, phi)
-    Hd = specfun.hankel_out_dr_table(coeffs.L, ctx.k, r)
-    out = _radial_sum(coeffs, Hd, Y)
-    return out[0] if single else out
+    return _expansion_at(coeffs, ctx, points, specfun.hankel_out_dr_table)
 
 
 def total_field(coeffs: CoefficientSet, ctx: WaveContext, points) -> np.ndarray:

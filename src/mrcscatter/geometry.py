@@ -294,8 +294,8 @@ class PerturbedSphere(StarSurface):
 def _legendre_peak(ell: int, m: int) -> float:
     """max over theta of |normalized associated Legendre| for (ell, m >= 0).
 
-    For m = 0 this is the pole value sqrt((2*ell+1)/(4*pi)); otherwise found
-    numerically on a dense grid with parabolic refinement.
+    For m = 0 this is the pole value sqrt((2*ell+1)/(4*pi)); otherwise the
+    largest sample of a dense grid is polished by golden section.
     """
     if m == 0:
         return math.sqrt((2 * ell + 1) / (4.0 * math.pi))
@@ -305,30 +305,15 @@ def _legendre_peak(ell: int, m: int) -> float:
         specfun._norm_legendre_table(ell, np.cos(theta), np.sin(theta))[ell, m]
     )
     i = int(np.argmax(vals))
-    lo = max(0, i - 1)
-    hi = min(n - 1, i + 1)
-    # golden-section polish of the bracketed maximum
-    a, b = theta[lo], theta[hi]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
-    def val(t: float) -> float:
+    def neg_val(t: float) -> float:
         t = np.array([t])
-        return float(
+        return -float(
             np.abs(specfun._norm_legendre_table(ell, np.cos(t), np.sin(t))[ell, m])[0]
         )
 
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = val(c), val(d)
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = val(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = val(d)
-    return max(fc, fd)
+    _, f = specfun.golden_min(neg_val, theta[max(0, i - 1)], theta[min(n - 1, i + 1)])
+    return -f
 
 
 @dataclass(frozen=True)
@@ -400,22 +385,13 @@ def surface_from_descriptor(d: dict) -> StarSurface:
 # --------------------------------------------------------------------------
 
 def surface_element(surface: StarSurface, theta, phi) -> np.ndarray:
-    """w = dS/d(solid angle) = f * sqrt(f^2 + f_theta^2 + (f_phi/sin)^2)."""
+    """w = dS/d(solid angle) = f^2 / n_r, with n_r the radial component of the
+    unit outward normal; equals f * sqrt(f^2 + f_theta^2 + (f_phi/sin)^2)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     f = surface.radius(theta, phi)
-    ft = surface.radius_dtheta(theta, phi)
-    fp = surface.radius_dphi(theta, phi)
-    st = np.sin(theta)
-    pole = st < 1e-14
-    if np.any(pole):
-        if np.any(np.abs(np.broadcast_to(fp, pole.shape)[pole]) > 1e-12):
-            raise SurfaceError("nonzero f_phi at a pole: parametrization not smooth")
-        ratio = np.zeros_like(f)
-        np.divide(fp, st, out=ratio, where=~pole)
-    else:
-        ratio = fp / st
-    return f * np.sqrt(f * f + ft * ft + ratio * ratio)
+    nr, _, _ = _normal_spherical_components(surface, theta, phi)
+    return f * f / nr
 
 
 def outward_normal(surface: StarSurface, theta, phi) -> np.ndarray:

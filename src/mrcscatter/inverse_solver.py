@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import specfun
+from . import fields, specfun
 from .direct_solver import CoefficientSet, WaveContext
 from .geometry import Direction, SphereQuadrature
 
@@ -115,37 +115,26 @@ def add_noise(data: NearFieldData, delta: float, seed: int) -> NearFieldData:
 def extract_coeffs(entry: NearFieldEntry, quad: SphereQuadrature, R: float, L: int) -> CoefficientSet:
     """Mode coefficients from one entry's samples: the projection of the
     samples onto each harmonic, divided by the outgoing radial factor at R."""
-    if quad.degree < 2 * L:
-        raise ValueError(
-            f"quadrature degree {quad.degree} insufficient for L={L} (needs >= {2 * L})"
-        )
-    Y = specfun.sph_harm_table(L, quad.theta, quad.phi)
-    proj = (Y.conj() * quad.weights[:, None]).T @ entry.samples
+    proj = fields.project_far_field(entry.samples, quad, L).coeffs
     H = specfun.hankel_out_table(L, entry.ctx.k, R)
-    floor = HANKEL_FLOOR * abs(H[0])
+    dropped = np.abs(H) < HANKEL_FLOOR * abs(H[0])
+    if np.any(dropped):
+        logger.warning(
+            "dropping degrees %s: radial factor below %.1e of the monopole at R=%.3g",
+            np.flatnonzero(dropped).tolist(), HANKEL_FLOOR, R,
+        )
+    ells = specfun.mode_degrees(L)
+    keep = ~dropped[ells]
     coeffs = np.zeros_like(proj)
-    for ell in range(L + 1):
-        sl = slice(ell * ell, (ell + 1) * (ell + 1))
-        if abs(H[ell]) < floor:
-            logger.warning(
-                "dropping degree %d: radial factor %.3e below floor at R=%.3g",
-                ell, abs(H[ell]), R,
-            )
-            continue
-        coeffs[sl] = proj[sl] / H[ell]
+    coeffs[keep] = proj[keep] / H[ells][keep]
     return CoefficientSet(L, coeffs)
 
 
 def _ray_evaluator(coeffs: CoefficientSet, ctx: WaveContext, dir_out: Direction):
     """Closure evaluating p(r) with the angular sums folded out of the loop."""
     Y = specfun.sph_harm_table(coeffs.L, dir_out.theta, dir_out.phi)[0]
-    per_ell = np.array(
-        [
-            Y[ell * ell : (ell + 1) * (ell + 1)]
-            @ coeffs.coeffs[ell * ell : (ell + 1) * (ell + 1)]
-            for ell in range(coeffs.L + 1)
-        ]
-    )
+    # c * Y summed over the orders of each degree; degree ell starts at index ell**2
+    per_ell = np.add.reduceat(Y * coeffs.coeffs, np.arange(coeffs.L + 1) ** 2)
     cosang = float(np.dot(ctx.alpha.vector, dir_out.vector))
     k, L = ctx.k, coeffs.L
 
@@ -163,24 +152,6 @@ def ray_function(coeffs: CoefficientSet, ctx: WaveContext, dir_out: Direction, r
     """p(r) = incident plane wave + truncated outgoing expansion along the ray
     r * dir_out; its positive root estimates the boundary radius."""
     return _ray_evaluator(coeffs, ctx, dir_out)(r)
-
-
-def _golden_min(f, a: float, b: float, rel_tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b] to relative width rel_tol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
 
 
 def find_ray_root(
@@ -214,7 +185,7 @@ def find_ray_root(
     for i in range(1, grid_n - 1):
         if pg[i] < pg[i - 1] and pg[i] < pg[i + 1]:
             fn = lambda r: float(np.abs(evaluator(r)))
-            r0, f0 = _golden_min(fn, grid[i - 1], grid[i + 1])
+            r0, f0 = specfun.golden_min(fn, grid[i - 1], grid[i + 1])
             score = f0 / pmax
             if score <= residual_threshold:
                 roots.append(
@@ -260,15 +231,12 @@ def _fit_harmonic_model(
 
 
 def _real_harmonic_basis(degree: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    Y = specfun.sph_harm_table(degree, theta, phi)
-    B = np.empty((theta.size, specfun.n_modes(degree)))
-    for ell in range(degree + 1):
-        base = ell * ell + ell
-        B[:, base] = Y[:, base].real
-        for m in range(1, ell + 1):
-            B[:, base + m] = math.sqrt(2.0) * Y[:, base + m].real
-            B[:, base - m] = math.sqrt(2.0) * Y[:, base + m].imag
-    return B
+    """Orthonormal real harmonics: sqrt(2) Re Y[ell, |m|] for m > 0,
+    sqrt(2) Im Y[ell, |m|] for m < 0 and Y[ell, 0] for m = 0."""
+    ms = specfun.mode_orders(degree)
+    # column (ell, |m|) sits |m| - m places after column (ell, m)
+    Yp = specfun.sph_harm_table(degree, theta, phi)[:, np.arange(ms.size) + np.abs(ms) - ms]
+    return np.where(ms < 0, Yp.imag, Yp.real) * np.where(ms == 0, 1.0, math.sqrt(2.0))
 
 
 def evaluate_harmonic_model(coeffs: np.ndarray, degree: int, dirs: list[Direction]) -> np.ndarray:
@@ -371,12 +339,11 @@ def stable_reconstruct(
 
     if np.count_nonzero(resolved) > specfun.n_modes(harmonic_degree):
         model = _fit_harmonic_model(dirs, radii, resolved, harmonic_degree)
-    elif np.any(resolved):
-        model = np.zeros(specfun.n_modes(harmonic_degree))
-        model[0] = float(np.mean(radii[resolved])) * math.sqrt(4.0 * math.pi)
     else:
+        # too few resolved directions to fit: a sphere of their mean radius
+        mean = np.mean(radii[resolved]) if np.any(resolved) else 0.5 * (bracket[0] + bracket[1])
         model = np.zeros(specfun.n_modes(harmonic_degree))
-        model[0] = 0.5 * (bracket[0] + bracket[1]) * math.sqrt(4.0 * math.pi)
+        model[0] = float(mean) * math.sqrt(4.0 * math.pi)
     fill = ~resolved
     if np.any(fill):
         filled = evaluate_harmonic_model(model, harmonic_degree, [dirs[i] for i in np.nonzero(fill)[0]])

@@ -58,11 +58,6 @@ def dump_file(path, obj) -> None:
         fh.write("\n")
 
 
-def load_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def load_schema(name: str) -> dict:
     ref = resources.files("mrcscatter") / "schemas" / f"{name}.schema.json"
     return json.loads(ref.read_text(encoding="utf-8"))
@@ -92,11 +87,8 @@ def validate(obj: dict, schema_name: str) -> None:
 # --------------------------------------------------------------------------
 
 def coeffs_to_rows(coeffs: CoefficientSet) -> list[list]:
-    rows = []
-    for ell, m in specfun.mode_list(coeffs.L):
-        c = coeffs.coeffs[specfun.mode_index(ell, m)]
-        rows.append([ell, m, float(c.real), float(c.imag)])
-    return rows
+    modes = specfun.mode_list(coeffs.L)
+    return [[ell, m, float(c.real), float(c.imag)] for (ell, m), c in zip(modes, coeffs.coeffs)]
 
 
 def coeffs_from_rows(rows) -> CoefficientSet:
@@ -190,9 +182,8 @@ def reconstruction_to_jsonable(rec: ReconstructedSurface) -> dict:
                 spread if math.isfinite(spread) else None,
             ]
         )
-    model_rows = []
-    for ell, m in specfun.mode_list(rec.harmonic_degree):
-        model_rows.append([ell, m, float(rec.harmonic_coeffs[specfun.mode_index(ell, m)])])
+    modes = specfun.mode_list(rec.harmonic_degree)
+    model_rows = [[ell, m, float(c)] for (ell, m), c in zip(modes, rec.harmonic_coeffs)]
     return {
         "schema_version": 1,
         "kind": "reconstruction",

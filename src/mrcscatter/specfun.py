@@ -9,14 +9,21 @@ is confined to this module.
 Angular convention: orthonormal spherical harmonics on the unit sphere with
 the Condon-Shortley phase, so conj(Y[ell, m]) == (-1)**m * Y[ell, -m].
 
+Mode layout: every mode array is flat, mode (ell, m) at index
+ell**2 + ell + m, degrees ascending and orders -ell..ell within a degree.
+``mode_degrees(L)`` and ``mode_orders(L)`` give ell and m of each flat index;
+a per-degree or per-order factor is applied by indexing with them, e.g.
+``Y * H[mode_degrees(L)].T`` scales each mode column by its radial factor.
+
 All functions are pure; vectorized ``*_table`` variants return values for
 every degree 0..L at once and are what the solvers use internally.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,6 +62,23 @@ def mode_from_index(index: int) -> ModeIndex:
 def mode_list(L: int) -> list[ModeIndex]:
     """All modes with degree <= L in flat-index order."""
     return [ModeIndex(ell, m) for ell in range(L + 1) for m in range(-ell, ell + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def mode_degrees(L: int) -> np.ndarray:
+    """Degree ell of each flat mode index for degrees <= L (read-only, cached)."""
+    ells = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    ells.flags.writeable = False
+    return ells
+
+
+@functools.lru_cache(maxsize=None)
+def mode_orders(L: int) -> np.ndarray:
+    """Order m of each flat mode index for degrees <= L (read-only, cached)."""
+    ells = mode_degrees(L)
+    ms = np.arange(n_modes(L)) - ells * ells - ells
+    ms.flags.writeable = False
+    return ms
 
 
 # --------------------------------------------------------------------------
@@ -150,29 +174,37 @@ def _yn_table(L: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def spherical_bessel_y(ell: int, x: float) -> float:
-    """Spherical Bessel function of the second kind, y_ell(x)."""
-    _check_radial_args(ell, x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(_yn_table(ell, xa)[ell, 0])
-
-
 # --------------------------------------------------------------------------
 # Outgoing Hankel functions, normalized to exp(ikr)/r at infinity
 # --------------------------------------------------------------------------
 
-def _i_pow(n: int) -> complex:
-    return (1j) ** (n % 4)
+# i**n, indexed by n mod 4
+_I_POW = np.array([1, 1j, -1, -1j])
+
+
+@functools.lru_cache(maxsize=None)
+def _outgoing_phase(L: int) -> np.ndarray:
+    """i**(ell+1) for ell = 0..L: the factor taking h1_ell to exp(ikr)/r form."""
+    phase = _I_POW[np.arange(1, L + 2) % 4]
+    phase.flags.writeable = False
+    return phase
 
 
 def _h1_table(L: int, z: np.ndarray) -> np.ndarray:
     """Standard h1_ell(z) = j_ell(z) + i*y_ell(z) for ell = 0..L."""
-    # j needs one extra degree for derivative callers; keep table exact at L.
     j = spherical_bessel_j_table(L, z)
     y = _yn_table(L, np.atleast_1d(z))
     if np.ndim(z) == 0:
         y = y[:, 0]
     return j + 1j * y
+
+
+def _bessel_dz(f: np.ndarray, z) -> np.ndarray:
+    """d/dz of a spherical Bessel-type table f_0..f_{L+1} at z, for ell = 0..L:
+    f_0' = -f_1 and f_ell' = f_{ell-1} - (ell+1)/z * f_ell (valid for j, y, h1)."""
+    L = f.shape[0] - 2
+    ells = np.arange(1, L + 1).reshape((L,) + (1,) * np.ndim(z))
+    return np.concatenate([-f[1:2], f[:L] - (ells + 1) / z * f[1 : L + 1]])
 
 
 def hankel_out_table(L: int, k: float, r) -> np.ndarray:
@@ -182,7 +214,7 @@ def hankel_out_table(L: int, k: float, r) -> np.ndarray:
         raise DomainError(f"wavenumber must be > 0, got {k}")
     ra = np.asarray(r, dtype=float)
     h = _h1_table(L, k * ra)
-    phase = np.array([_i_pow(ell + 1) for ell in range(L + 1)]) * k
+    phase = _outgoing_phase(L) * k
     return h * phase.reshape((L + 1,) + (1,) * ra.ndim)
 
 
@@ -198,12 +230,8 @@ def hankel_out_dr_table(L: int, k: float, r) -> np.ndarray:
         raise DomainError(f"wavenumber must be > 0, got {k}")
     ra = np.asarray(r, dtype=float)
     z = k * ra
-    h = _h1_table(L + 1, z)
-    dh = np.empty_like(h[: L + 1])
-    dh[0] = -h[1]
-    for ell in range(1, L + 1):
-        dh[ell] = h[ell - 1] - (ell + 1) / z * h[ell]
-    phase = np.array([_i_pow(ell + 1) for ell in range(L + 1)]) * k * k
+    dh = _bessel_dz(_h1_table(L + 1, z), z)
+    phase = _outgoing_phase(L) * k * k
     return dh * phase.reshape((L + 1,) + (1,) * ra.ndim)
 
 
@@ -226,39 +254,33 @@ def _norm_legendre_table(L: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
     n = ct.shape[0]
     P = np.zeros((L + 1, L + 1, n))
     P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    # diagonal: Pbar[m, m]
+    # diagonal Pbar[m, m] and first off-diagonal Pbar[m, m-1]
     for m in range(1, L + 1):
         P[m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * st * P[m - 1, m - 1]
-    # first off-diagonal: Pbar[m+1, m]
-    for m in range(0, L):
-        P[m + 1, m] = math.sqrt(2 * m + 3) * ct * P[m, m]
-    # ascending-degree recurrence, normalized on the fly
-    for m in range(0, L - 1):
-        for ell in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = math.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-            P[ell, m] = a * (ct * P[ell - 1, m] - b * P[ell - 2, m])
+        P[m, m - 1] = math.sqrt(2 * m + 1) * ct * P[m - 1, m - 1]
+    # ascending-degree recurrence for all orders m <= ell - 2, normalized on the fly
+    for ell in range(2, L + 1):
+        m = np.arange(ell - 1)
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))[:, None]
+        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))[:, None]
+        P[ell, : ell - 1] = a * (ct * P[ell - 1, : ell - 1] - b * P[ell - 2, : ell - 1])
     return P
 
 
 def _norm_legendre_dtheta_table(L: int, P: np.ndarray) -> np.ndarray:
-    """d/dtheta of _norm_legendre_table output, via the ladder identity.
+    """d/dtheta of _norm_legendre_table output, via the ladder identity
+    dP[ell, m] = (c_up * P[ell, m+1] - c_down * P[ell, m-1]) / 2.
 
     Pole-safe: no division by sin(theta).
     """
-    dP = np.zeros_like(P)
-    for ell in range(L + 1):
-        for m in range(0, ell + 1):
-            up = 0.0
-            if m + 1 <= ell:
-                up = math.sqrt((ell - m) * (ell + m + 1)) * P[ell, m + 1]
-            if m == 0:
-                # Pbar[ell, -1] is -Pbar[ell, 1] under this normalization
-                down = -(math.sqrt(ell * (ell + 1)) * P[ell, 1]) if ell >= 1 else 0.0
-            else:
-                down = math.sqrt((ell + m) * (ell - m + 1)) * P[ell, m - 1]
-            dP[ell, m] = 0.5 * (up - down)
-    return dP
+    ell = np.arange(L + 1)[:, None]
+    m = np.arange(L + 1)[None, :]
+    c_up = np.sqrt(np.maximum((ell - m) * (ell + m + 1), 0))[..., None]
+    c_down = np.sqrt(np.maximum((ell + m) * (ell - m + 1), 0))[..., None]
+    Pz = np.concatenate([P, np.zeros_like(P[:, :1])], axis=1)
+    # Pbar[ell, -1] is -Pbar[ell, 1] under this normalization
+    below = np.concatenate([-Pz[:, 1:2], Pz[:, :L]], axis=1)
+    return 0.5 * (c_up * Pz[:, 1:] - c_down * below)
 
 
 def _azimuth_factors(L: int, phi: np.ndarray) -> np.ndarray:
@@ -275,35 +297,29 @@ def _azimuth_factors(L: int, phi: np.ndarray) -> np.ndarray:
 def _assemble_modes(L: int, P: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Combine a Legendre-style table (m >= 0) with azimuth factors into the
     full (n, (L+1)**2) mode matrix, using Y(ell,-m) = (-1)**m conj(Y(ell,m))."""
-    n = P.shape[2]
-    out = np.empty((n, n_modes(L)), dtype=complex)
-    for ell in range(L + 1):
-        base = ell * ell + ell
-        out[:, base] = P[ell, 0]
-        for m in range(1, ell + 1):
-            col = P[ell, m] * E[m]
-            out[:, base + m] = col
-            out[:, base - m] = (-1) ** m * np.conj(col)
-    return out
+    ms = mode_orders(L)
+    # azimuth factors of orders -L..L; P is real, so the conjugate acts on E
+    sign = 1 - 2 * (np.arange(L, 0, -1) % 2)
+    E_all = np.concatenate([np.conj(E[:0:-1]) * sign[:, None], E])
+    return np.ascontiguousarray((P[mode_degrees(L), np.abs(ms)] * E_all[ms + L]).T)
+
+
+def _legendre_and_azimuth(L: int, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    ph = np.atleast_1d(np.asarray(phi, dtype=float))
+    return _norm_legendre_table(L, np.cos(th), np.sin(th)), _azimuth_factors(L, ph)
 
 
 def sph_harm_table(L: int, theta, phi) -> np.ndarray:
     """Y[ell, m] at given angles for all modes ell <= L; shape (n, (L+1)**2)."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    ph = np.atleast_1d(np.asarray(phi, dtype=float))
-    P = _norm_legendre_table(L, np.cos(th), np.sin(th))
-    E = _azimuth_factors(L, ph)
+    P, E = _legendre_and_azimuth(L, theta, phi)
     return _assemble_modes(L, P, E)
 
 
 def sph_harm_dtheta_table(L: int, theta, phi) -> np.ndarray:
     """d/dtheta of sph_harm_table; same shape, pole-safe."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    ph = np.atleast_1d(np.asarray(phi, dtype=float))
-    P = _norm_legendre_table(L, np.cos(th), np.sin(th))
-    dP = _norm_legendre_dtheta_table(L, P)
-    E = _azimuth_factors(L, ph)
-    return _assemble_modes(L, dP, E)
+    P, E = _legendre_and_azimuth(L, theta, phi)
+    return _assemble_modes(L, _norm_legendre_dtheta_table(L, P), E)
 
 
 def sph_harm_dphi_over_sin_table(L: int, theta, phi) -> np.ndarray:
@@ -315,18 +331,36 @@ def sph_harm_dphi_over_sin_table(L: int, theta, phi) -> np.ndarray:
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     st = np.sin(th)
     Y = sph_harm_table(L, th, phi)
-    out = np.zeros_like(Y)
     if np.any(np.abs(st) < 1e-12):
         raise DomainError("azimuthal angular gradient undefined at the poles")
-    for ell in range(L + 1):
-        base = ell * ell + ell
-        for m in range(-ell, ell + 1):
-            if m != 0:
-                out[:, base + m] = 1j * m * Y[:, base + m] / st
-    return out
+    return 1j * mode_orders(L) * Y / st[:, None]
 
 
 def sph_harm(ell: int, m: int, theta: float, phi: float) -> complex:
     """Orthonormal spherical harmonic Y_{ell m}(theta, phi)."""
     idx = mode_index(ell, m)
     return complex(sph_harm_table(ell, theta, phi)[0, idx])
+
+
+# --------------------------------------------------------------------------
+# One-dimensional minimization
+# --------------------------------------------------------------------------
+
+def golden_min(
+    f: Callable[[float], float], a: float, b: float, rel_tol: float = 1e-10
+) -> tuple[float, float]:
+    """Golden-section minimum (x, f(x)) of f on [a, b] to relative width rel_tol."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > rel_tol * max(abs(a), abs(b)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)

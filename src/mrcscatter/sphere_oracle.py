@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
+from . import fields, specfun
 from .direct_solver import CoefficientSet, WaveContext
-from . import specfun
 
 logger = logging.getLogger(__name__)
 
@@ -27,31 +27,16 @@ def plane_wave_coeffs(ctx: WaveContext, L: int) -> CoefficientSet:
     """
     alpha = ctx.alpha
     Y = specfun.sph_harm_table(L, alpha.theta, alpha.phi)[0]
-    phases = np.array(
-        [4.0 * math.pi * specfun._i_pow(ell) for ell in range(L + 1)]
-    )
-    b = np.conj(Y)
-    for ell in range(L + 1):
-        base = ell * ell + ell
-        b[base - ell : base + ell + 1] *= phases[ell]
-    return CoefficientSet(L, b)
+    phases = 4.0 * math.pi * specfun._I_POW[specfun.mode_degrees(L) % 4]
+    return CoefficientSet(L, np.conj(Y) * phases)
 
 
 def incident_partial_sum(ctx: WaveContext, L: int, points: np.ndarray) -> np.ndarray:
     """Evaluate the truncated plane-wave expansion at Cartesian points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.linalg.norm(pts, axis=-1)
-    theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    b = plane_wave_coeffs(ctx, L)
+    r, theta, phi = fields._angles_of(points)
     Y = specfun.sph_harm_table(L, theta, phi)
     j = specfun.spherical_bessel_j_table(L, ctx.k * r)
-    out = np.zeros(len(pts), dtype=complex)
-    for ell in range(L + 1):
-        base = ell * ell + ell
-        block = Y[:, base - ell : base + ell + 1] @ b.coeffs[base - ell : base + ell + 1]
-        out += j[ell] * block
-    return out
+    return fields._radial_sum(plane_wave_coeffs(ctx, L), j, Y)
 
 
 def sphere_scattering_coeffs(a: float, ctx: WaveContext, L: int, bc: str) -> CoefficientSet:
@@ -69,11 +54,7 @@ def sphere_scattering_coeffs(a: float, ctx: WaveContext, L: int, bc: str) -> Coe
         num = specfun.spherical_bessel_j_table(L, k * a)
         den = specfun.hankel_out_table(L, k, a)
     elif bc == "neumann":
-        jt = specfun.spherical_bessel_j_table(L + 1, k * a)
-        num = np.empty(L + 1)
-        num[0] = -k * jt[1]
-        for ell in range(1, L + 1):
-            num[ell] = k * (jt[ell - 1] - (ell + 1) / (k * a) * jt[ell])
+        num = k * specfun._bessel_dz(specfun.spherical_bessel_j_table(L + 1, k * a), k * a)
         den = specfun.hankel_out_dr_table(L, k, a)
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -81,8 +62,4 @@ def sphere_scattering_coeffs(a: float, ctx: WaveContext, L: int, bc: str) -> Coe
     if np.any(np.abs(den) < tiny):
         logger.warning("near-zero radial denominator in sphere coefficients")
     ratio = num / den
-    c = b.coeffs.copy()
-    for ell in range(L + 1):
-        base = ell * ell + ell
-        c[base - ell : base + ell + 1] *= -ratio[ell]
-    return CoefficientSet(L, c)
+    return CoefficientSet(L, b.coeffs * -ratio[specfun.mode_degrees(L)])

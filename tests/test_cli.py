@@ -169,3 +169,17 @@ class TestOracleAndFieldmap:
             rows = list(csv.reader(fh))
         assert len(rows) == 26
         assert rows[0][:3] == ["x", "y", "z"]
+
+    def test_fieldmap_rejects_a_document_that_is_not_a_solution(self, tmp_path, capsys):
+        (tmp_path / "solution.json").write_text(json.dumps({"kind": "direct_solution", "k": 1.0}))
+        fcfg = write_cfg(
+            tmp_path / "fm.json",
+            {
+                "schema_version": 1,
+                "solution": "solution.json",
+                "ray": {"direction": [1.0, 0.5], "r_start": 1.5, "r_stop": 5.0, "n": 5},
+            },
+        )
+        assert main(["fieldmap", "--config", fcfg, "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: direct_solution")
+        assert not (tmp_path / "fieldmap.csv").exists()

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,15 @@ class TestSolveLeastSquares:
         info = solve_least_squares(A, b)
         assert info.coeffs[0] == pytest.approx(info.coeffs[1], rel=1e-12)
         assert info.rank == 1
+
+    def test_zero_matrix_gives_zero_solution(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            info = solve_least_squares(np.zeros((4, 2)), np.ones(4))
+        np.testing.assert_array_equal(info.coeffs, 0.0)
+        assert info.rank == 0
+        assert info.residual == 2.0
+        assert info.condition == math.inf
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):

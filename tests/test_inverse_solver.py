@@ -11,7 +11,10 @@ from mrcscatter.geometry import Direction, fibonacci_directions, make_quadrature
 from mrcscatter.inverse_solver import (
     NearFieldData,
     NearFieldEntry,
+    _fit_harmonic_model,
+    _real_harmonic_basis,
     add_noise,
+    evaluate_harmonic_model,
     extract_coeffs,
     find_ray_root,
     ray_function,
@@ -290,3 +293,22 @@ class TestStableReconstruct:
         data = sphere_data(quad=make_quadrature(8, 16))
         with pytest.raises(ValueError):
             stable_reconstruct(data, fibonacci_directions(4), L_schedule=(20,))
+
+
+class TestHarmonicModel:
+    def test_real_basis_is_orthonormal(self):
+        quad = make_quadrature(6, 12)
+        B = _real_harmonic_basis(4, quad.theta, quad.phi)
+        gram = B.T @ (quad.weights[:, None] * B)
+        np.testing.assert_allclose(gram, np.eye(sf.n_modes(4)), rtol=0, atol=1e-13)
+
+    def test_fit_recovers_known_coefficients(self):
+        dirs = fibonacci_directions(60)
+        coeffs = np.random.default_rng(5).standard_normal(sf.n_modes(4))
+        radii = evaluate_harmonic_model(coeffs, 4, dirs)
+        # directions outside the mask must not influence the fit
+        mask = np.ones(len(dirs), dtype=bool)
+        mask[::7] = False
+        radii[~mask] = 100.0
+        fit = _fit_harmonic_model(dirs, radii, mask, 4)
+        np.testing.assert_allclose(fit, coeffs, rtol=0, atol=1e-12)

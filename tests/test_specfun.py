@@ -181,6 +181,22 @@ class TestSphHarm:
         ) / (2 * h)
         np.testing.assert_allclose(d, fd, rtol=0, atol=1e-8)
 
+    def test_dtheta_table_matches_ladder_identity_per_mode(self):
+        # reference: the ladder identity evaluated one (ell, m) at a time
+        L = 7
+        theta = np.array([0.0, 0.4, 1.9, math.pi])
+        P = sf._norm_legendre_table(L, np.cos(theta), np.sin(theta))
+        ref = np.zeros_like(P)
+        for ell in range(L + 1):
+            for m in range(ell + 1):
+                up = math.sqrt((ell - m) * (ell + m + 1)) * P[ell, m + 1] if m < ell else 0.0
+                if m == 0:
+                    down = -math.sqrt(ell * (ell + 1)) * P[ell, 1] if ell >= 1 else 0.0
+                else:
+                    down = math.sqrt((ell + m) * (ell - m + 1)) * P[ell, m - 1]
+                ref[ell, m] = 0.5 * (up - down)
+        np.testing.assert_array_equal(sf._norm_legendre_dtheta_table(L, P), ref)
+
     def test_dtheta_finite_at_pole(self):
         assert np.all(np.isfinite(sf.sph_harm_dtheta_table(6, 0.0, 0.0)))
 
@@ -211,3 +227,5 @@ class TestModeIndexing:
         L = 12
         seen = sorted(sf.mode_index(ell, m) for ell, m in sf.mode_list(L))
         assert seen == list(range(sf.n_modes(L)))
+        assert sf.mode_degrees(L).tolist() == [ell for ell, _ in sf.mode_list(L)]
+        assert sf.mode_orders(L).tolist() == [m for _, m in sf.mode_list(L)]
