@@ -135,13 +135,11 @@ def _basis_columns(
         )
     ells = specfun.mode_degrees(L)
     f = surface.radius(quad.theta, quad.phi)
-    Y = specfun.sph_harm_table(L, quad.theta, quad.phi)
     H = specfun.hankel_out_table(L, ctx.k, f)
     if bc == DIRICHLET:
-        return Y * H[ells].T
+        return specfun.sph_harm_table(L, quad.theta, quad.phi) * H[ells].T
     Hd = specfun.hankel_out_dr_table(L, ctx.k, f)
-    dY = specfun.sph_harm_dtheta_table(L, quad.theta, quad.phi)
-    pY = specfun.sph_harm_dphi_over_sin_table(L, quad.theta, quad.phi)
+    Y, dY, pY = specfun.sph_harm_gradient_tables(L, quad.theta, quad.phi)
     nr, nt, nph = _normal_spherical_components(surface, quad.theta, quad.phi)
     ang = nt[:, None] * dY + nph[:, None] * pY
     return (nr * Hd)[ells].T * Y + (H / f)[ells].T * ang

@@ -306,14 +306,11 @@ def _legendre_peak(ell: int, m: int) -> float:
     )
     i = int(np.argmax(vals))
 
-    def neg_val(t: float) -> float:
-        t = np.array([t])
-        return -float(
-            np.abs(specfun._norm_legendre_table(ell, np.cos(t), np.sin(t))[ell, m])[0]
-        )
+    def neg_val(t: np.ndarray) -> np.ndarray:
+        return -np.abs(specfun._norm_legendre_table(ell, np.cos(t), np.sin(t))[ell, m])
 
-    _, f = specfun.golden_min(neg_val, theta[max(0, i - 1)], theta[min(n - 1, i + 1)])
-    return -f
+    _, f = specfun.golden_min(neg_val, theta[[max(0, i - 1)]], theta[[min(n - 1, i + 1)]])
+    return -float(f[0])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ positive root (in practice a deep minimum of |p| on the real ray); keep the
 root that is stable across (wavenumber, incidence) entries; escalate the
 truncation degree through a schedule and stop at the smallest degree that
 resolves a quorum of directions.
+
+The ray search runs as one array program per (degree, entry) over all
+directions: the harmonics are summed into per-degree weights for every
+direction at once, |p| is evaluated on the whole (direction x grid) array
+from one Hankel table at the shared grid radii, and every interior grid
+minimum of every direction is polished together by one batched golden
+section.  ``find_ray_root`` is the same search on a single direction.
 """
 
 from __future__ import annotations
@@ -24,10 +31,6 @@ from .geometry import Direction, SphereQuadrature
 logger = logging.getLogger(__name__)
 
 DEFAULT_L_SCHEDULE = (3, 4, 5, 6, 8, 10)
-
-# modes whose radial factor at the measurement radius is this small relative
-# to the monopole are dropped instead of amplified
-HANKEL_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -114,44 +117,78 @@ def add_noise(data: NearFieldData, delta: float, seed: int) -> NearFieldData:
 
 def extract_coeffs(entry: NearFieldEntry, quad: SphereQuadrature, R: float, L: int) -> CoefficientSet:
     """Mode coefficients from one entry's samples: the projection of the
-    samples onto each harmonic, divided by the outgoing radial factor at R."""
+    samples onto each harmonic, divided by the outgoing radial factor at R.
+    |hankel_out| never decreases with the degree at a fixed radius, so no
+    mode is amplified more than the monopole."""
     proj = fields.project_far_field(entry.samples, quad, L).coeffs
     H = specfun.hankel_out_table(L, entry.ctx.k, R)
-    dropped = np.abs(H) < HANKEL_FLOOR * abs(H[0])
-    if np.any(dropped):
-        logger.warning(
-            "dropping degrees %s: radial factor below %.1e of the monopole at R=%.3g",
-            np.flatnonzero(dropped).tolist(), HANKEL_FLOOR, R,
-        )
-    ells = specfun.mode_degrees(L)
-    keep = ~dropped[ells]
-    coeffs = np.zeros_like(proj)
-    coeffs[keep] = proj[keep] / H[ells][keep]
-    return CoefficientSet(L, coeffs)
+    return CoefficientSet(L, proj / H[specfun.mode_degrees(L)])
 
 
-def _ray_evaluator(coeffs: CoefficientSet, ctx: WaveContext, dir_out: Direction):
-    """Closure evaluating p(r) with the angular sums folded out of the loop."""
-    Y = specfun.sph_harm_table(coeffs.L, dir_out.theta, dir_out.phi)[0]
-    # c * Y summed over the orders of each degree; degree ell starts at index ell**2
-    per_ell = np.add.reduceat(Y * coeffs.coeffs, np.arange(coeffs.L + 1) ** 2)
-    cosang = float(np.dot(ctx.alpha.vector, dir_out.vector))
-    k, L = ctx.k, coeffs.L
-
-    def p(r):
-        ra = np.asarray(r, dtype=float)
-        if np.any(ra <= 0):
-            raise specfun.DomainError("ray function undefined at r <= 0")
-        H = specfun.hankel_out_table(L, k, ra)
-        return np.exp(1j * k * cosang * ra) + np.tensordot(per_ell, H, axes=(0, 0))
-
-    return p
+def _ray_weights(coeffs: CoefficientSet, ctx: WaveContext, dirs: list[Direction]):
+    """Per-degree weights sum_m c[ell, m] Y[ell, m](dir), shape (n_dir, L+1),
+    and cos(angle between each direction and the incidence)."""
+    theta = np.array([d.theta for d in dirs])
+    phi = np.array([d.phi for d in dirs])
+    Y = specfun.sph_harm_table(coeffs.L, theta, phi)
+    # degree ell starts at flat index ell**2
+    W = np.add.reduceat(Y * coeffs.coeffs, np.arange(coeffs.L + 1) ** 2, axis=1)
+    cosang = np.array([d.vector for d in dirs]) @ ctx.alpha.vector
+    return W, cosang
 
 
 def ray_function(coeffs: CoefficientSet, ctx: WaveContext, dir_out: Direction, r) -> np.ndarray:
     """p(r) = incident plane wave + truncated outgoing expansion along the ray
     r * dir_out; its positive root estimates the boundary radius."""
-    return _ray_evaluator(coeffs, ctx, dir_out)(r)
+    W, cosang = _ray_weights(coeffs, ctx, [dir_out])
+    ra = np.asarray(r, dtype=float)
+    H = specfun.hankel_out_table(coeffs.L, ctx.k, ra)
+    return np.exp(1j * ctx.k * cosang[0] * ra) + np.tensordot(W[0], H, axes=(0, 0))
+
+
+def _ray_roots(
+    coeffs: CoefficientSet,
+    ctx: WaveContext,
+    dirs: list[Direction],
+    bracket: tuple[float, float],
+    grid_n: int,
+    residual_threshold: float,
+) -> list[list[RayRoot]]:
+    """find_ray_root for every direction at once: one harmonic table, one
+    Hankel table on the shared grid and one batched golden section over all
+    candidate brackets."""
+    r_lo, r_hi = bracket
+    if not 0.0 < r_lo < r_hi:
+        raise ValueError(f"invalid bracket {bracket}")
+    if grid_n < 16:
+        raise ValueError(f"grid_n must be >= 16, got {grid_n}")
+    k, L = ctx.k, coeffs.L
+    W, cosang = _ray_weights(coeffs, ctx, dirs)
+    grid = np.linspace(r_lo, r_hi, grid_n)
+    pg = np.abs(
+        np.exp(1j * k * cosang[:, None] * grid) + W @ specfun.hankel_out_table(L, k, grid)
+    )
+    pmax = np.max(pg, axis=1)
+    # strict interior minima; row-major order keeps each direction's grid order
+    inner = pg[:, 1:-1]
+    rows, cells = np.nonzero((inner < pg[:, :-2]) & (inner < pg[:, 2:]))
+
+    def abs_p(r: np.ndarray) -> np.ndarray:
+        H = specfun.hankel_out_table(L, k, r)
+        return np.abs(np.exp(1j * k * cosang[rows] * r) + np.einsum("cl,lc->c", W[rows], H))
+
+    r0, f0 = specfun.golden_min(abs_p, grid[cells], grid[cells + 2])
+    # an all-zero row has no strict minimum, so pmax > 0 on every candidate row
+    score = f0 / pmax[rows]
+    found: list[list[RayRoot]] = [[] for _ in dirs]
+    for i in np.flatnonzero(score <= residual_threshold):
+        d = rows[i]
+        found[d].append(RayRoot(
+            dir_out=dirs[d], r=float(r0[i]), residual=float(f0[i]), imag_score=float(score[i])
+        ))
+    for roots in found:
+        roots.sort(key=lambda rr: rr.residual)
+    return found
 
 
 def find_ray_root(
@@ -169,30 +206,11 @@ def find_ray_root(
     polished by golden section.  Candidates come back sorted by residual.
     An exact zero may not exist on the real ray, so the depth of the minimum
     (``imag_score``) measures how close the root is to the positive semiaxis.
+
+    This is the one-direction call of the batched search that
+    ``stable_reconstruct`` runs over all directions at once.
     """
-    r_lo, r_hi = bracket
-    if not 0.0 < r_lo < r_hi:
-        raise ValueError(f"invalid bracket {bracket}")
-    if grid_n < 16:
-        raise ValueError(f"grid_n must be >= 16, got {grid_n}")
-    grid = np.linspace(r_lo, r_hi, grid_n)
-    evaluator = _ray_evaluator(coeffs, ctx, dir_out)
-    pg = np.abs(evaluator(grid))
-    pmax = float(np.max(pg))
-    if pmax == 0.0:
-        return []
-    roots: list[RayRoot] = []
-    for i in range(1, grid_n - 1):
-        if pg[i] < pg[i - 1] and pg[i] < pg[i + 1]:
-            fn = lambda r: float(np.abs(evaluator(r)))
-            r0, f0 = specfun.golden_min(fn, grid[i - 1], grid[i + 1])
-            score = f0 / pmax
-            if score <= residual_threshold:
-                roots.append(
-                    RayRoot(dir_out=dir_out, r=r0, residual=f0, imag_score=score)
-                )
-    roots.sort(key=lambda rr: rr.residual)
-    return roots
+    return _ray_roots(coeffs, ctx, [dir_out], bracket, grid_n, residual_threshold)[0]
 
 
 def _consistent_roots(candidates: list[list[RayRoot]]) -> tuple[list[RayRoot], float] | None:
@@ -270,6 +288,8 @@ def stable_reconstruct(
     """
     if not data.entries:
         raise ValueError("no entries in near-field data")
+    if not dirs:
+        raise ValueError("no directions to reconstruct")
     if bracket is None:
         bracket = (0.2 * data.R, 0.9 * data.R)
     schedule = sorted(set(int(L) for L in L_schedule))
@@ -287,16 +307,14 @@ def stable_reconstruct(
     best: tuple[float, int, list] | None = None  # (resolution, L, per_dir)
     chosen: tuple[int, list] | None = None
     for L in schedule:
+        per_entry = [
+            _ray_roots(c.truncated(L), e.ctx, dirs, bracket, grid_n, residual_threshold)
+            for c, e in zip(full, data.entries)
+        ]
         per_dir = []
         n_resolved = 0
-        for d in dirs:
-            cands = [
-                find_ray_root(
-                    c.truncated(L), e.ctx, d, bracket, grid_n, residual_threshold
-                )
-                for c, e in zip(full, data.entries)
-            ]
-            combo = _consistent_roots(cands)
+        for cands in zip(*per_entry):
+            combo = _consistent_roots(list(cands))
             if combo is None:
                 per_dir.append(None)
                 continue

@@ -7,6 +7,7 @@ byte-identical files.  Non-finite numbers serialize as null.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from importlib import resources
@@ -63,7 +64,9 @@ def load_schema(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+@functools.lru_cache(maxsize=None)
 def _schema_registry():
+    """Every bundled schema by its $id; built once per process (immutable)."""
     from referencing import Registry, Resource
 
     pairs = []

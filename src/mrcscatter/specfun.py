@@ -322,6 +322,13 @@ def sph_harm_dtheta_table(L: int, theta, phi) -> np.ndarray:
     return _assemble_modes(L, _norm_legendre_dtheta_table(L, P), E)
 
 
+def _dphi_over_sin(L: int, th: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    st = np.sin(th)
+    if np.any(np.abs(st) < 1e-12):
+        raise DomainError("azimuthal angular gradient undefined at the poles")
+    return 1j * mode_orders(L) * Y / st[:, None]
+
+
 def sph_harm_dphi_over_sin_table(L: int, theta, phi) -> np.ndarray:
     """(1/sin(theta)) * d/dphi of sph_harm_table, i.e. i*m*Y/sin(theta).
 
@@ -329,11 +336,17 @@ def sph_harm_dphi_over_sin_table(L: int, theta, phi) -> np.ndarray:
     from zero for m != 0 (quadrature nodes never sit on the poles).
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    st = np.sin(th)
-    Y = sph_harm_table(L, th, phi)
-    if np.any(np.abs(st) < 1e-12):
-        raise DomainError("azimuthal angular gradient undefined at the poles")
-    return 1j * mode_orders(L) * Y / st[:, None]
+    return _dphi_over_sin(L, th, sph_harm_table(L, th, phi))
+
+
+def sph_harm_gradient_tables(L: int, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sph_harm_table, sph_harm_dtheta_table and sph_harm_dphi_over_sin_table
+    (bitwise the same values) from one Legendre and one azimuth table."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    P, E = _legendre_and_azimuth(L, th, phi)
+    Y = _assemble_modes(L, P, E)
+    dY = _assemble_modes(L, _norm_legendre_dtheta_table(L, P), E)
+    return Y, dY, _dphi_over_sin(L, th, Y)
 
 
 def sph_harm(ell: int, m: int, theta: float, phi: float) -> complex:
@@ -347,20 +360,38 @@ def sph_harm(ell: int, m: int, theta: float, phi: float) -> complex:
 # --------------------------------------------------------------------------
 
 def golden_min(
-    f: Callable[[float], float], a: float, b: float, rel_tol: float = 1e-10
-) -> tuple[float, float]:
-    """Golden-section minimum (x, f(x)) of f on [a, b] to relative width rel_tol."""
+    f: Callable[[np.ndarray], np.ndarray], a, b, rel_tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima (x, f(x)) of f on the brackets [a[i], b[i]].
+
+    f maps an array of abscissae to the array of values at them and must act
+    elementwise, so a batch returns bitwise what one call per bracket would.
+    Each bracket shrinks until its width is at most rel_tol * max(|a|, |b|);
+    finished brackets stop updating while the others go on, and every step
+    costs one call of f on the whole array.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+    active = (b - a) > rel_tol * np.maximum(np.abs(a), np.abs(b))
+    while np.any(active):
+        # left: the minimum lies in [a, d], which becomes the bracket and
+        # keeps c as its upper probe; right: the same on [c, b]
+        lt = fc < fd
+        left = active & lt
+        right = active & ~lt
+        a = np.where(right, c, a)
+        b = np.where(left, d, b)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        c = np.where(left, b - inv_phi * (b - a), c)
+        d = np.where(right, a + inv_phi * (b - a), d)
+        fx = f(np.where(left, c, d))
+        fc = np.where(left, fx, fc)
+        fd = np.where(right, fx, fd)
+        active &= (b - a) > rel_tol * np.maximum(np.abs(a), np.abs(b))
+    lt = fc < fd
+    return np.where(lt, c, d), np.where(lt, fc, fd)

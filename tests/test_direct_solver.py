@@ -10,6 +10,7 @@ import pytest
 from mrcscatter import specfun as sf
 from mrcscatter.direct_solver import (
     CoefficientSet,
+    _basis_columns,
     WaveContext,
     assemble_basis_matrix,
     incident_trace,
@@ -21,6 +22,7 @@ from mrcscatter.geometry import (
     PerturbedSphere,
     Sphere,
     SphereQuadrature,
+    _normal_spherical_components,
     make_quadrature,
     quadrature_for_degree,
     surface_element,
@@ -92,6 +94,23 @@ class TestAssembleBasisMatrix:
             for m in (-ell, 0, ell):
                 norm = np.linalg.norm(A[:, sf.mode_index(ell, m)])
                 assert norm == pytest.approx(a * abs(sf.hankel_out_dr(ell, k, a)), rel=1e-10)
+
+    def test_neumann_columns_match_separate_harmonic_tables(self):
+        # one Legendre and one azimuth table give bitwise the matrix built
+        # from the three public harmonic tables
+        surface = PerturbedSphere(1.0, [(2, 1, 0.15), (3, -2, 0.1)])
+        quad = quadrature_for_degree(14)
+        ctx, L = WaveContext(1.3, Direction(0.7, 0.2)), 6
+        ells = sf.mode_degrees(L)
+        f = surface.radius(quad.theta, quad.phi)
+        H = sf.hankel_out_table(L, ctx.k, f)
+        Hd = sf.hankel_out_dr_table(L, ctx.k, f)
+        Y = sf.sph_harm_table(L, quad.theta, quad.phi)
+        dY = sf.sph_harm_dtheta_table(L, quad.theta, quad.phi)
+        pY = sf.sph_harm_dphi_over_sin_table(L, quad.theta, quad.phi)
+        nr, nt, nph = _normal_spherical_components(surface, quad.theta, quad.phi)
+        ref = (nr * Hd)[ells].T * Y + (H / f)[ells].T * (nt[:, None] * dY + nph[:, None] * pY)
+        np.testing.assert_array_equal(_basis_columns(surface, quad, ctx, L, "neumann"), ref)
 
     def test_rejects_underresolved_quadrature(self):
         quad = quadrature_for_degree(8)

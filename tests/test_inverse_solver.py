@@ -289,6 +289,10 @@ class TestStableReconstruct:
                 fibonacci_directions(4),
             )
 
+    def test_requires_directions(self):
+        with pytest.raises(ValueError, match="no directions"):
+            stable_reconstruct(sphere_data(quad=make_quadrature(12, 24)), [], L_schedule=(3,))
+
     def test_schedule_must_fit_quadrature(self):
         data = sphere_data(quad=make_quadrature(8, 16))
         with pytest.raises(ValueError):

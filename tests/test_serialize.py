@@ -80,6 +80,9 @@ class TestConverters:
         np.testing.assert_array_equal(back.entries[0].samples, data.entries[0].samples)
         np.testing.assert_allclose(back.quadrature.weights, quad.weights, rtol=0, atol=0)
 
+    def test_schema_registry_is_built_once(self):
+        assert serialize._schema_registry() is serialize._schema_registry()
+
     def test_validation_failure_raises(self):
         with pytest.raises(serialize.SchemaError):
             serialize.validate({"schema_version": 1}, "direct_solution")

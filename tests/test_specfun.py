@@ -86,6 +86,13 @@ class TestHankelOut:
         ]
         assert devs[2] < devs[1] < devs[0]
 
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.floats(0.05, 60.0), L=st.integers(1, 60))
+    def test_modulus_nondecreasing_in_degree(self, x, L):
+        # so dividing a near-field projection by its radial factor never
+        # amplifies a mode more than the monopole
+        assert np.all(np.diff(np.abs(sf.hankel_out_table(L, 1.0, x))) >= 0.0)
+
     def test_domain_errors(self):
         with pytest.raises(sf.DomainError):
             sf.hankel_out(0, -1.0, 1.0)
@@ -211,6 +218,23 @@ class TestSphHarm:
             for m in range(-ell, ell + 1):
                 expect = 1j * m * sf.sph_harm(ell, m, th0, ph0) / math.sin(th0)
                 assert abs(out[sf.mode_index(ell, m)] - expect) < 1e-13
+
+
+class TestGoldenMin:
+    def test_batch_is_bitwise_per_element(self):
+        f = lambda x: np.cos(3.0 * x) + 0.1 * x * x
+        # the fourth bracket is already below the tolerance: no iteration
+        a = np.array([0.2, 0.5, 1.0, 1.9, 10.0])
+        b = a + np.array([0.9, 1.5, 0.3, 1e-11, 2.0])
+        x, fx = sf.golden_min(f, a, b)
+        for i in range(a.size):
+            xi, fi = sf.golden_min(f, a[i : i + 1], b[i : i + 1])
+            assert x[i] == xi[0] and fx[i] == fi[0]
+
+    def test_finds_interior_minimum(self):
+        x, fx = sf.golden_min(lambda t: (t - 0.3) ** 2, np.array([0.0, 0.25]), np.array([1.0, 0.31]))
+        np.testing.assert_allclose(x, 0.3, rtol=1e-9)
+        assert np.all(fx < 1e-18)
 
 
 class TestModeIndexing:
