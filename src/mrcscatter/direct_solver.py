@@ -6,6 +6,11 @@ psi[ell, m](x) = Y[ell, m](x/|x|) * hankel_out(ell, k, |x|).  For a soft
 (incident + combination); for a hard (Neumann) obstacle the same with normal
 derivatives.  The truncation degree L escalates until the relative residual
 meets the target; the smallest such L is kept.
+
+Each step takes one Householder QR of [A | b] (columns of A at unit norm)
+and reads its residual off |R[n, n]|, since Q is orthonormal and so
+||A c + b|| = ||R[:, :n] c + R[:, n]||.  The truncated SVD runs once, on the
+small R at the kept step: A and R[:, :n] share singular values.
 """
 
 from __future__ import annotations
@@ -162,10 +167,36 @@ def assemble_basis_matrix(
     return _boundary_weight(surface, quad)[:, None] * A
 
 
+def _factor(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R factor of [matrix / column norms | rhs], and the norms (0 read as 1)."""
+    col_norms = np.linalg.norm(matrix, axis=0)
+    col_norms[col_norms == 0.0] = 1.0
+    return np.linalg.qr(np.column_stack((matrix / col_norms, rhs)), mode="r"), col_norms
+
+
+def _solve_factored(matrix, rhs, R, col_norms, svd_cutoff) -> LeastSquaresInfo:
+    """Truncated-SVD solve of min ||matrix @ c + rhs|| on _factor's R."""
+    n = matrix.shape[1]
+    U, s, Vh = np.linalg.svd(R[:, :n], full_matrices=False)
+    # an all-zero matrix (s[0] == 0) keeps nothing
+    keep = (s > 0.0) & (s >= svd_cutoff * s[0])
+    rank = int(np.count_nonzero(keep))
+    if rank == 0:
+        coeffs = np.zeros(n, dtype=complex)
+        condition = math.inf
+    else:
+        Uk, sk, Vhk = U[:, keep], s[keep], Vh[keep]
+        coeffs = -(Vhk.conj().T @ ((Uk.conj().T @ R[:, n]) / sk)) / col_norms
+        condition = float(s[0] / sk[-1])
+    residual = float(np.linalg.norm(matrix @ coeffs + rhs))
+    return LeastSquaresInfo(coeffs=coeffs, residual=residual, rank=rank, condition=condition)
+
+
 def solve_least_squares(
     matrix: np.ndarray, rhs: np.ndarray, svd_cutoff: float = 1e-12
 ) -> LeastSquaresInfo:
-    """Minimize ||matrix @ c + rhs|| by truncated SVD.
+    """Minimize ||matrix @ c + rhs|| by a QR of [matrix | rhs], then a
+    truncated SVD of the small R factor.
 
     Columns are pre-scaled to unit norm (undone on return); singular values
     below svd_cutoff * sigma_max are discarded, which selects the minimum-norm
@@ -175,22 +206,7 @@ def solve_least_squares(
         raise ValueError("empty system")
     if not 0.0 < svd_cutoff < 1.0:
         raise ValueError(f"svd_cutoff must be in (0, 1), got {svd_cutoff}")
-    col_norms = np.linalg.norm(matrix, axis=0)
-    col_norms[col_norms == 0.0] = 1.0
-    A = matrix / col_norms
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    # an all-zero matrix (s[0] == 0) keeps nothing
-    keep = (s > 0.0) & (s >= svd_cutoff * s[0])
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        coeffs = np.zeros(matrix.shape[1], dtype=complex)
-        condition = math.inf
-    else:
-        Uk, sk, Vhk = U[:, keep], s[keep], Vh[keep]
-        coeffs = -(Vhk.conj().T @ ((Uk.conj().T @ rhs) / sk)) / col_norms
-        condition = float(s[0] / sk[-1])
-    residual = float(np.linalg.norm(matrix @ coeffs + rhs))
-    return LeastSquaresInfo(coeffs=coeffs, residual=residual, rank=rank, condition=condition)
+    return _solve_factored(matrix, rhs, *_factor(matrix, rhs), svd_cutoff)
 
 
 def mrc_solve(
@@ -207,7 +223,8 @@ def mrc_solve(
     the incident-data norm) drops to eps_target; keep the smallest such L.
 
     Exhausting L_max is not an error: the best coefficients found are
-    returned with ``converged = False``.
+    returned with ``converged = False``.  A step whose system is not finite
+    (overflow) ends the escalation the same way; ValueError if none was.
     """
     _check_bc(bc)
     if eps_target <= 0:
@@ -219,7 +236,7 @@ def mrc_solve(
             f"quad_degree_factor must be >= 2 (anti-aliasing), got {quad_degree_factor}"
         )
     history: list[tuple[int, float]] = []
-    best: tuple[float, int, LeastSquaresInfo] | None = None
+    best, converged = None, False
     for L in range(L_start, L_max + 1):
         # floor keeps small-L residual estimates trustworthy
         degree = max(math.ceil(quad_degree_factor * L), 2 * L, 16)
@@ -227,22 +244,31 @@ def mrc_solve(
         scale = _boundary_weight(surface, quad)
         A = scale[:, None] * _basis_columns(surface, quad, ctx, L, bc)
         b = incident_trace(surface, quad, ctx, bc) * scale
-        info = solve_least_squares(A, b, svd_cutoff)
-        rel = info.residual / np.linalg.norm(b)
-        history.append((L, rel))
-        logger.debug("L=%d relative residual %.3e (rank %d)", L, rel, info.rank)
-        # every earlier step missed the target, so a converged step is the best
-        if best is None or rel < best[0]:
-            best = (rel, L, info)
-        if rel <= eps_target:
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
             break
-    rel, L, info = best
-    converged = bool(rel <= eps_target)
+        R, col_norms = _factor(A, b)
+        b_norm = np.linalg.norm(b)
+        rel = np.linalg.norm(R[A.shape[1] :, -1]) / b_norm
+        history.append((L, rel))
+        logger.debug("L=%d relative residual %.3e", L, rel)
+        system = (A, b, R, col_norms, svd_cutoff)
+        # truncation or rounding can leave the solved residual above the QR one
+        if rel <= eps_target and (info := _solve_factored(*system)).residual <= eps_target * b_norm:
+            converged = True
+            break
+        if best is None or rel < best[0]:
+            best = (rel, L, b_norm, system)
     if not converged:
+        if best is None:
+            raise ValueError(f"no finite escalation step from L={L_start}")
+        _, L, b_norm, system = best
+        info = _solve_factored(*system)
         logger.warning(
-            "escalation exhausted at L_max=%d with relative residual %.3e > %.3e",
-            L_max, rel, eps_target,
+            "escalation ended at L=%d; keeping L=%d with relative residual %.3e > %.3e",
+            history[-1][0], L, info.residual / b_norm, eps_target,
         )
+    rel = info.residual / b_norm
     return DirectSolution(
         coefficients=CoefficientSet(L, info.coeffs),
         residual=rel,

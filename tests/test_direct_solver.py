@@ -1,7 +1,9 @@
 """Boundary collocation, truncated-SVD least squares, degree escalation."""
 
 import cmath
+import logging
 import math
+import time
 import warnings
 
 import numpy as np
@@ -153,6 +155,17 @@ class TestSolveLeastSquares:
         assert info.residual == 2.0
         assert info.condition == math.inf
 
+    def test_wide_system_gives_minimum_norm_solution(self):
+        rng = np.random.default_rng(23)
+        A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        A /= np.linalg.norm(A, axis=0)  # unit columns: the column scaling is a no-op
+        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        x = np.linalg.lstsq(A, -b, rcond=None)[0]
+        info = solve_least_squares(A, b)
+        np.testing.assert_allclose(info.coeffs, x, atol=1e-12)
+        assert info.residual < 1e-13
+        assert info.rank == 3
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             solve_least_squares(np.zeros((0, 0)), np.zeros(0))
@@ -220,6 +233,36 @@ class TestMrcSolve:
         assert not sol.converged
         assert sol.residual > 1e-12
         assert len(sol.history) == 5
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_step_stops_escalation(self, monkeypatch, caplog):
+        # an overflowing Hankel table would otherwise reach the factorization:
+        # an SVD of a matrix holding inf can raise or fail to return, and a QR
+        # can return a zero residual
+        hankel_out_table = sf.hankel_out_table
+
+        def overflow_from(ell):
+            def table(L, k, r):
+                H = hankel_out_table(L, k, r).copy()
+                H[ell:] = np.inf
+                return H
+
+            monkeypatch.setattr(sf, "hankel_out_table", table)
+
+        surface, ctx = PerturbedSphere(1.0, [(2, 0, 0.2)]), WaveContext(1.0, Z_HAT)
+        overflow_from(6)
+        start = time.perf_counter()
+        with caplog.at_level(logging.WARNING, logger="mrcscatter.direct_solver"):
+            sol = mrc_solve(surface, ctx, eps_target=1e-12, L_max=10)
+        assert time.perf_counter() - start < 10.0
+        assert not sol.converged
+        assert sol.coefficients.L == 5
+        assert [L for L, _ in sol.history] == list(range(6))
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert any("L=6" in msg and "not finite" in msg for msg in messages)
+        overflow_from(0)
+        with pytest.raises(ValueError, match="no finite escalation step"):
+            mrc_solve(surface, ctx, eps_target=1e-12, L_max=10)
 
     def test_rotation_equivariance(self):
         # rotate surface and incidence together about z: residual unchanged
