@@ -155,6 +155,11 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK if all_converged else EXIT_UNCONVERGED
 
 
+# reconstruction settings a configuration may set; stable_reconstruct holds their defaults
+_RECONSTRUCTION_KEYS = ("bracket", "L_schedule", "stability_tol", "residual_threshold", "quorum",
+                        "grid_n", "harmonic_degree")
+
+
 def cmd_invert(args) -> int:
     cfg = _load_document(args.config, "config_invert")
     doc = _load_document(args.data, "near_field_data")
@@ -164,18 +169,8 @@ def cmd_invert(args) -> int:
         dirs = fibonacci_directions(dcfg["count"])
     else:
         dirs = [Direction(float(t), float(p)) for t, p in dcfg["items"]]
-    bracket = tuple(cfg["bracket"]) if "bracket" in cfg else None
-    rec = inverse_solver.stable_reconstruct(
-        data,
-        dirs,
-        bracket=bracket,
-        L_schedule=tuple(cfg.get("L_schedule", inverse_solver.DEFAULT_L_SCHEDULE)),
-        stability_tol=cfg.get("stability_tol", 0.05),
-        residual_threshold=cfg.get("residual_threshold", 0.5),
-        quorum=cfg.get("quorum", 0.95),
-        grid_n=cfg.get("grid_n", 64),
-        harmonic_degree=cfg.get("harmonic_degree", 4),
-    )
+    settings = {key: cfg[key] for key in _RECONSTRUCTION_KEYS if key in cfg}
+    rec = inverse_solver.stable_reconstruct(data, dirs, **settings)
     out = _out_dir(args.out)
     rdoc = serialize.reconstruction_to_jsonable(rec)
     serialize.validate(rdoc, "reconstruction")

@@ -1,6 +1,7 @@
 """Star-shaped surfaces r = f(direction), sphere quadrature, normals.
 
-Surfaces supply analytic angular partials of the radial map; nothing in the
+A surface implements ``radial_map``, the radial map with its analytic
+angular partials, and everything else derives from it; nothing in the
 library finite-differences a surface.  The quadrature is a tensor product of
 Gauss-Legendre nodes in cos(theta) with a uniform azimuthal grid, exact for
 spherical-harmonic integrands up to the declared degree.
@@ -146,17 +147,22 @@ def quadrature_for_degree(degree: int) -> SphereQuadrature:
 # --------------------------------------------------------------------------
 
 class StarSurface:
-    """Base class: a positive radial map f over the unit sphere, with
-    analytic partial derivatives with respect to theta and phi."""
+    """Base class: a positive radial map f over the unit sphere.  A shape
+    implements ``radial_map``; ``radius``, ``radius_dtheta`` and
+    ``radius_dphi`` read its three parts."""
 
-    def radius(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    def radial_map(self, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f, df/dtheta, df/dphi) at the given angles, from one evaluation."""
         raise NotImplementedError
 
-    def radius_dtheta(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def radius(self, theta, phi) -> np.ndarray:
+        return self.radial_map(theta, phi)[0]
 
-    def radius_dphi(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def radius_dtheta(self, theta, phi) -> np.ndarray:
+        return self.radial_map(theta, phi)[1]
+
+    def radius_dphi(self, theta, phi) -> np.ndarray:
+        return self.radial_map(theta, phi)[2]
 
     def max_radius(self) -> float:
         raise NotImplementedError
@@ -179,14 +185,9 @@ class Sphere(StarSurface):
         if self.radius_value <= 0:
             raise SurfaceError(f"sphere radius must be > 0, got {self.radius_value}")
 
-    def radius(self, theta, phi):
-        return np.full(np.broadcast(theta, phi).shape, self.radius_value)
-
-    def radius_dtheta(self, theta, phi):
-        return np.zeros(np.broadcast(theta, phi).shape)
-
-    def radius_dphi(self, theta, phi):
-        return np.zeros(np.broadcast(theta, phi).shape)
+    def radial_map(self, theta, phi):
+        shape = np.broadcast(theta, phi).shape
+        return np.full(shape, self.radius_value), np.zeros(shape), np.zeros(shape)
 
     def max_radius(self) -> float:
         return self.radius_value
@@ -223,34 +224,23 @@ class PerturbedSphere(StarSurface):
             _legendre_peak(ell, abs(m)) for ell, m, _ in bumps
         )
 
-    def _terms(self, theta, phi, d_dtheta=False, d_dphi=False):
+    def radial_map(self, theta, phi):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         ct, st = np.cos(theta), np.sin(theta)
-        out = np.zeros(np.broadcast(theta, phi).shape)
+        f, ft, fp = np.zeros((3,) + np.broadcast(theta, phi).shape)
         for (ell, m, amp), peak in zip(self.bumps, self._scales):
             P = specfun._norm_legendre_table(ell, ct, st)
-            if d_dtheta:
-                rad = specfun._norm_legendre_dtheta_table(ell, P)[ell, abs(m)]
-            else:
-                rad = P[ell, abs(m)]
-            if m == 0:
-                az = np.zeros_like(phi) if d_dphi else np.ones_like(phi)
-            elif m > 0:
-                az = -m * np.sin(m * phi) if d_dphi else np.cos(m * phi)
-            else:
-                az = -m * np.cos(-m * phi) if d_dphi else np.sin(-m * phi)
-            out = out + (amp / peak) * rad * az
-        return out
-
-    def radius(self, theta, phi):
-        return self.base_radius + self._terms(theta, phi)
-
-    def radius_dtheta(self, theta, phi):
-        return self._terms(theta, phi, d_dtheta=True)
-
-    def radius_dphi(self, theta, phi):
-        return self._terms(theta, phi, d_dphi=True)
+            mm = abs(m)
+            rad = P[ell, mm]
+            rad_t = specfun._norm_legendre_dtheta_table(ell, P)[ell, mm]
+            cos, sin = np.cos(mm * phi), np.sin(mm * phi)
+            az, az_p = (sin, mm * cos) if m < 0 else (cos, -mm * sin)
+            f = f + (amp / peak) * rad * az
+            ft = ft + (amp / peak) * rad_t * az
+            fp = fp + (amp / peak) * rad * az_p
+        # the base radius is added after the bumps: test_radial_map pins this rounding
+        return self.base_radius + f, ft, fp
 
     def max_radius(self) -> float:
         return self.base_radius + sum(abs(a) for _, _, a in self.bumps)
@@ -326,36 +316,15 @@ class Ellipsoid(StarSurface):
         if min(self.a, self.b, self.c) <= 0:
             raise SurfaceError("all semi-axes must be > 0")
 
-    def _q(self, theta, phi):
+    def radial_map(self, theta, phi):
         st, ct = np.sin(theta), np.cos(theta)
-        u, v, w = st * np.cos(phi), st * np.sin(phi), ct
-        return u, v, w, u * u / self.a**2 + v * v / self.b**2 + w * w / self.c**2
-
-    def radius(self, theta, phi):
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        _, _, _, q = self._q(theta, phi)
-        return q**-0.5
-
-    def radius_dtheta(self, theta, phi):
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        st, ct = np.sin(theta), np.cos(theta)
-        u, v, w, q = self._q(theta, phi)
-        qt = 2.0 * (
-            u * ct * np.cos(phi) / self.a**2
-            + v * ct * np.sin(phi) / self.b**2
-            - w * st / self.c**2
-        )
-        return -0.5 * q**-1.5 * qt
-
-    def radius_dphi(self, theta, phi):
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        st = np.sin(theta)
-        u, v, _, q = self._q(theta, phi)
-        qp = 2.0 * (-u * st * np.sin(phi) / self.a**2 + v * st * np.cos(phi) / self.b**2)
-        return -0.5 * q**-1.5 * qp
+        sp, cp = np.sin(phi), np.cos(phi)
+        u, v, w = st * cp, st * sp, ct
+        q = u * u / self.a**2 + v * v / self.b**2 + w * w / self.c**2
+        qt = 2.0 * (u * ct * cp / self.a**2 + v * ct * sp / self.b**2 - w * st / self.c**2)
+        qp = 2.0 * (-u * st * sp / self.a**2 + v * st * cp / self.b**2)
+        dq = -0.5 * q**-1.5
+        return q**-0.5, dq * qt, dq * qp
 
     def max_radius(self) -> float:
         return max(self.a, self.b, self.c)
@@ -410,9 +379,7 @@ def outward_normal(surface: StarSurface, theta, phi) -> np.ndarray:
 
 def _normal_spherical_components(surface, theta, phi):
     """Outward normal in the local (r, theta, phi) orthonormal basis."""
-    f = surface.radius(theta, phi)
-    ft = surface.radius_dtheta(theta, phi)
-    fp = surface.radius_dphi(theta, phi)
+    f, ft, fp = surface.radial_map(theta, phi)
     st = np.sin(theta)
     pole = st < 1e-14
     gp = np.zeros_like(f)

@@ -73,7 +73,6 @@ class RayRoot:
     r: float
     residual: float
     imag_score: float
-    spread: float | None = None
 
 
 @dataclass
@@ -99,15 +98,14 @@ def add_noise(data: NearFieldData, delta: float, seed: int) -> NearFieldData:
     if delta < 0:
         raise ValueError(f"noise level must be >= 0, got {delta}")
     rng = np.random.default_rng(seed)
-    w = data.quadrature.weights
     entries = []
     for e in data.entries:
         if delta == 0.0:
             entries.append(replace(e, samples=e.samples.copy(), delta=0.0))
             continue
         g = rng.standard_normal(e.samples.shape) + 1j * rng.standard_normal(e.samples.shape)
-        norm_v = math.sqrt(float(np.sum(w * np.abs(e.samples) ** 2)))
-        norm_g = math.sqrt(float(np.sum(w * np.abs(g) ** 2)))
+        norm_v = data.quadrature.norm(e.samples)
+        norm_g = data.quadrature.norm(g)
         if norm_v == 0.0 or norm_g == 0.0:
             entries.append(replace(e, samples=e.samples.copy(), delta=delta))
             continue
@@ -304,56 +302,40 @@ def stable_reconstruct(
     full = [extract_coeffs(e, data.quadrature, data.R, L_top) for e in data.entries]
     single_entry = len(data.entries) == 1
 
-    best: tuple[float, int, list] | None = None  # (resolution, L, per_dir)
-    chosen: tuple[int, list] | None = None
+    n = len(dirs)
+    best = None  # (resolution, L, radii, residuals, spreads, resolved)
     for L in schedule:
         per_entry = [
             _ray_roots(c.truncated(L), e.ctx, dirs, bracket, grid_n, residual_threshold)
             for c, e in zip(full, data.entries)
         ]
-        per_dir = []
-        n_resolved = 0
-        for cands in zip(*per_entry):
+        radii = np.full(n, np.nan)
+        residuals = np.full(n, np.nan)
+        spreads = np.full(n, np.nan)
+        resolved = np.zeros(n, dtype=bool)
+        for i, cands in enumerate(zip(*per_entry)):
             combo = _consistent_roots(list(cands))
             if combo is None:
-                per_dir.append(None)
                 continue
             roots, spread = combo
-            ok = True if single_entry else spread <= stability_tol
-            per_dir.append((roots, spread, ok))
-            if ok:
-                n_resolved += 1
-        frac = n_resolved / len(dirs)
+            radii[i] = float(np.median([rr.r for rr in roots]))
+            residuals[i] = float(max(rr.residual for rr in roots))
+            spreads[i] = spread if not single_entry else np.nan
+            resolved[i] = True if single_entry else spread <= stability_tol
+        frac = float(np.count_nonzero(resolved)) / n
         logger.debug("L=%d resolves %.0f%% of directions", L, 100 * frac)
         if best is None or frac > best[0]:
-            best = (frac, L, per_dir)
+            best = (frac, L, radii, residuals, spreads, resolved)
         if frac >= quorum:
-            chosen = (L, per_dir)
             break
-    converged = chosen is not None
-    if chosen is None:
-        frac, L_sel, per_dir = best
+    frac, L_sel, radii, residuals, spreads, resolved = best
+    # the first degree to reach the quorum is also the best so far
+    converged = bool(frac >= quorum)
+    if not converged:
         logger.warning(
             "no degree in %s resolved %.0f%% of directions (best %.0f%% at L=%d)",
             schedule, 100 * quorum, 100 * frac, L_sel,
         )
-    else:
-        L_sel, per_dir = chosen
-
-    n = len(dirs)
-    radii = np.full(n, np.nan)
-    residuals = np.full(n, np.nan)
-    spreads = np.full(n, np.nan)
-    resolved = np.zeros(n, dtype=bool)
-    for i, item in enumerate(per_dir):
-        if item is None:
-            continue
-        roots, spread, ok = item
-        radii[i] = float(np.median([rr.r for rr in roots]))
-        residuals[i] = float(max(rr.residual for rr in roots))
-        spreads[i] = spread if not single_entry else np.nan
-        resolved[i] = ok
-    frac = float(np.count_nonzero(resolved)) / n
 
     if np.count_nonzero(resolved) > specfun.n_modes(harmonic_degree):
         model = _fit_harmonic_model(dirs, radii, resolved, harmonic_degree)

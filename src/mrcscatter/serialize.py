@@ -95,10 +95,15 @@ def coeffs_to_rows(coeffs: CoefficientSet) -> list[list]:
 
 
 def coeffs_from_rows(rows) -> CoefficientSet:
+    """Coefficients from [ell, m, re, im] rows, which must list every mode of
+    degree <= L exactly once; L is read off the row count."""
     L = specfun.mode_from_index(len(rows) - 1).ell
+    index = [specfun.mode_index(int(ell), int(m)) for ell, m, _, _ in rows]
+    if sorted(index) != list(range(specfun.n_modes(L))):
+        raise ValueError(f"{len(rows)} coefficient rows do not list each mode up to L={L} once")
     out = np.zeros(specfun.n_modes(L), dtype=complex)
-    for ell, m, re, im in rows:
-        out[specfun.mode_index(int(ell), int(m))] = re + 1j * im
+    for i, (_, _, re, im) in zip(index, rows):
+        out[i] = re + 1j * im
     return CoefficientSet(L, out)
 
 
@@ -129,6 +134,8 @@ def solution_to_jsonable(
 
 def solution_from_jsonable(doc: dict) -> tuple[CoefficientSet, WaveContext]:
     coeffs = coeffs_from_rows(doc["coefficients"])
+    if coeffs.L != doc["L"]:
+        raise ValueError(f"solution declares L={doc['L']} but its rows give L={coeffs.L}")
     theta, phi = doc["alpha"]
     return coeffs, WaveContext(float(doc["k"]), Direction(float(theta), float(phi)))
 

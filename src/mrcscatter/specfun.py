@@ -96,12 +96,13 @@ def _check_radial_args(ell: int, x) -> None:
         raise DomainError(f"argument must be > 0, got {x}")
 
 
-def _jn_upward(L: int, x: np.ndarray) -> np.ndarray:
-    """j_0..j_L by upward recurrence; stable for x > L."""
+def _upward(L: int, x: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """f_0..f_L by the upward recurrence of spherical Bessel functions, from
+    the seeds f_0 and f_1; stable for y at every x and for j at x > L."""
     out = np.empty((L + 1,) + x.shape)
-    out[0] = np.sin(x) / x
+    out[0] = f0
     if L >= 1:
-        out[1] = np.sin(x) / x**2 - np.cos(x) / x
+        out[1] = f1
     for ell in range(2, L + 1):
         out[ell] = (2 * ell - 1) / x * out[ell - 1] - out[ell - 2]
     return out
@@ -149,7 +150,8 @@ def spherical_bessel_j_table(L: int, x) -> np.ndarray:
     out = np.empty((L + 1,) + xa.shape)
     up = xa > L
     if np.any(up):
-        out[:, up] = _jn_upward(L, xa[up])
+        xu = xa[up]
+        out[:, up] = _upward(L, xu, np.sin(xu) / xu, np.sin(xu) / xu**2 - np.cos(xu) / xu)
     if np.any(~up):
         out[:, ~up] = _jn_downward(L, xa[~up])
     if np.ndim(x) == 0:
@@ -165,13 +167,7 @@ def spherical_bessel_j(ell: int, x: float) -> float:
 
 def _yn_table(L: int, x: np.ndarray) -> np.ndarray:
     """y_0..y_L by upward recurrence (stable: |y_ell| grows with ell)."""
-    out = np.empty((L + 1,) + x.shape)
-    out[0] = -np.cos(x) / x
-    if L >= 1:
-        out[1] = -np.cos(x) / x**2 - np.sin(x) / x
-    for ell in range(2, L + 1):
-        out[ell] = (2 * ell - 1) / x * out[ell - 1] - out[ell - 2]
-    return out
+    return _upward(L, x, -np.cos(x) / x, -np.cos(x) / x**2 - np.sin(x) / x)
 
 
 # --------------------------------------------------------------------------
@@ -359,14 +355,15 @@ def sph_harm(ell: int, m: int, theta: float, phi: float) -> complex:
 # One-dimensional minimization
 # --------------------------------------------------------------------------
 
-def golden_min(
-    f: Callable[[np.ndarray], np.ndarray], a, b, rel_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+_GOLDEN_REL_TOL = 1e-10
+
+
+def golden_min(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section minima (x, f(x)) of f on the brackets [a[i], b[i]].
 
     f maps an array of abscissae to the array of values at them and must act
     elementwise, so a batch returns bitwise what one call per bracket would.
-    Each bracket shrinks until its width is at most rel_tol * max(|a|, |b|);
+    Each bracket shrinks until its width is at most _GOLDEN_REL_TOL * max(|a|, |b|);
     finished brackets stop updating while the others go on, and every step
     costs one call of f on the whole array.
     """
@@ -376,7 +373,7 @@ def golden_min(
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    active = (b - a) > rel_tol * np.maximum(np.abs(a), np.abs(b))
+    active = (b - a) > _GOLDEN_REL_TOL * np.maximum(np.abs(a), np.abs(b))
     while np.any(active):
         # left: the minimum lies in [a, d], which becomes the bracket and
         # keeps c as its upper probe; right: the same on [c, b]
@@ -392,6 +389,6 @@ def golden_min(
         fx = f(np.where(left, c, d))
         fc = np.where(left, fx, fc)
         fd = np.where(right, fx, fd)
-        active &= (b - a) > rel_tol * np.maximum(np.abs(a), np.abs(b))
+        active &= (b - a) > _GOLDEN_REL_TOL * np.maximum(np.abs(a), np.abs(b))
     lt = fc < fd
     return np.where(lt, c, d), np.where(lt, fc, fd)

@@ -183,3 +183,33 @@ class TestOracleAndFieldmap:
         assert main(["fieldmap", "--config", fcfg, "--out", str(tmp_path)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: direct_solution")
         assert not (tmp_path / "fieldmap.csv").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda rows, L: rows[:-3],  # modes missing
+            lambda rows, L: rows[:-1] + [rows[0]],  # one mode twice, one missing
+            lambda rows, L: rows[:-1] + [[L + 3, 0, 1.0, 0.0]],  # degree above L
+            lambda rows, L: rows[: L * L],  # a whole degree missing: rows end at L - 1
+        ],
+        ids=["missing", "duplicate", "above_L", "short_of_L"],
+    )
+    def test_fieldmap_rejects_rows_that_do_not_match_L(self, tmp_path, capsys, corrupt):
+        scfg = write_cfg(tmp_path / "solve.json", SOLVE_CFG)
+        assert main(["solve", "--config", scfg, "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        assert len(doc["coefficients"]) == (doc["L"] + 1) ** 2
+        doc["coefficients"] = corrupt(doc["coefficients"], doc["L"])
+        (tmp_path / "solution.json").write_text(json.dumps(doc))
+        fcfg = write_cfg(
+            tmp_path / "fm.json",
+            {
+                "schema_version": 1,
+                "solution": "solution.json",
+                "ray": {"direction": [1.0, 0.5], "r_start": 1.5, "r_stop": 5.0, "n": 5},
+            },
+        )
+        capsys.readouterr()
+        assert main(["fieldmap", "--config", fcfg, "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "fieldmap.csv").exists()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mrcscatter import fields, specfun as sf
+from mrcscatter import fields, serialize, specfun as sf
 from mrcscatter.direct_solver import CoefficientSet, WaveContext
 from mrcscatter.geometry import Direction, fibonacci_directions, make_quadrature
 from mrcscatter.inverse_solver import (
@@ -297,6 +297,46 @@ class TestStableReconstruct:
         data = sphere_data(quad=make_quadrature(8, 16))
         with pytest.raises(ValueError):
             stable_reconstruct(data, fibonacci_directions(4), L_schedule=(20,))
+
+
+class TestScheduleExhaustion:
+    """No degree reaches the quorum: the degree resolving the most directions
+    is kept, the earliest one on a tie, and the result is flagged."""
+
+    SCHEDULE = (3, 4, 5, 6)
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        return add_noise(sphere_data(quad=make_quadrature(16, 32), L=12), 0.01, seed=1)
+
+    def reconstruct(self, data, **kw):
+        return stable_reconstruct(data, fibonacci_directions(12), bracket=(0.3, 2.5), **kw)
+
+    def test_keeps_the_best_degree(self, noisy):
+        # the degrees resolve 7, 3, 1 and 1 of the 12 directions
+        rec = self.reconstruct(noisy, L_schedule=self.SCHEDULE, stability_tol=0.01, quorum=1.0)
+        assert rec.converged is False
+        assert rec.L_selected == 3
+        assert rec.resolution_fraction == 7 / 12
+        alone = self.reconstruct(noisy, L_schedule=(3,), stability_tol=0.01, quorum=1.0)
+        np.testing.assert_array_equal(rec.resolved, alone.resolved)
+        # the extraction degree differs (6 against 3), which moves each
+        # polished root by rounding only
+        np.testing.assert_allclose(rec.radii, alone.radii, rtol=0, atol=1e-8)
+        serialize.validate(serialize.reconstruction_to_jsonable(rec), "reconstruction")
+
+    def test_keeps_the_earliest_degree_on_a_tie(self, noisy):
+        rec = self.reconstruct(noisy, L_schedule=self.SCHEDULE, stability_tol=1e-12, quorum=1.0)
+        assert rec.converged is False
+        assert rec.L_selected == 3
+        assert rec.resolution_fraction == 0.0
+        assert not np.any(rec.resolved)
+
+    def test_first_degree_reaching_the_quorum_is_kept(self, noisy):
+        rec = self.reconstruct(noisy, L_schedule=self.SCHEDULE, stability_tol=0.01, quorum=0.5)
+        assert rec.converged is True
+        assert rec.L_selected == 3
+        assert rec.resolution_fraction == 7 / 12
 
 
 class TestHarmonicModel:
