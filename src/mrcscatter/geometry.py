@@ -225,10 +225,13 @@ class PerturbedSphere(StarSurface):
         )
 
     def radial_map(self, theta, phi):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
+        # the Legendre tables take 1-D angles: evaluate on the raveled broadcast
+        theta, phi = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(theta, dtype=float)), np.asarray(phi, dtype=float)
+        )
+        shape, theta, phi = theta.shape, theta.ravel(), phi.ravel()
         ct, st = np.cos(theta), np.sin(theta)
-        f, ft, fp = np.zeros((3,) + np.broadcast(theta, phi).shape)
+        f, ft, fp = np.zeros((3, theta.size))
         for (ell, m, amp), peak in zip(self.bumps, self._scales):
             P = specfun._norm_legendre_table(ell, ct, st)
             mm = abs(m)
@@ -240,7 +243,7 @@ class PerturbedSphere(StarSurface):
             ft = ft + (amp / peak) * rad_t * az
             fp = fp + (amp / peak) * rad * az_p
         # the base radius is added after the bumps: test_radial_map pins this rounding
-        return self.base_radius + f, ft, fp
+        return (self.base_radius + f).reshape(shape), ft.reshape(shape), fp.reshape(shape)
 
     def max_radius(self) -> float:
         return self.base_radius + sum(abs(a) for _, _, a in self.bumps)

@@ -297,8 +297,10 @@ def stable_reconstruct(
             f"data quadrature degree {data.quadrature.degree} cannot support "
             f"extraction at L={L_top}"
         )
-    # extract once at the top degree; truncation per scheduled L is exact
-    # because the projections are independent mode by mode
+    # extract once at the top degree and truncate per scheduled L: the
+    # projections are independent mode by mode, so this equals extracting at
+    # each L up to rounding (radii move by about 5e-10 between schedules
+    # (3,) and (3, 4, 5, 6), as the projection rounds differently per degree)
     full = [extract_coeffs(e, data.quadrature, data.R, L_top) for e in data.entries]
     single_entry = len(data.entries) == 1
 

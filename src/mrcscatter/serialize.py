@@ -3,6 +3,17 @@
 Floats are written with 17 significant digits (exact round-trip for doubles)
 and object keys are emitted sorted, so equal inputs always produce
 byte-identical files.  Non-finite numbers serialize as null.
+
+``validate`` checks a document in two passes.  jsonschema checks its header:
+the document with each bulk array replaced by an empty list.  A bulk array is
+a property reached through ``properties`` or object ``items`` whose schema is
+exactly ``{"type": "array", "items": R}``, with R a scalar rule or a
+fixed-length row of scalar rules (``_bulk_arrays``); samples and coefficient
+rows are bulk arrays.  One typed pass then checks the bulk rows against R as
+read from the schema file, so the schema files stay the only specification.
+If either pass fails, full jsonschema validation runs on the untouched
+document and raises its first error, so a rejected document gets the same
+message as under full validation.
 """
 
 from __future__ import annotations
@@ -10,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from importlib import resources
 
 import jsonschema
@@ -77,8 +89,116 @@ def _schema_registry():
     return Registry().with_resources(pairs)
 
 
+# A value whose exact type is listed passes the rule's type; any other value is
+# judged by jsonschema's own type checker
+_FAST_TYPES = {"number": {float, int}, "integer": {int}, "boolean": {bool}, "null": {type(None)}}
+# bound keyword -> op with op(bound, x) true when x violates it, as jsonschema compares
+_BOUNDS = {"minimum": operator.gt, "exclusiveMinimum": operator.ge,
+           "maximum": operator.lt, "exclusiveMaximum": operator.le}
+# keywords of the object and array schemas the search for bulk arrays descends through
+_OBJECT_KEYS = {"$schema", "$id", "title", "description", "type", "required",
+                "additionalProperties", "properties"}
+_ARRAY_KEYS = {"type", "items", "minItems", "maxItems"}
+_is_type = jsonschema.Draft7Validator.TYPE_CHECKER.is_type
+
+
+def _scalar_rule(s):
+    """(fast types, type names, bounds) of a scalar rule, or None."""
+    if not isinstance(s, dict) or "type" not in s or not s.keys() <= {"type", *_BOUNDS}:
+        return None
+    names = (s["type"],) if isinstance(s["type"], str) else tuple(s["type"])
+    if not all(t in _FAST_TYPES for t in names):
+        return None
+    bounds = tuple((op, s[key]) for key, op in _BOUNDS.items() if key in s)
+    return frozenset().union(*(_FAST_TYPES[t] for t in names)), names, bounds
+
+
+def _row_rules(items):
+    """(width, rules) for the item rule of a bulk array: width None and one
+    rule for scalar items, or n rules for rows of exactly n scalars; None for
+    any other construct."""
+    scalar = _scalar_rule(items)
+    if scalar:
+        return None, (scalar,)
+    if not isinstance(items, dict) or items.keys() != {"type", "minItems", "maxItems", "items"}:
+        return None
+    n, each = items["minItems"], items["items"]
+    if items["type"] != "array" or type(n) is not int or items["maxItems"] != n:
+        return None
+    rules = tuple(map(_scalar_rule, each)) if isinstance(each, list) else (_scalar_rule(each),) * n
+    return (n, rules) if len(rules) == n and None not in rules else None
+
+
+@functools.lru_cache(maxsize=None)
+def _bulk_arrays(schema_name: str) -> tuple:
+    """(path, width, rules) of each bulk array of the schema; a path is a
+    tuple of property names, with "*" for every item of an array."""
+    found = []
+
+    def walk(node, path):
+        if not isinstance(node, dict) or not node.keys() <= _OBJECT_KEYS:
+            return
+        for key, sub in node.get("properties", {}).items():
+            if not isinstance(sub, dict) or sub.get("type") != "array":
+                walk(sub, (*path, key))
+            elif sub.keys() == {"type", "items"} and (rows := _row_rules(sub["items"])):
+                found.append(((*path, key), *rows))
+            elif sub.keys() <= _ARRAY_KEYS:
+                walk(sub.get("items"), (*path, key, "*"))
+
+    walk(load_schema(schema_name), ())
+    return tuple(found)
+
+
+def _strip(node, path, found: list):
+    """node with the list at path replaced by an empty list; each list so
+    replaced is appended to found.  Anything off the path is shared."""
+    key, rest = path[0], path[1:]
+    if key == "*":
+        return [_strip(item, rest, found) for item in node] if isinstance(node, list) else node
+    if not isinstance(node, dict) or key not in node:
+        return node
+    if rest:
+        return {**node, key: _strip(node[key], rest, found)}
+    if not isinstance(node[key], list):
+        return node
+    found.append(node[key])
+    return {**node, key: []}
+
+
+def _column_ok(values, rule) -> bool:
+    fast, names, bounds = rule
+    kinds = set(map(type, values))
+    if not kinds <= fast and not all(any(_is_type(x, t) for t in names) for x in values):
+        return False
+    if bounds and not kinds <= {float, int}:
+        values = [x for x in values if _is_type(x, "number")]  # bounds skip non-numbers
+    return not any(any(map(functools.partial(op, b), values)) for op, b in bounds)
+
+
+def _rows_ok(rows: list, width, rules) -> bool:
+    if width is None:
+        return _column_ok(rows, rules[0])
+    if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
+        return False
+    return all(_column_ok(col, rule) for col, rule in zip(zip(*rows), rules))
+
+
 def validate(obj: dict, schema_name: str) -> None:
+    """Raise SchemaError("<schema_name>: <message>") unless obj is valid.
+
+    jsonschema checks the header (obj with its bulk arrays emptied) and one
+    typed pass checks the bulk rows.  If either fails, full jsonschema
+    validation of obj decides and its first error is raised.  The two passes
+    accept only documents that full validation accepts."""
     validator = jsonschema.Draft7Validator(load_schema(schema_name), registry=_schema_registry())
+    header, rows_ok = obj, True
+    for path, width, rules in _bulk_arrays(schema_name):
+        found = []
+        header = _strip(header, path, found)
+        rows_ok = rows_ok and all(_rows_ok(rows, width, rules) for rows in found)
+    if rows_ok and validator.is_valid(header):
+        return
     try:
         validator.validate(obj)
     except jsonschema.ValidationError as exc:
@@ -97,6 +217,8 @@ def coeffs_to_rows(coeffs: CoefficientSet) -> list[list]:
 def coeffs_from_rows(rows) -> CoefficientSet:
     """Coefficients from [ell, m, re, im] rows, which must list every mode of
     degree <= L exactly once; L is read off the row count."""
+    if not rows:
+        raise ValueError("the document has no coefficient rows")
     L = specfun.mode_from_index(len(rows) - 1).ell
     index = [specfun.mode_index(int(ell), int(m)) for ell, m, _, _ in rows]
     if sorted(index) != list(range(specfun.n_modes(L))):
@@ -111,25 +233,30 @@ def direction_to_pair(d: Direction) -> list[float]:
     return [d.theta, d.phi]
 
 
+def _document(kind: str, bc: str | None = None, ctx: WaveContext | None = None, **body) -> dict:
+    """A version-1 document of the given kind; one about a single incident wave
+    (bc and ctx given) also names its boundary condition, k and alpha."""
+    head = {"schema_version": 1, "kind": kind}
+    if ctx is not None:
+        head.update(boundary_condition=bc, k=ctx.k, alpha=direction_to_pair(ctx.alpha))
+    return head | body
+
+
 def solution_to_jsonable(
     sol: DirectSolution, ctx: WaveContext, surface_descriptor: dict, eps_target: float
 ) -> dict:
-    return {
-        "schema_version": 1,
-        "kind": "direct_solution",
-        "boundary_condition": sol.boundary_condition,
-        "k": ctx.k,
-        "alpha": direction_to_pair(ctx.alpha),
-        "surface": surface_descriptor,
-        "eps_target": eps_target,
-        "converged": sol.converged,
-        "residual": sol.residual,
-        "condition": sol.condition,
-        "rank": sol.rank,
-        "history": [[L, r] for L, r in sol.history],
-        "L": sol.coefficients.L,
-        "coefficients": coeffs_to_rows(sol.coefficients),
-    }
+    return _document(
+        "direct_solution", sol.boundary_condition, ctx,
+        surface=surface_descriptor,
+        eps_target=eps_target,
+        converged=sol.converged,
+        residual=sol.residual,
+        condition=sol.condition,
+        rank=sol.rank,
+        history=[[L, r] for L, r in sol.history],
+        L=sol.coefficients.L,
+        coefficients=coeffs_to_rows(sol.coefficients),
+    )
 
 
 def solution_from_jsonable(doc: dict) -> tuple[CoefficientSet, WaveContext]:
@@ -141,16 +268,15 @@ def solution_from_jsonable(doc: dict) -> tuple[CoefficientSet, WaveContext]:
 
 
 def near_field_to_jsonable(data: NearFieldData, provenance: dict) -> dict:
-    return {
-        "schema_version": 1,
-        "kind": "near_field_data",
-        "R": data.R,
-        "quadrature": {
+    return _document(
+        "near_field_data",
+        R=data.R,
+        quadrature={
             "n_theta": data.quadrature.n_theta,
             "n_phi": data.quadrature.n_phi,
         },
-        "provenance": provenance,
-        "entries": [
+        provenance=provenance,
+        entries=[
             {
                 "k": e.ctx.k,
                 "alpha": direction_to_pair(e.ctx.alpha),
@@ -159,7 +285,7 @@ def near_field_to_jsonable(data: NearFieldData, provenance: dict) -> dict:
             }
             for e in data.entries
         ],
-    }
+    )
 
 
 def near_field_from_jsonable(doc: dict) -> NearFieldData:
@@ -194,28 +320,20 @@ def reconstruction_to_jsonable(rec: ReconstructedSurface) -> dict:
         )
     modes = specfun.mode_list(rec.harmonic_degree)
     model_rows = [[ell, m, float(c)] for (ell, m), c in zip(modes, rec.harmonic_coeffs)]
-    return {
-        "schema_version": 1,
-        "kind": "reconstruction",
-        "L_selected": rec.L_selected,
-        "converged": rec.converged,
-        "resolution_fraction": rec.resolution_fraction,
-        "directions": dirs,
-        "resolved": [bool(b) for b in rec.resolved],
-        "harmonic_model": {"L": rec.harmonic_degree, "coeffs": model_rows},
-    }
+    return _document(
+        "reconstruction",
+        L_selected=rec.L_selected,
+        converged=rec.converged,
+        resolution_fraction=rec.resolution_fraction,
+        directions=dirs,
+        resolved=[bool(b) for b in rec.resolved],
+        harmonic_model={"L": rec.harmonic_degree, "coeffs": model_rows},
+    )
 
 
 def oracle_to_jsonable(
     coeffs: CoefficientSet, ctx: WaveContext, radius: float, bc: str
 ) -> dict:
-    return {
-        "schema_version": 1,
-        "kind": "sphere_oracle",
-        "boundary_condition": bc,
-        "k": ctx.k,
-        "alpha": direction_to_pair(ctx.alpha),
-        "radius": radius,
-        "L": coeffs.L,
-        "coefficients": coeffs_to_rows(coeffs),
-    }
+    return _document(
+        "sphere_oracle", bc, ctx, radius=radius, L=coeffs.L, coefficients=coeffs_to_rows(coeffs)
+    )

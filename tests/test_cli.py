@@ -184,6 +184,25 @@ class TestOracleAndFieldmap:
         assert capsys.readouterr().err.startswith("error: direct_solution")
         assert not (tmp_path / "fieldmap.csv").exists()
 
+    def test_fieldmap_rejects_a_solution_without_coefficient_rows(self, tmp_path, capsys):
+        scfg = write_cfg(tmp_path / "solve.json", SOLVE_CFG)
+        assert main(["solve", "--config", scfg, "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        doc["coefficients"] = []
+        (tmp_path / "solution.json").write_text(json.dumps(doc))
+        fcfg = write_cfg(
+            tmp_path / "fm.json",
+            {
+                "schema_version": 1,
+                "solution": "solution.json",
+                "ray": {"direction": [1.0, 0.5], "r_start": 1.5, "r_stop": 5.0, "n": 5},
+            },
+        )
+        capsys.readouterr()
+        assert main(["fieldmap", "--config", fcfg, "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: the document has no coefficient rows\n"
+        assert not (tmp_path / "fieldmap.csv").exists()
+
     @pytest.mark.parametrize(
         "corrupt",
         [

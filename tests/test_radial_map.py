@@ -151,6 +151,17 @@ def test_accessors_read_the_radial_map(name):
     assert_bitwise(surface.radius_dphi(theta, phi), fp)
 
 
+@pytest.mark.parametrize("name", SURFACES)
+def test_radial_map_broadcasts_a_grid_of_angles(name):
+    surface = SURFACES[name]
+    theta, phi = np.linspace(0.0, math.pi, 7)[:, None], np.linspace(0.0, 6.0, 5)[None, :]
+    grid_theta, grid_phi = np.broadcast_arrays(theta, phi)
+    flat = surface.radial_map(grid_theta.ravel(), grid_phi.ravel())
+    for part, ref in zip(surface.radial_map(theta, phi), flat):
+        assert part.shape == (7, 5)
+        np.testing.assert_array_equal(part.ravel(), ref)
+
+
 def test_partials_of_a_positive_order_bump_match_central_differences():
     s = PerturbedSphere(1.0, [(3, 2, 0.2), (2, 1, 0.1)])
     h = 1e-6
