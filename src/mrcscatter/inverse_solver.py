@@ -9,17 +9,19 @@ truncation degree through a schedule and stop at the smallest degree that
 resolves a quorum of directions.
 
 The ray search runs as one array program per (degree, entry) over all
-directions: the harmonics are summed into per-degree weights for every
-direction at once, |p| is evaluated on the whole (direction x grid) array
-from one Hankel table at the shared grid radii, and every interior grid
-minimum of every direction is polished together by one batched golden
-section.  ``find_ray_root`` is the same search on a single direction.
+directions: per-degree weights for every direction and one Hankel table of
+one degree more at the shared grid radii give p and g = Re(conj(p) * p') on
+the (direction x grid) array; every interior grid minimum of |p| is polished
+together as the root of g by one batched bracketed secant, or by golden
+section where g shows no sign change.  ``find_ray_root`` is the same search
+on a single direction.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,16 +102,13 @@ def add_noise(data: NearFieldData, delta: float, seed: int) -> NearFieldData:
     rng = np.random.default_rng(seed)
     entries = []
     for e in data.entries:
-        if delta == 0.0:
-            entries.append(replace(e, samples=e.samples.copy(), delta=0.0))
-            continue
-        g = rng.standard_normal(e.samples.shape) + 1j * rng.standard_normal(e.samples.shape)
-        norm_v = data.quadrature.norm(e.samples)
-        norm_g = data.quadrature.norm(g)
-        if norm_v == 0.0 or norm_g == 0.0:
-            entries.append(replace(e, samples=e.samples.copy(), delta=delta))
-            continue
-        entries.append(replace(e, samples=e.samples + g * (delta * norm_v / norm_g), delta=delta))
+        samples = e.samples.copy()
+        if delta != 0.0:
+            g = rng.standard_normal(e.samples.shape) + 1j * rng.standard_normal(e.samples.shape)
+            norm_v, norm_g = data.quadrature.norm(e.samples), data.quadrature.norm(g)
+            if norm_v != 0.0 and norm_g != 0.0:
+                samples = e.samples + g * (delta * norm_v / norm_g)
+        entries.append(replace(e, samples=samples, delta=delta or 0.0))
     return NearFieldData(R=data.R, quadrature=data.quadrature, entries=tuple(entries))
 
 
@@ -123,12 +122,14 @@ def extract_coeffs(entry: NearFieldEntry, quad: SphereQuadrature, R: float, L: i
     return CoefficientSet(L, proj / H[specfun.mode_degrees(L)])
 
 
+def _angles(dirs: list[Direction]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs])
+
+
 def _ray_weights(coeffs: CoefficientSet, ctx: WaveContext, dirs: list[Direction]):
     """Per-degree weights sum_m c[ell, m] Y[ell, m](dir), shape (n_dir, L+1),
     and cos(angle between each direction and the incidence)."""
-    theta = np.array([d.theta for d in dirs])
-    phi = np.array([d.phi for d in dirs])
-    Y = specfun.sph_harm_table(coeffs.L, theta, phi)
+    Y = specfun.sph_harm_table(coeffs.L, *_angles(dirs))
     # degree ell starts at flat index ell**2
     W = np.add.reduceat(Y * coeffs.coeffs, np.arange(coeffs.L + 1) ** 2, axis=1)
     cosang = np.array([d.vector for d in dirs]) @ ctx.alpha.vector
@@ -139,9 +140,20 @@ def ray_function(coeffs: CoefficientSet, ctx: WaveContext, dir_out: Direction, r
     """p(r) = incident plane wave + truncated outgoing expansion along the ray
     r * dir_out; its positive root estimates the boundary radius."""
     W, cosang = _ray_weights(coeffs, ctx, [dir_out])
-    ra = np.asarray(r, dtype=float)
-    H = specfun.hankel_out_table(coeffs.L, ctx.k, ra)
-    return np.exp(1j * ctx.k * cosang[0] * ra) + np.tensordot(W[0], H, axes=(0, 0))
+    return _ray_values(W[0], cosang[0], ctx.k, np.asarray(r, dtype=float))[0]
+
+
+def _ray_values(W: np.ndarray, cosang, k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p and g = Re(conj(p) * dp/dr) on rays with per-degree weights W[..., :],
+    incidence cosines cosang and radii r broadcast against cosang, from one table
+    of degree L+1: dH_0/dr = i*k*H_1, dH_ell/dr = k*(i*H_{ell-1} - (ell+1)/(k*r)*H_ell)."""
+    L = W.shape[-1] - 1
+    H = specfun.hankel_out_table(L + 1, k, r)
+    dH = np.arange(2, L + 2).reshape((L,) + (1,) * r.ndim) / (k * r) * H[1 : L + 1]
+    dH = k * np.concatenate([1j * H[1:2], 1j * H[:L] - dH])
+    inc = np.exp(1j * k * cosang * r)
+    p = inc + np.einsum("...l,l...->...", W, H[: L + 1])
+    return p, np.real(np.conj(p) * (1j * k * cosang * inc + np.einsum("...l,l...->...", W, dH)))
 
 
 def _ray_roots(
@@ -153,8 +165,8 @@ def _ray_roots(
     residual_threshold: float,
 ) -> list[list[RayRoot]]:
     """find_ray_root for every direction at once: one harmonic table, one
-    Hankel table on the shared grid and one batched golden section over all
-    candidate brackets."""
+    Hankel table on the shared grid, then one batched bracketed secant on the
+    roots of g over all candidates (golden section on |p| for the rest)."""
     r_lo, r_hi = bracket
     if not 0.0 < r_lo < r_hi:
         raise ValueError(f"invalid bracket {bracket}")
@@ -163,26 +175,35 @@ def _ray_roots(
     k, L = ctx.k, coeffs.L
     W, cosang = _ray_weights(coeffs, ctx, dirs)
     grid = np.linspace(r_lo, r_hi, grid_n)
-    pg = np.abs(
-        np.exp(1j * k * cosang[:, None] * grid) + W @ specfun.hankel_out_table(L, k, grid)
-    )
-    pmax = np.max(pg, axis=1)
+    p, g = _ray_values(W[:, None], cosang[:, None], k, grid)
+    pg = np.abs(p)
     # strict interior minima; row-major order keeps each direction's grid order
     inner = pg[:, 1:-1]
     rows, cells = np.nonzero((inner < pg[:, :-2]) & (inner < pg[:, 2:]))
-
-    def abs_p(r: np.ndarray) -> np.ndarray:
-        H = specfun.hankel_out_table(L, k, r)
-        return np.abs(np.exp(1j * k * cosang[rows] * r) + np.einsum("cl,lc->c", W[rows], H))
-
-    r0, f0 = specfun.golden_min(abs_p, grid[cells], grid[cells + 2])
-    # an all-zero row has no strict minimum, so pmax > 0 on every candidate row
-    score = f0 / pmax[rows]
+    # a half-cell, [c, c+1] or [c+1, c+2], where g turns from negative to
+    # non-negative holds the minimum of |p| as a simple root of g
+    g0, g1, g2 = (g[rows, cells + n] for n in range(3))
+    right = (g1 < 0) & (g2 >= 0)
+    polish = right | ((g0 < 0) & (g1 >= 0))
+    i, j = np.flatnonzero(polish), np.flatnonzero(~polish)
+    a, r0, f0 = (cells + right)[i], np.empty(rows.size), np.empty(rows.size)
+    ray = lambda n, r: _ray_values(W[rows[n]], cosang[rows[n]], k, r)
+    r0[i], steps = specfun.bracketed_root(
+        lambda r: ray(i, r)[1], grid[a], grid[a + 1], g[rows[i], a], g[rows[i], a + 1]
+    )
+    f0[i] = np.abs(ray(i, r0[i])[0])
+    if j.size:
+        b = cells[j]
+        r0[j], f0[j] = specfun.golden_min(lambda r: np.abs(ray(j, r)[0]), grid[b], grid[b + 2])
+    logger.debug("ray search L=%d k=%g: %d candidates, %d secant steps, %d golden fallbacks",
+                 L, k, rows.size, steps, j.size)
+    # an all-zero row has no strict minimum, so max |p| > 0 on every candidate row
+    score = f0 / np.max(pg, axis=1)[rows]
     found: list[list[RayRoot]] = [[] for _ in dirs]
-    for i in np.flatnonzero(score <= residual_threshold):
-        d = rows[i]
+    for n in np.flatnonzero(score <= residual_threshold):
+        d = rows[n]
         found[d].append(RayRoot(
-            dir_out=dirs[d], r=float(r0[i]), residual=float(f0[i]), imag_score=float(score[i])
+            dir_out=dirs[d], r=float(r0[n]), residual=float(f0[n]), imag_score=float(score[n])
         ))
     for roots in found:
         roots.sort(key=lambda rr: rr.residual)
@@ -201,7 +222,8 @@ def find_ray_root(
 
     |p| is sampled on a uniform grid over the bracket; every interior local
     minimum below residual_threshold (relative to the grid maximum of |p|) is
-    polished by golden section.  Candidates come back sorted by residual.
+    polished as the root of d|p|^2/dr, or by golden section on |p| where that
+    shows no sign change on the grid.  Candidates come back sorted by residual.
     An exact zero may not exist on the real ray, so the depth of the minimum
     (``imag_score``) measures how close the root is to the positive semiaxis.
 
@@ -212,25 +234,23 @@ def find_ray_root(
 
 
 def _consistent_roots(candidates: list[list[RayRoot]]) -> tuple[list[RayRoot], float] | None:
-    """Pick one candidate per entry minimizing the relative spread in r.
-
-    Anchored on each candidate of the first entry; every other entry
-    contributes its nearest candidate in r.  Returns the chosen roots and
-    their relative spread, or None if some entry has no candidates.
+    """Pick one candidate per entry minimizing the relative spread in r, then
+    the largest residual.  Every candidate of every entry anchors once, and
+    each entry contributes its candidate nearest the anchor, so the order of
+    the entries does not matter.  Returns the chosen roots and their relative
+    spread, or None if some entry has no candidates.
     """
     if any(len(c) == 0 for c in candidates):
         return None
-    best: tuple[list[RayRoot], float] | None = None
-    for anchor in candidates[0]:
-        chosen = [anchor]
-        for other in candidates[1:]:
-            chosen.append(min(other, key=lambda rr: abs(rr.r - anchor.r)))
-        rs = np.array([rr.r for rr in chosen])
-        med = float(np.median(rs))
-        spread = float((rs.max() - rs.min()) / med) if med > 0 else math.inf
-        if best is None or spread < best[1]:
-            best = (chosen, spread)
-    return best
+    best = None
+    for anchor in (rr for c in candidates for rr in c):
+        chosen = [min(c, key=lambda rr: abs(rr.r - anchor.r)) for c in candidates]
+        rs = [rr.r for rr in chosen]
+        med = statistics.median(rs)
+        key = ((max(rs) - min(rs)) / med if med > 0 else math.inf, max(rr.residual for rr in chosen))
+        if best is None or key < best[0]:
+            best = (key, chosen)
+    return best[1], best[0][0]
 
 
 def _fit_harmonic_model(
@@ -239,9 +259,7 @@ def _fit_harmonic_model(
     """Least-squares real spherical-harmonic fit of r(direction) on the
     resolved directions; coefficients in flat mode order (sin branch for
     m < 0, cos branch for m > 0)."""
-    theta = np.array([d.theta for d in dirs])
-    phi = np.array([d.phi for d in dirs])
-    B = _real_harmonic_basis(degree, theta, phi)
+    B = _real_harmonic_basis(degree, *_angles(dirs))
     sol, *_ = np.linalg.lstsq(B[mask], radii[mask], rcond=None)
     return sol
 
@@ -257,9 +275,7 @@ def _real_harmonic_basis(degree: int, theta: np.ndarray, phi: np.ndarray) -> np.
 
 def evaluate_harmonic_model(coeffs: np.ndarray, degree: int, dirs: list[Direction]) -> np.ndarray:
     """Evaluate a fitted radial model at the given directions."""
-    theta = np.array([d.theta for d in dirs])
-    phi = np.array([d.phi for d in dirs])
-    return _real_harmonic_basis(degree, theta, phi) @ coeffs
+    return _real_harmonic_basis(degree, *_angles(dirs)) @ coeffs
 
 
 def stable_reconstruct(
@@ -320,7 +336,7 @@ def stable_reconstruct(
             if combo is None:
                 continue
             roots, spread = combo
-            radii[i] = float(np.median([rr.r for rr in roots]))
+            radii[i] = statistics.median(rr.r for rr in roots)
             residuals[i] = float(max(rr.residual for rr in roots))
             spreads[i] = spread if not single_entry else np.nan
             resolved[i] = True if single_entry else spread <= stability_tol

@@ -98,8 +98,8 @@ def _check_radial_args(ell: int, x) -> None:
 
 def _upward(L: int, x: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     """f_0..f_L by the upward recurrence of spherical Bessel functions, from
-    the seeds f_0 and f_1; stable for y at every x and for j at x > L."""
-    out = np.empty((L + 1,) + x.shape)
+    the seeds f_0 and f_1; stable for y and h1 at every x and for j at x > L."""
+    out = np.empty((L + 1,) + np.shape(x), dtype=np.result_type(f0, f1))
     out[0] = f0
     if L >= 1:
         out[1] = f1
@@ -186,13 +186,13 @@ def _outgoing_phase(L: int) -> np.ndarray:
     return phase
 
 
-def _h1_table(L: int, z: np.ndarray) -> np.ndarray:
-    """Standard h1_ell(z) = j_ell(z) + i*y_ell(z) for ell = 0..L."""
-    j = spherical_bessel_j_table(L, z)
-    y = _yn_table(L, np.atleast_1d(z))
-    if np.ndim(z) == 0:
-        y = y[:, 0]
-    return j + 1j * y
+def _h1_table(L: int, z) -> np.ndarray:
+    """Standard h1_ell(z) = j_ell(z) + i*y_ell(z) for ell = 0..L, by the upward
+    recurrence (h1 is its dominant solution) from the closed forms of h1_0 and
+    h1_1.  |h1| and Im h1 (bitwise ``_yn_table``) are accurate; Re h1 = j loses
+    relative accuracy for ell > z, and nothing reads it on its own."""
+    s, c = np.sin(z), np.cos(z)
+    return _upward(L, z, s / z - 1j * (c / z), (s / z**2 - c / z) - 1j * (c / z**2 + s / z))
 
 
 def _bessel_dz(f: np.ndarray, z) -> np.ndarray:
@@ -204,7 +204,8 @@ def _bessel_dz(f: np.ndarray, z) -> np.ndarray:
 
 
 def hankel_out_table(L: int, k: float, r) -> np.ndarray:
-    """hankel_out(ell, k, r) for ell = 0..L; shape (L+1,) + shape(r)."""
+    """hankel_out(ell, k, r) for ell = 0..L; shape (L+1,) + shape(r).  Rows
+    0..L of a degree-(L+1) table are bitwise this table (see ``_h1_table``)."""
     _check_radial_args(L, r)
     if k <= 0:
         raise DomainError(f"wavenumber must be > 0, got {k}")
@@ -352,10 +353,11 @@ def sph_harm(ell: int, m: int, theta: float, phi: float) -> complex:
 
 
 # --------------------------------------------------------------------------
-# One-dimensional minimization
+# One-dimensional minimization and root finding
 # --------------------------------------------------------------------------
 
 _GOLDEN_REL_TOL = 1e-10
+_ROOT_REL_TOL = 1e-10
 
 
 def golden_min(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -392,3 +394,24 @@ def golden_min(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple[np.ndarray,
         active &= (b - a) > _GOLDEN_REL_TOL * np.maximum(np.abs(a), np.abs(b))
     lt = fc < fd
     return np.where(lt, c, d), np.where(lt, fc, fd)
+
+
+def bracketed_root(f: Callable[[np.ndarray], np.ndarray], a, b, fa, fb) -> tuple[np.ndarray, int]:
+    """Roots of f on the brackets [a[i], b[i]] with fa = f(a) < 0 <= fb = f(b),
+    and the number of calls of f, by Illinois regula falsi batched as in
+    ``golden_min``: the secant point replaces the end of its sign, and when one
+    end moves twice running the value at the other is halved.  A bracket stops
+    at width _ROOT_REL_TOL * max(|a|, |b|), or when its secant point leaves it."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    moved, calls = np.zeros(a.shape), 0  # +1 where a moved last, -1 where b did
+    while True:
+        x = b - fb * (b - a) / (fb - fa)
+        active = (a < x) & (x < b) & ((b - a) > _ROOT_REL_TOL * np.maximum(np.abs(a), np.abs(b)))
+        if not np.any(active):
+            return x, calls
+        fx, calls = f(x), calls + 1
+        up, down = active & (fx < 0), active & ~(fx < 0)
+        fa, fb = np.where(down & (moved < 0), 0.5 * fa, fa), np.where(up & (moved > 0), 0.5 * fb, fb)
+        a, fa = np.where(up, x, a), np.where(up, fx, fa)
+        b, fb = np.where(down, x, b), np.where(down, fx, fb)
+        moved = np.where(up, 1.0, np.where(down, -1.0, moved))

@@ -1,17 +1,21 @@
 """Coefficient extraction, ray root search, stable reconstruction."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mrcscatter import fields, serialize, specfun as sf
-from mrcscatter.direct_solver import CoefficientSet, WaveContext
-from mrcscatter.geometry import Direction, fibonacci_directions, make_quadrature
+from mrcscatter.direct_solver import CoefficientSet, WaveContext, mrc_solve
+from mrcscatter.geometry import Direction, PerturbedSphere, fibonacci_directions, make_quadrature
 from mrcscatter.inverse_solver import (
     NearFieldData,
     NearFieldEntry,
     _fit_harmonic_model,
+    _ray_roots,
+    _ray_values,
+    _ray_weights,
     _real_harmonic_basis,
     add_noise,
     evaluate_harmonic_model,
@@ -134,6 +138,64 @@ class TestFindRayRoot:
             find_ray_root(c, WaveContext(1.0, Z_HAT), Z_HAT, (2.0, 1.0))
         with pytest.raises(ValueError):
             find_ray_root(c, WaveContext(1.0, Z_HAT), Z_HAT, (0.5, 2.0), grid_n=8)
+
+
+class TestRootPolish:
+    """Each grid minimum of |p| is polished as the root of g = Re(conj(p) p')
+    on the half-cell where g turns from negative to non-negative, or by
+    golden section on |p| over both cells when no half-cell does."""
+
+    def test_candidate_without_a_sign_change_falls_back_to_golden_section(self):
+        # a monopole at k = 25 seen against the incidence oscillates faster
+        # than the 16-point grid resolves: g keeps its sign over both
+        # half-cells of the one grid minimum
+        ctx = WaveContext(25.0, Z_HAT)
+        d = Direction(math.pi, 0.0)
+        c = CoefficientSet(0, np.array([1.2 * np.exp(1.25j * math.pi) / sf.sph_harm(0, 0, 0.0, 0.0)]))
+        bracket, grid_n = (0.5, 2.5), 16
+        roots = find_ray_root(c, ctx, d, bracket, grid_n, residual_threshold=1.0)
+        grid = np.linspace(*bracket, grid_n)
+        W, cosang = _ray_weights(c, ctx, [d])
+        p, g = (v[0] for v in _ray_values(W[:, None], cosang[:, None], ctx.k, grid))
+        pg = np.abs(p)
+        cells = [i for i in range(grid_n - 2) if pg[i + 1] < pg[i] and pg[i + 1] < pg[i + 2]]
+        assert len(cells) == len(roots) == 1
+        i = cells[0]
+        assert not (g[i] < 0 <= g[i + 1] or g[i + 1] < 0 <= g[i + 2])
+        r, f = sf.golden_min(
+            lambda r: np.abs(_ray_values(W, cosang, ctx.k, r)[0]), grid[[i]], grid[[i + 2]]
+        )
+        assert roots[0].r == r[0] and roots[0].residual == f[0]
+
+    def test_polished_search_makes_at_most_20_hankel_calls(self, monkeypatch):
+        # the perturbed-sphere data of the inverse_sweep benchmark, at L = 8
+        surface = PerturbedSphere(1.0, [(2, 0, 0.2)])
+        quad = make_quadrature(24, 48)
+        dirs = fibonacci_directions(8)
+        calls = []
+        table = sf.hankel_out_table
+
+        def counted(*args):
+            calls.append(args[0])
+            return table(*args)
+
+        for k, alpha in ((1.0, Z_HAT), (1.5, X_HAT)):
+            ctx = WaveContext(k, alpha)
+            sol = mrc_solve(surface, ctx, "dirichlet", eps_target=1e-5, L_max=30)
+            entry = NearFieldEntry(ctx=ctx, samples=fields.field_on_sphere(sol.coefficients, ctx, 3.0, quad))
+            c = extract_coeffs(entry, quad, 3.0, 8)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(sf, "hankel_out_table", counted)
+                found = _ray_roots(c, ctx, dirs, (0.3, 2.5), 64, 0.5)
+            assert all(found)
+            assert len(calls) <= 20
+            for roots in found:
+                p, g = _ray_values(
+                    *_ray_weights(c, ctx, [roots[0].dir_out]), k, np.array([roots[0].r])
+                )
+                # the polished radius is a stationary point of |p|
+                assert abs(g[0]) <= 1e-9 * abs(p[0]) * k
 
 
 class TestPerturbedSphereRoots:
@@ -297,6 +359,23 @@ class TestStableReconstruct:
         data = sphere_data(quad=make_quadrature(8, 16))
         with pytest.raises(ValueError):
             stable_reconstruct(data, fibonacci_directions(4), L_schedule=(20,))
+
+
+class TestEntryOrder:
+    def test_permuted_entries_give_bitwise_equal_results(self):
+        # at k 3-5 some directions have two candidates in one entry, and the
+        # nearest one to an anchor of another entry is not the consistent one
+        alphas = (Z_HAT, X_HAT, Direction(math.pi / 2, math.pi / 2))
+        data = sphere_data(pairs=tuple(zip((3.0, 4.0, 5.0), alphas)), L=16)
+        dirs = fibonacci_directions(20)
+        out = set()
+        for perm in itertools.permutations(range(3)):
+            permuted = NearFieldData(R=data.R, quadrature=data.quadrature, entries=tuple(data.entries[i] for i in perm))
+            rec = stable_reconstruct(
+                permuted, dirs, bracket=(0.3, 2.5), L_schedule=(3,), residual_threshold=0.9, quorum=0.5
+            )
+            out.add(b"".join(a.tobytes() for a in (rec.radii, rec.residuals, rec.spreads, rec.resolved)))
+        assert len(out) == 1
 
 
 class TestScheduleExhaustion:

@@ -100,6 +100,34 @@ class TestHankelOut:
             sf.hankel_out(0, 1.0, 0.0)
 
 
+class TestHankelRecurrence:
+    """h1 = j + iy by its own upward recurrence."""
+
+    @pytest.mark.parametrize("z", [0.05, 0.1, 0.3, 0.7, 1.0, 2.5, 5.0, 10.0, 20.0, 33.3, 45.0, 60.0])
+    def test_modulus_against_mpmath(self, z):
+        import mpmath as mp
+
+        h = sf._h1_table(40, z)
+        for ell in range(41):
+            # |h1_ell(z)| = sqrt(pi / (2z)) * |J + iY| at half-integer order ell + 1/2
+            nu = ell + 0.5
+            ref = mp.sqrt(mp.pi / (2 * mp.mpf(z)) * (mp.besselj(nu, z) ** 2 + mp.bessely(nu, z) ** 2))
+            assert abs(abs(h[ell]) - float(ref)) <= 1e-14 * float(ref)
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 9, 40])
+    def test_imaginary_part_is_y_table_bitwise(self, L):
+        x = np.linspace(0.05, 60.0, 997)
+        # at k = 1, multiplying by conj(i**(ell+1)) undoes the outgoing phase exactly
+        h = sf.hankel_out_table(L, 1.0, x) * np.conj(sf._outgoing_phase(L))[:, None]
+        assert h.imag.tobytes() == sf._yn_table(L, x).tobytes()
+
+    @pytest.mark.parametrize("L", [0, 1, 3, 8, 30])
+    def test_degree_prefix_is_bitwise(self, L):
+        r = np.linspace(0.3, 2.5, 64)
+        for k in (0.7, 1.0, 1.5):
+            assert sf.hankel_out_table(L + 1, k, r)[: L + 1].tobytes() == sf.hankel_out_table(L, k, r).tobytes()
+
+
 class TestHankelOutDr:
     @pytest.mark.parametrize("k,r", [(1.0, 1.0), (2.0, 3.0)])
     def test_monopole_closed_form(self, k, r):
@@ -235,6 +263,35 @@ class TestGoldenMin:
         x, fx = sf.golden_min(lambda t: (t - 0.3) ** 2, np.array([0.0, 0.25]), np.array([1.0, 0.31]))
         np.testing.assert_allclose(x, 0.3, rtol=1e-9)
         assert np.all(fx < 1e-18)
+
+
+class TestBracketedRoot:
+    def test_batch_is_bitwise_per_element(self):
+        f = lambda x: 0.2 * x - np.cos(3.0 * x)
+        # f < 0 at the left end and > 0 at the right end of each bracket
+        a = np.array([0.3, 2.0, 4.3])
+        b = np.array([0.9, 2.5, 4.6])
+        x, calls = sf.bracketed_root(f, a, b, f(a), f(b))
+        for i in range(a.size):
+            ai, bi = a[i : i + 1], b[i : i + 1]
+            xi, _ = sf.bracketed_root(f, ai, bi, f(ai), f(bi))
+            assert x[i] == xi[0]
+        np.testing.assert_allclose(f(x), 0.0, atol=1e-14)
+        assert calls <= 12
+
+    def test_superlinear_on_a_simple_root(self):
+        f = lambda x: x**3 - 2.0
+        a, b = np.array([0.5]), np.array([3.0])
+        x, calls = sf.bracketed_root(f, a, b, f(a), f(b))
+        assert abs(x[0] - 2.0 ** (1 / 3)) <= 4e-16
+        assert calls <= 12
+
+    def test_exact_root_at_the_right_end_and_nan_stop(self):
+        a, b = np.array([0.0]), np.array([1.0])
+        x, calls = sf.bracketed_root(lambda t: t - 1.0, a, b, np.array([-1.0]), np.array([0.0]))
+        assert x[0] == 1.0 and calls == 0
+        x, calls = sf.bracketed_root(lambda t: np.full_like(t, np.nan), a, b, np.array([-1.0]), np.array([1.0]))
+        assert np.isnan(x[0]) and calls == 1
 
 
 class TestModeIndexing:
