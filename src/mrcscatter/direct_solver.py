@@ -44,6 +44,11 @@ def _check_bc(bc: str) -> str:
     return bc
 
 
+def _check_svd_cutoff(svd_cutoff: float) -> None:
+    if not 0.0 < svd_cutoff < 1.0:
+        raise ValueError(f"svd_cutoff must be in (0, 1), got {svd_cutoff}")
+
+
 @dataclass(frozen=True)
 class WaveContext:
     """Wavenumber and incidence direction of the plane wave."""
@@ -204,8 +209,7 @@ def solve_least_squares(
     """
     if matrix.size == 0:
         raise ValueError("empty system")
-    if not 0.0 < svd_cutoff < 1.0:
-        raise ValueError(f"svd_cutoff must be in (0, 1), got {svd_cutoff}")
+    _check_svd_cutoff(svd_cutoff)
     return _solve_factored(matrix, rhs, *_factor(matrix, rhs), svd_cutoff)
 
 
@@ -227,6 +231,7 @@ def mrc_solve(
     (overflow) ends the escalation the same way; ValueError if none was.
     """
     _check_bc(bc)
+    _check_svd_cutoff(svd_cutoff)
     if eps_target <= 0:
         raise ValueError(f"eps_target must be > 0, got {eps_target}")
     if L_start > L_max:

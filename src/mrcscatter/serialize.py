@@ -4,16 +4,12 @@ Floats are written with 17 significant digits (exact round-trip for doubles)
 and object keys are emitted sorted, so equal inputs always produce
 byte-identical files.  Non-finite numbers serialize as null.
 
-``validate`` checks a document in two passes.  jsonschema checks its header:
-the document with each bulk array replaced by an empty list.  A bulk array is
-a property reached through ``properties`` or object ``items`` whose schema is
-exactly ``{"type": "array", "items": R}``, with R a scalar rule or a
-fixed-length row of scalar rules (``_bulk_arrays``); samples and coefficient
-rows are bulk arrays.  One typed pass then checks the bulk rows against R as
-read from the schema file, so the schema files stay the only specification.
-If either pass fails, full jsonschema validation runs on the untouched
-document and raises its first error, so a rejected document gets the same
-message as under full validation.
+``validate`` makes one jsonschema pass with draft-7's ``items`` replaced by
+``_items``: a bulk array, whose item rule is a scalar rule or a fixed-length
+row of them (samples, coefficient rows), is checked in one typed pass against
+that rule as read from the schema file.  An array that pass does not accept
+goes to jsonschema's own ``items``, so every error and its order are
+jsonschema's.
 """
 
 from __future__ import annotations
@@ -78,14 +74,18 @@ def load_schema(name: str) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _schema_registry():
-    """Every bundled schema by its $id; built once per process (immutable)."""
-    from referencing import Registry, Resource
+    """Every bundled schema by its $id, as draft 7; built once per process
+    (immutable).  Without its $schema key a $ref target is checked by the
+    referring validator's class, not by the class that key names."""
+    from referencing import Registry
+    from referencing.jsonschema import DRAFT7
 
     pairs = []
     for entry in (resources.files("mrcscatter") / "schemas").iterdir():
         if entry.name.endswith(".schema.json"):
             doc = json.loads(entry.read_text(encoding="utf-8"))
-            pairs.append((doc["$id"], Resource.from_contents(doc)))
+            del doc["$schema"]
+            pairs.append((doc["$id"], DRAFT7.create_resource(doc)))
     return Registry().with_resources(pairs)
 
 
@@ -95,10 +95,6 @@ _FAST_TYPES = {"number": {float, int}, "integer": {int}, "boolean": {bool}, "nul
 # bound keyword -> op with op(bound, x) true when x violates it, as jsonschema compares
 _BOUNDS = {"minimum": operator.gt, "exclusiveMinimum": operator.ge,
            "maximum": operator.lt, "exclusiveMaximum": operator.le}
-# keywords of the object and array schemas the search for bulk arrays descends through
-_OBJECT_KEYS = {"$schema", "$id", "title", "description", "type", "required",
-                "additionalProperties", "properties"}
-_ARRAY_KEYS = {"type", "items", "minItems", "maxItems"}
 _is_type = jsonschema.Draft7Validator.TYPE_CHECKER.is_type
 
 
@@ -129,43 +125,6 @@ def _row_rules(items):
     return (n, rules) if len(rules) == n and None not in rules else None
 
 
-@functools.lru_cache(maxsize=None)
-def _bulk_arrays(schema_name: str) -> tuple:
-    """(path, width, rules) of each bulk array of the schema; a path is a
-    tuple of property names, with "*" for every item of an array."""
-    found = []
-
-    def walk(node, path):
-        if not isinstance(node, dict) or not node.keys() <= _OBJECT_KEYS:
-            return
-        for key, sub in node.get("properties", {}).items():
-            if not isinstance(sub, dict) or sub.get("type") != "array":
-                walk(sub, (*path, key))
-            elif sub.keys() == {"type", "items"} and (rows := _row_rules(sub["items"])):
-                found.append(((*path, key), *rows))
-            elif sub.keys() <= _ARRAY_KEYS:
-                walk(sub.get("items"), (*path, key, "*"))
-
-    walk(load_schema(schema_name), ())
-    return tuple(found)
-
-
-def _strip(node, path, found: list):
-    """node with the list at path replaced by an empty list; each list so
-    replaced is appended to found.  Anything off the path is shared."""
-    key, rest = path[0], path[1:]
-    if key == "*":
-        return [_strip(item, rest, found) for item in node] if isinstance(node, list) else node
-    if not isinstance(node, dict) or key not in node:
-        return node
-    if rest:
-        return {**node, key: _strip(node[key], rest, found)}
-    if not isinstance(node[key], list):
-        return node
-    found.append(node[key])
-    return {**node, key: []}
-
-
 def _column_ok(values, rule) -> bool:
     fast, names, bounds = rule
     kinds = set(map(type, values))
@@ -184,21 +143,23 @@ def _rows_ok(rows: list, width, rules) -> bool:
     return all(_column_ok(col, rule) for col, rule in zip(zip(*rows), rules))
 
 
-def validate(obj: dict, schema_name: str) -> None:
-    """Raise SchemaError("<schema_name>: <message>") unless obj is valid.
+def _items(validator, items, instance, schema):
+    """draft-7 ``items``, with one typed pass over a bulk array in place of a
+    descent per item; jsonschema's own keyword judges any array it rejects."""
+    rows = _row_rules(items)
+    if not (rows and validator.is_type(instance, "array") and _rows_ok(instance, *rows)):
+        yield from _DRAFT7_ITEMS(validator, items, instance, schema)
 
-    jsonschema checks the header (obj with its bulk arrays emptied) and one
-    typed pass checks the bulk rows.  If either fails, full jsonschema
-    validation of obj decides and its first error is raised.  The two passes
-    accept only documents that full validation accepts."""
-    validator = jsonschema.Draft7Validator(load_schema(schema_name), registry=_schema_registry())
-    header, rows_ok = obj, True
-    for path, width, rules in _bulk_arrays(schema_name):
-        found = []
-        header = _strip(header, path, found)
-        rows_ok = rows_ok and all(_rows_ok(rows, width, rules) for rows in found)
-    if rows_ok and validator.is_valid(header):
-        return
+
+_DRAFT7_ITEMS = jsonschema.Draft7Validator.VALIDATORS["items"]
+_Validator = jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": _items})
+
+
+def validate(obj: dict, schema_name: str) -> None:
+    """Raise SchemaError("<schema_name>: <message>") unless obj is valid: one
+    draft-7 pass whose ``items`` checks bulk arrays in one typed pass, with the
+    verdict and first error of plain draft-7 validation."""
+    validator = _Validator(load_schema(schema_name), registry=_schema_registry())
     try:
         validator.validate(obj)
     except jsonschema.ValidationError as exc:

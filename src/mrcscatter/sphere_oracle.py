@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import fields, specfun
-from .direct_solver import CoefficientSet, WaveContext
+from .direct_solver import DIRICHLET, CoefficientSet, WaveContext, _check_bc
 
 logger = logging.getLogger(__name__)
 
@@ -50,14 +50,12 @@ def sphere_scattering_coeffs(a: float, ctx: WaveContext, L: int, bc: str) -> Coe
         raise ValueError(f"sphere radius must be > 0, got {a}")
     b = plane_wave_coeffs(ctx, L)
     k = ctx.k
-    if bc == "dirichlet":
+    if _check_bc(bc) == DIRICHLET:
         num = specfun.spherical_bessel_j_table(L, k * a)
         den = specfun.hankel_out_table(L, k, a)
-    elif bc == "neumann":
+    else:
         num = k * specfun._bessel_dz(specfun.spherical_bessel_j_table(L + 1, k * a), k * a)
         den = specfun.hankel_out_dr_table(L, k, a)
-    else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
     tiny = 1e-280
     if np.any(np.abs(den) < tiny):
         logger.warning("near-zero radial denominator in sphere coefficients")

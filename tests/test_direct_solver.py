@@ -290,6 +290,9 @@ class TestMrcSolve:
             mrc_solve(Sphere(1.0), ctx, bc="robin")
         with pytest.raises(ValueError):
             mrc_solve(Sphere(1.0), ctx, quad_degree_factor=1.5)
+        for svd_cutoff in (0.0, 1.0):
+            with pytest.raises(ValueError, match="svd_cutoff must be in"):
+                mrc_solve(Sphere(1.0), ctx, svd_cutoff=svd_cutoff)
 
 
 class TestCoefficientSet:

@@ -1,6 +1,6 @@
-"""serialize.validate checks a document's header with jsonschema and its bulk
-rows in one typed pass derived from the schema.  It must give the same verdict
-and message as full jsonschema validation on every document."""
+"""serialize.validate makes one jsonschema pass whose ``items`` keyword checks
+bulk arrays in one typed pass derived from the schema.  It must give the same
+verdict and message as plain draft-7 validation on every document."""
 
 import copy
 import json
@@ -24,11 +24,18 @@ SCHEMA_NAMES = sorted(
     if entry.name.endswith(".schema.json")
 )
 
+# arrays that the typed pass must accept in each schema's example document
 BULK_PATHS = {
     "near_field_data": {("entries", "*", "samples")},
     "direct_solution": {("coefficients",), ("history",)},
     "oracle_reference": {("coefficients",)},
     "reconstruction": {("directions",), ("resolved",), ("harmonic_model", "coeffs")},
+    "config_fieldmap": {("ray", "direction")},
+    "config_invert": {("directions", "items"), ("L_schedule",), ("bracket",)},
+    "config_oracle": {("alpha",)},
+    "config_solve": {("alpha",), ("surface", "semi_axes")},
+    "config_synthesize": {("surface", "bumps"), ("entries", "*", "alpha")},
+    "surface": {("bumps",)},
 }
 
 
@@ -78,10 +85,64 @@ def _reconstruction_doc() -> dict:
     return serialize.reconstruction_to_jsonable(rec)
 
 
+def _oracle_doc() -> dict:
+    ctx = WaveContext(1.0, Direction(0.3, 0.4))
+    return serialize.oracle_to_jsonable(
+        sphere_scattering_coeffs(1.0, ctx, 2, "neumann"), ctx, 1.0, "neumann"
+    )
+
+
+PERTURBED_SPHERE = {
+    "type": "perturbed_sphere", "radius": 1.0, "bumps": [[2, 0, 0.1], [3, -1, 0.05]],
+}
+
+# rows reached through oneOf
+INVERT_CONFIG = {
+    "schema_version": 1,
+    "directions": {"type": "list", "items": [[0.1, 0.2], [1.0, 2.0], [2.5, 4.0]]},
+    "L_schedule": [3, 4],
+    "bracket": [0.5, 2.0],
+    "quorum": 0.8,
+}
+
+# bump rows reached through $ref and oneOf
+SYNTHESIZE_CONFIG = {
+    "schema_version": 1,
+    "surface": PERTURBED_SPHERE,
+    "R": 3.0,
+    "quadrature": {"n_theta": 8, "n_phi": 16},
+    "entries": [{"k": 1.0, "alpha": [0.0, 0.0]}, {"k": 1.5, "alpha": [0.4, 0.2]}],
+    "delta": 0.01,
+}
+
 DOCUMENTS = {
     "near_field_data": _near_field_doc(),
     "direct_solution": _solution_doc(),
     "reconstruction": _reconstruction_doc(),
+    "config_invert": INVERT_CONFIG,
+    "config_synthesize": SYNTHESIZE_CONFIG,
+}
+
+# one valid document for every bundled schema
+EXAMPLES = DOCUMENTS | {
+    "oracle_reference": _oracle_doc(),
+    "config_fieldmap": {
+        "schema_version": 1,
+        "solution": "solution.json",
+        "ray": {"direction": [0.3, 0.2], "r_start": 1.5, "r_stop": 3.0, "n": 4},
+    },
+    "config_oracle": {
+        "schema_version": 1, "radius": 1.0, "k": 1.0, "alpha": [0.0, 0.0], "bc": "neumann", "L": 8,
+    },
+    "config_solve": {
+        "schema_version": 1,
+        "surface": {"type": "ellipsoid", "semi_axes": [1.0, 0.8, 1.2]},
+        "k": 1.0,
+        "alpha": [0.3, 0.1],
+        "bc": "dirichlet",
+        "eps_target": 1e-4,
+    },
+    "surface": PERTURBED_SPHERE,
 }
 
 # replacement values: numbers at and below the bounds the schemas set; wrong
@@ -170,8 +231,33 @@ def test_bundled_schema_is_a_valid_draft7_schema(name):
     jsonschema.Draft7Validator.check_schema(serialize.load_schema(name))
 
 
+def _values_at(node, path):
+    """The values at path below node; "*" stands for every item of a list."""
+    if not path:
+        return [node]
+    key, rest = path[0], path[1:]
+    children = node if key == "*" else [node[key]]
+    return [value for child in children for value in _values_at(child, rest)]
+
+
 @pytest.mark.parametrize("name", SCHEMA_NAMES)
-def test_bulk_arrays_derived_from_each_schema(name):
-    """A schema edit that silently turns the row pass off fails here."""
-    paths = {path for path, _, _ in serialize._bulk_arrays(name)}
-    assert paths == BULK_PATHS.get(name, set())
+def test_bulk_arrays_derived_from_each_schema(name, monkeypatch):
+    """Every array at a BULK_PATHS path is accepted by the typed pass, not by
+    jsonschema's descent per item.  A schema edit that silently turns the
+    typed pass off fails here."""
+    accepted = []
+    rows_ok = serialize._rows_ok
+
+    def spy(rows, width, rules):
+        ok = rows_ok(rows, width, rules)
+        if ok:
+            accepted.append(rows)
+        return ok
+
+    monkeypatch.setattr(serialize, "_rows_ok", spy)
+    doc = EXAMPLES[name]
+    serialize.validate(doc, name)
+    arrays = [a for path in BULK_PATHS[name] for a in _values_at(doc, path)]
+    assert arrays and all(isinstance(a, list) and a for a in arrays)
+    for a in arrays:
+        assert any(a is b for b in accepted)
