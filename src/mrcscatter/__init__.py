@@ -7,6 +7,8 @@ near-field data on a measurement sphere define a one-dimensional root search
 per observation direction that recovers the radial map of the obstacle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .direct_solver import (
     CoefficientSet,
     DirectSolution,
@@ -66,52 +68,7 @@ from .sphere_oracle import plane_wave_coeffs, sphere_scattering_coeffs
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoefficientSet",
-    "DirectSolution",
-    "DomainError",
-    "Direction",
-    "Ellipsoid",
-    "ModeIndex",
-    "NearFieldData",
-    "NearFieldEntry",
-    "PerturbedSphere",
-    "RayRoot",
-    "ReconstructedSurface",
-    "Sphere",
-    "SphereQuadrature",
-    "StarSurface",
-    "SurfaceError",
-    "WaveContext",
-    "add_noise",
-    "assemble_basis_matrix",
-    "extract_coeffs",
-    "far_field_amplitude",
-    "fibonacci_directions",
-    "field_on_sphere",
-    "find_ray_root",
-    "hankel_out",
-    "hankel_out_dr",
-    "incident_trace",
-    "make_quadrature",
-    "mode_from_index",
-    "mode_index",
-    "mode_list",
-    "mrc_solve",
-    "n_modes",
-    "outward_normal",
-    "plane_wave_coeffs",
-    "project_far_field",
-    "quadrature_for_degree",
-    "ray_function",
-    "scattered_field",
-    "scattered_field_dr",
-    "solve_least_squares",
-    "sph_harm",
-    "spherical_bessel_j",
-    "sphere_scattering_coeffs",
-    "stable_reconstruct",
-    "surface_element",
-    "surface_from_descriptor",
-    "total_field",
-]
+# every public name imported above; the submodules themselves are not exported
+__all__ = sorted(
+    n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)
+)

@@ -9,8 +9,10 @@ meets the target; the smallest such L is kept.
 
 Each step takes one Householder QR of [A | b] (columns of A at unit norm)
 and reads its residual off |R[n, n]|, since Q is orthonormal and so
-||A c + b|| = ||R[:, :n] c + R[:, n]||.  The truncated SVD runs once, on the
-small R at the kept step: A and R[:, :n] share singular values.
+||A c + b|| = ||R[:, :n] c + R[:, n]||.  At the kept step the singular
+values of the small R give rank and condition (A and R[:, :n] share them);
+a full-rank R is solved directly, and the truncated SVD runs only when the
+cutoff drops a singular value.  The surface is read once per step.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from .geometry import (
     Direction,
     SphereQuadrature,
     StarSurface,
-    outward_normal,
     quadrature_for_degree,
-    surface_element,
-    _normal_spherical_components,
+    _normal_from_map,
+    _normal_vectors,
 )
 
 logger = logging.getLogger(__name__)
@@ -110,24 +111,37 @@ class DirectSolution:
     history: list[tuple[int, float]] = field(default_factory=list)
 
 
+def _read_boundary(surface: StarSurface, quad: SphereQuadrature):
+    """From one radial_map at the quadrature directions: f, the outward
+    normal's (r, theta, phi) components and the weight sqrt(w_p * omega_p)
+    with omega = f**2 / n_r, which turns the Euclidean norm over the nodes
+    into the discretized L2 boundary norm."""
+    f, ft, fp = surface.radial_map(quad.theta, quad.phi)
+    normal = _normal_from_map(quad.theta, f, ft, fp)
+    return f, normal, np.sqrt(quad.weights * (f * f / normal[0]))
+
+
 def incident_trace(
     surface: StarSurface, quad: SphereQuadrature, ctx: WaveContext, bc: str
 ) -> np.ndarray:
     """Incident plane-wave data on the boundary at the quadrature directions:
     the trace for Dirichlet, the outward normal derivative for Neumann."""
-    _check_bc(bc)
-    points = surface.boundary_points(quad.theta, quad.phi)
+    return _incident(quad, ctx, _check_bc(bc), *_read_boundary(surface, quad)[:2])
+
+
+def _incident(quad, ctx, bc, f, normal) -> np.ndarray:
+    points = f[:, None] * quad.vectors
     u0 = np.exp(1j * ctx.k * points @ ctx.alpha.vector)
     if bc == DIRICHLET:
         return u0
-    N = outward_normal(surface, quad.theta, quad.phi)
+    N = _normal_vectors(quad.theta, quad.phi, *normal)
     return 1j * ctx.k * (N @ ctx.alpha.vector) * u0
 
 
 def _boundary_weight(surface: StarSurface, quad: SphereQuadrature) -> np.ndarray:
     """sqrt(w_p * omega_p): turns the Euclidean norm over the nodes into the
     discretized L2 boundary norm."""
-    return np.sqrt(quad.weights * surface_element(surface, quad.theta, quad.phi))
+    return _read_boundary(surface, quad)[2]
 
 
 def _basis_columns(
@@ -135,7 +149,10 @@ def _basis_columns(
 ) -> np.ndarray:
     """Unweighted collocation matrix: psi[ell, m] (or its outward normal
     derivative) at the boundary points, rows by node, columns by flat mode."""
-    _check_bc(bc)
+    return _columns(quad, ctx, L, _check_bc(bc), *_read_boundary(surface, quad)[:2])
+
+
+def _columns(quad, ctx, L, bc, f, normal) -> np.ndarray:
     if L < 0:
         raise ValueError(f"truncation degree must be >= 0, got {L}")
     if quad.degree < 2 * L:
@@ -144,14 +161,16 @@ def _basis_columns(
             f"(needs >= {2 * L}: aliasing risk)"
         )
     ells = specfun.mode_degrees(L)
-    f = surface.radius(quad.theta, quad.phi)
     H = specfun.hankel_out_table(L, ctx.k, f)
+    # harmonics on the grid: Legendre and azimuth tables on its axes
+    P, E = specfun._harmonic_factors(L, quad.theta_axis, quad.phi_axis)
+    Y = specfun._grid_modes(L, P, E)
     if bc == DIRICHLET:
-        return specfun.sph_harm_table(L, quad.theta, quad.phi) * H[ells].T
+        return Y * H[ells].T
     Hd = specfun.hankel_out_dr_table(L, ctx.k, f)
-    Y, dY, pY = specfun.sph_harm_gradient_tables(L, quad.theta, quad.phi)
-    nr, nt, nph = _normal_spherical_components(surface, quad.theta, quad.phi)
-    ang = nt[:, None] * dY + nph[:, None] * pY
+    dY = specfun._grid_modes(L, specfun._norm_legendre_dtheta_table(L, P), E)
+    nr, nt, nph = normal
+    ang = nt[:, None] * dY + nph[:, None] * specfun._dphi_over_sin(L, quad.theta, Y)
     return (nr * Hd)[ells].T * Y + (H / f)[ells].T * ang
 
 
@@ -180,19 +199,22 @@ def _factor(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _solve_factored(matrix, rhs, R, col_norms, svd_cutoff) -> LeastSquaresInfo:
-    """Truncated-SVD solve of min ||matrix @ c + rhs|| on _factor's R."""
+    """Solve of min ||matrix @ c + rhs|| on _factor's R: singular values give
+    rank and condition, a full rank R[:n, :n] is solved directly, and the
+    truncated SVD runs only when the cutoff drops a singular value."""
     n = matrix.shape[1]
-    U, s, Vh = np.linalg.svd(R[:, :n], full_matrices=False)
-    # an all-zero matrix (s[0] == 0) keeps nothing
-    keep = (s > 0.0) & (s >= svd_cutoff * s[0])
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        coeffs = np.zeros(n, dtype=complex)
-        condition = math.inf
-    else:
-        Uk, sk, Vhk = U[:, keep], s[keep], Vh[keep]
-        coeffs = -(Vhk.conj().T @ ((Uk.conj().T @ R[:, n]) / sk)) / col_norms
-        condition = float(s[0] / sk[-1])
+    s = np.linalg.svd(R[:n, :n], compute_uv=False)
+    # an all-zero matrix (s[0] == 0) keeps nothing; s descends, so the kept
+    # values are the first rank ones
+    rank = int(np.count_nonzero((s > 0.0) & (s >= svd_cutoff * s[0])))
+    coeffs = np.zeros(n, dtype=complex)
+    if rank == n:
+        coeffs = np.linalg.solve(R[:n, :n], -R[:n, n]) / col_norms
+    elif rank > 0:
+        U, sv, Vh = np.linalg.svd(R[:, :n], full_matrices=False)
+        y = (U[:, :rank].conj().T @ R[:, n]) / sv[:rank]
+        coeffs = -(Vh[:rank].conj().T @ y) / col_norms
+    condition = float(s[0] / s[rank - 1]) if rank else math.inf
     residual = float(np.linalg.norm(matrix @ coeffs + rhs))
     return LeastSquaresInfo(coeffs=coeffs, residual=residual, rank=rank, condition=condition)
 
@@ -200,8 +222,8 @@ def _solve_factored(matrix, rhs, R, col_norms, svd_cutoff) -> LeastSquaresInfo:
 def solve_least_squares(
     matrix: np.ndarray, rhs: np.ndarray, svd_cutoff: float = 1e-12
 ) -> LeastSquaresInfo:
-    """Minimize ||matrix @ c + rhs|| by a QR of [matrix | rhs], then a
-    truncated SVD of the small R factor.
+    """Minimize ||matrix @ c + rhs|| by a QR of [matrix | rhs], then a solve
+    on the small R factor (a truncated SVD where it is rank-deficient).
 
     Columns are pre-scaled to unit norm (undone on return); singular values
     below svd_cutoff * sigma_max are discarded, which selects the minimum-norm
@@ -246,9 +268,9 @@ def mrc_solve(
         # floor keeps small-L residual estimates trustworthy
         degree = max(math.ceil(quad_degree_factor * L), 2 * L, 16)
         quad = quadrature_for_degree(degree)
-        scale = _boundary_weight(surface, quad)
-        A = scale[:, None] * _basis_columns(surface, quad, ctx, L, bc)
-        b = incident_trace(surface, quad, ctx, bc) * scale
+        f, normal, scale = _read_boundary(surface, quad)
+        A = scale[:, None] * _columns(quad, ctx, L, bc, f, normal)
+        b = _incident(quad, ctx, bc, f, normal) * scale
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
             break

@@ -5,6 +5,11 @@ ball containing the obstacle; evaluating it closer to (or on) the boundary
 is permitted and is exactly what the residual-minimization construction
 justifies to O(residual), but there is no guarantee inside the obstacle's
 circumscribed sphere for coefficient sets obtained otherwise.
+
+On the quadrature grid, projection and synthesis are tensor-product
+transforms: Y[ell, m] at node (i, j) is Pbar[ell, |m|](theta_i) * E[m](phi_j),
+so a node sum splits into azimuthal sums per order and polar sums per mode, in
+O(nodes * L + n_theta * L**2); no dense (nodes x modes) table is built.
 """
 
 from __future__ import annotations
@@ -75,8 +80,11 @@ def project_far_field(samples: np.ndarray, quad: SphereQuadrature, L: int) -> Co
         raise ValueError(
             f"quadrature degree {quad.degree} insufficient for L={L} (needs >= {2 * L})"
         )
-    Y = specfun.sph_harm_table(L, quad.theta, quad.phi)
-    return CoefficientSet(L, (Y.conj() * quad.weights[:, None]).T @ samples)
+    P, E = specfun._harmonic_factors(L, quad.theta_axis, quad.phi_axis)
+    # azimuthal sums per order m on each polar ring, then polar sums per (ell, m)
+    F = (quad.weights * samples).reshape(quad.n_theta, quad.n_phi) @ E.conj().T
+    C = np.sum(P[:, abs(np.arange(-L, L + 1))] * F.T, axis=-1)
+    return CoefficientSet(L, C[specfun.mode_degrees(L), specfun.mode_orders(L) + L])
 
 
 def field_on_sphere(
@@ -85,6 +93,10 @@ def field_on_sphere(
     """Scattered field sampled at R times the quadrature directions."""
     if R <= 0:
         raise ValueError(f"sphere radius must be > 0, got {R}")
-    Y = specfun.sph_harm_table(coeffs.L, quad.theta, quad.phi)
-    H = specfun.hankel_out_table(coeffs.L, ctx.k, R)
-    return _radial_sum(coeffs, H, Y)
+    L, ells = coeffs.L, specfun.mode_degrees(coeffs.L)
+    P, E = specfun._harmonic_factors(L, quad.theta_axis, quad.phi_axis)
+    # the transpose of the projection: polar sums per order, then azimuthal ones
+    C = np.zeros((L + 1, 2 * L + 1), dtype=complex)
+    H = specfun.hankel_out_table(L, ctx.k, R)
+    C[ells, specfun.mode_orders(L) + L] = coeffs.coeffs * H[ells]
+    return (np.sum(P[:, abs(np.arange(-L, L + 1))] * C[..., None], axis=0).T @ E).ravel()

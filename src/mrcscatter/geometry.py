@@ -82,7 +82,9 @@ class SphereQuadrature:
     """Tensor-product quadrature: Gauss-Legendre in cos(theta) x uniform phi.
 
     Exactly integrates spherical-harmonic products up to ``degree``;
-    weights sum to 4*pi.
+    weights sum to 4*pi.  The nodes are the grid of the n_theta polar angles
+    ``theta_axis`` by the n_phi azimuths ``phi_axis``, theta-major, so node
+    values reshape to (n_theta, n_phi); other node arrays are rejected.
     """
 
     theta: np.ndarray
@@ -92,8 +94,25 @@ class SphereQuadrature:
     n_theta: int
     n_phi: int
 
+    def __post_init__(self) -> None:
+        n = self.n_theta * self.n_phi
+        if not (
+            self.theta.shape == self.phi.shape == self.weights.shape == (n,)
+            and np.array_equal(self.theta, np.repeat(self.theta_axis, self.n_phi))
+            and np.array_equal(self.phi, np.tile(self.phi_axis, self.n_theta))
+        ):
+            raise ValueError(f"quadrature nodes are not an {self.n_theta} x {self.n_phi} grid")
+
     def __len__(self) -> int:
         return self.theta.size
+
+    @property
+    def theta_axis(self) -> np.ndarray:
+        return self.theta[:: self.n_phi]
+
+    @property
+    def phi_axis(self) -> np.ndarray:
+        return self.phi[: self.n_phi]
 
     @property
     def vectors(self) -> np.ndarray:
@@ -371,7 +390,11 @@ def outward_normal(surface: StarSurface, theta, phi) -> np.ndarray:
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    nr, nt, np_ = _normal_spherical_components(surface, theta, phi)
+    return _normal_vectors(theta, phi, *_normal_spherical_components(surface, theta, phi))
+
+
+def _normal_vectors(theta, phi, nr, nt, np_) -> np.ndarray:
+    """Cartesian vectors, (n, 3), from (r, theta, phi) components at the angles."""
     st, ct = np.sin(theta), np.cos(theta)
     cp, sp = np.cos(phi), np.sin(phi)
     rhat = np.stack([st * cp, st * sp, ct], axis=-1)
@@ -382,7 +405,11 @@ def outward_normal(surface: StarSurface, theta, phi) -> np.ndarray:
 
 def _normal_spherical_components(surface, theta, phi):
     """Outward normal in the local (r, theta, phi) orthonormal basis."""
-    f, ft, fp = surface.radial_map(theta, phi)
+    return _normal_from_map(theta, *surface.radial_map(theta, phi))
+
+
+def _normal_from_map(theta, f, ft, fp):
+    """_normal_spherical_components from the radial map's values at theta."""
     st = np.sin(theta)
     pole = st < 1e-14
     gp = np.zeros_like(f)

@@ -152,8 +152,20 @@ def _ray_values(W: np.ndarray, cosang, k: float, r: np.ndarray) -> tuple[np.ndar
     dH = np.arange(2, L + 2).reshape((L,) + (1,) * r.ndim) / (k * r) * H[1 : L + 1]
     dH = k * np.concatenate([1j * H[1:2], 1j * H[:L] - dH])
     inc = np.exp(1j * k * cosang * r)
-    p = inc + np.einsum("...l,l...->...", W, H[: L + 1])
-    return p, np.real(np.conj(p) * (1j * k * cosang * inc + np.einsum("...l,l...->...", W, dH)))
+    p = inc + _degree_sum(W, H[: L + 1])
+    return p, np.real(np.conj(p) * (1j * k * cosang * inc + _degree_sum(W, dH)))
+
+
+def _degree_sum(W: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum over ell of W[..., ell] * T[ell, ...], broadcast: one matrix product
+    where every row of W meets every radius of T (the search grid), else a dot
+    product per (row, radius) pair."""
+    rows, radii = W.shape[:-1], T.shape[1:]
+    lead = max(len(rows) - len(radii), 0)  # W's dims ahead of T's radii
+    if all(n == 1 for n in rows[lead:]):
+        flat = W.reshape(-1, W.shape[-1]) @ T.reshape(T.shape[0], -1)
+        return flat.reshape(rows[:lead] + radii)
+    return np.add.reduce(W.transpose(-1, *range(W.ndim - 1)) * T)
 
 
 def _ray_roots(

@@ -155,13 +155,18 @@ _DRAFT7_ITEMS = jsonschema.Draft7Validator.VALIDATORS["items"]
 _Validator = jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": _items})
 
 
+@functools.lru_cache(maxsize=None)
+def _validator(schema_name: str):
+    """The validator of a bundled schema, built on its first use in a process."""
+    return _Validator(load_schema(schema_name), registry=_schema_registry())
+
+
 def validate(obj: dict, schema_name: str) -> None:
     """Raise SchemaError("<schema_name>: <message>") unless obj is valid: one
     draft-7 pass whose ``items`` checks bulk arrays in one typed pass, with the
     verdict and first error of plain draft-7 validation."""
-    validator = _Validator(load_schema(schema_name), registry=_schema_registry())
     try:
-        validator.validate(obj)
+        _validator(schema_name).validate(obj)
     except jsonschema.ValidationError as exc:
         raise SchemaError(f"{schema_name}: {exc.message}") from exc
 

@@ -15,6 +15,11 @@ ell**2 + ell + m, degrees ascending and orders -ell..ell within a degree.
 a per-degree or per-order factor is applied by indexing with them, e.g.
 ``Y * H[mode_degrees(L)].T`` scales each mode column by its radial factor.
 
+Harmonics come from a Legendre table on polar angles and an azimuth table
+(``_harmonic_factors``), paired node by node on scattered directions
+(``sph_harm_table``) or taken on the two axes of the quadrature grid, where Y
+is their product per mode (``_grid_modes``) with bitwise the same values.
+
 All functions are pure; vectorized ``*_table`` variants return values for
 every degree 0..L at once and are what the solvers use internally.
 """
@@ -281,41 +286,50 @@ def _norm_legendre_dtheta_table(L: int, P: np.ndarray) -> np.ndarray:
 
 
 def _azimuth_factors(L: int, phi: np.ndarray) -> np.ndarray:
-    """exp(i*m*phi) for m = 0..L; shape (L+1, n)."""
+    """exp(i*m*phi) for m = -L..L in row m + L, shape (2L+1, n), times (-1)**m
+    for m < 0 (Y(ell,-m) = (-1)**m conj(Y(ell,m))): Y[ell, m] = Pbar[ell, |m|] * E[m + L]."""
     E = np.empty((L + 1, phi.shape[0]), dtype=complex)
     E[0] = 1.0
     if L >= 1:
         e1 = np.exp(1j * phi)
         for m in range(1, L + 1):
             E[m] = E[m - 1] * e1
-    return E
-
-
-def _assemble_modes(L: int, P: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Combine a Legendre-style table (m >= 0) with azimuth factors into the
-    full (n, (L+1)**2) mode matrix, using Y(ell,-m) = (-1)**m conj(Y(ell,m))."""
-    ms = mode_orders(L)
-    # azimuth factors of orders -L..L; P is real, so the conjugate acts on E
+    # P is real, so the conjugate of a negative order acts on E alone
     sign = 1 - 2 * (np.arange(L, 0, -1) % 2)
-    E_all = np.concatenate([np.conj(E[:0:-1]) * sign[:, None], E])
-    return np.ascontiguousarray((P[mode_degrees(L), np.abs(ms)] * E_all[ms + L]).T)
+    return np.concatenate([np.conj(E[:0:-1]) * sign[:, None], E])
 
 
-def _legendre_and_azimuth(L: int, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+def _harmonic_factors(L: int, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Pbar on the polar angles and the azimuth factors of orders -L..L on the
+    azimuths: paired node by node on scattered directions (``_assemble_modes``),
+    or the two axes of a tensor grid (``_grid_modes``)."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     ph = np.atleast_1d(np.asarray(phi, dtype=float))
     return _norm_legendre_table(L, np.cos(th), np.sin(th)), _azimuth_factors(L, ph)
 
 
+def _assemble_modes(L: int, P: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The (n, (L+1)**2) mode matrix Pbar[ell, |m|] * E[m + L] on n scattered nodes."""
+    ms = mode_orders(L)
+    return np.ascontiguousarray((P[mode_degrees(L), np.abs(ms)] * E[ms + L]).T)
+
+
+def _grid_modes(L: int, P: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The mode matrix on the grid of P's polar by E's azimuthal axis, theta-major
+    and C-contiguous: bitwise ``_assemble_modes`` on the grid's nodes."""
+    ms = mode_orders(L)
+    Pm, Em = P[mode_degrees(L), np.abs(ms)].T, E[ms + L].T
+    return np.multiply(Pm[:, None], Em, order="C").reshape(-1, ms.size)
+
+
 def sph_harm_table(L: int, theta, phi) -> np.ndarray:
     """Y[ell, m] at given angles for all modes ell <= L; shape (n, (L+1)**2)."""
-    P, E = _legendre_and_azimuth(L, theta, phi)
-    return _assemble_modes(L, P, E)
+    return _assemble_modes(L, *_harmonic_factors(L, theta, phi))
 
 
 def sph_harm_dtheta_table(L: int, theta, phi) -> np.ndarray:
     """d/dtheta of sph_harm_table; same shape, pole-safe."""
-    P, E = _legendre_and_azimuth(L, theta, phi)
+    P, E = _harmonic_factors(L, theta, phi)
     return _assemble_modes(L, _norm_legendre_dtheta_table(L, P), E)
 
 
@@ -334,16 +348,6 @@ def sph_harm_dphi_over_sin_table(L: int, theta, phi) -> np.ndarray:
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     return _dphi_over_sin(L, th, sph_harm_table(L, th, phi))
-
-
-def sph_harm_gradient_tables(L: int, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sph_harm_table, sph_harm_dtheta_table and sph_harm_dphi_over_sin_table
-    (bitwise the same values) from one Legendre and one azimuth table."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    P, E = _legendre_and_azimuth(L, th, phi)
-    Y = _assemble_modes(L, P, E)
-    dY = _assemble_modes(L, _norm_legendre_dtheta_table(L, P), E)
-    return Y, dY, _dphi_over_sin(L, th, Y)
 
 
 def sph_harm(ell: int, m: int, theta: float, phi: float) -> complex:

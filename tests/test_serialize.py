@@ -86,3 +86,26 @@ class TestConverters:
     def test_validation_failure_raises(self):
         with pytest.raises(serialize.SchemaError):
             serialize.validate({"schema_version": 1}, "direct_solution")
+
+
+def test_validate_reads_each_schema_file_once(monkeypatch):
+    reads, load = [], serialize.load_schema
+
+    def counted(name):
+        reads.append(name)
+        return load(name)
+
+    monkeypatch.setattr(serialize, "load_schema", counted)
+    serialize._validator.cache_clear()
+    try:
+        errors = []
+        for _ in range(2):
+            with pytest.raises(serialize.SchemaError) as exc:
+                serialize.validate({"schema_version": 1}, "direct_solution")
+            errors.append(str(exc.value))
+    finally:
+        serialize._validator.cache_clear()
+    assert reads == ["direct_solution"]
+    assert errors[0] == errors[1]
+    # load_schema still hands out a fresh dict
+    assert load("direct_solution") is not load("direct_solution")
