@@ -164,6 +164,9 @@ def cmd_invert(args) -> int:
     cfg = _load_document(args.config, "config_invert")
     doc = _load_document(args.data, "near_field_data")
     data = serialize.near_field_from_jsonable(doc)
+    if doc.get("provenance", {}).get("bc") == "neumann":
+        logger.warning("%s: provenance bc is 'neumann', but the ray criterion assumes a "
+                       "sound-soft (Dirichlet) obstacle", args.data)
     dcfg = cfg["directions"]
     if dcfg["type"] == "fibonacci":
         dirs = fibonacci_directions(dcfg["count"])
@@ -250,10 +253,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

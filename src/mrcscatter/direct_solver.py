@@ -7,12 +7,17 @@ psi[ell, m](x) = Y[ell, m](x/|x|) * hankel_out(ell, k, |x|).  For a soft
 derivatives.  The truncation degree L escalates until the relative residual
 meets the target; the smallest such L is kept.
 
-Each step takes one Householder QR of [A | b] (columns of A at unit norm)
-and reads its residual off |R[n, n]|, since Q is orthonormal and so
-||A c + b|| = ||R[:, :n] c + R[:, n]||.  At the kept step the singular
-values of the small R give rank and condition (A and R[:, :n] share them);
-a full-rank R is solved directly, and the truncated SVD runs only when the
-cutoff drops a singular value.  The surface is read once per step.
+Each step reads the surface once and takes one Householder QR of [A | b] per
+block of its system (columns of A at unit norm), reading the residual off
+the R factors as Q is orthonormal.  At the kept step their singular values
+give rank and condition over all blocks; a block keeping all of its values
+is solved directly, the truncated SVD runs only where the cutoff drops one.
+A general surface is one block.  On a surface of revolution
+(``StarSurface.axisymmetric``) column (ell, m) is g(theta) * exp(i*m*phi)
+and n_phi >= 2L+1, so the unitary DFT along phi splits the system into 2L+1
+blocks of n_theta x (L+1-|m|), one per order m, built on the polar axis: the
+azimuthal decoupling of T-matrix codes for bodies of revolution (Waterman
+1971; Mishchenko, Travis & Mackowski, JQSRT 55 (1996) 535).
 """
 
 from __future__ import annotations
@@ -174,6 +179,26 @@ def _columns(quad, ctx, L, bc, f, normal) -> np.ndarray:
     return (nr * Hd)[ells].T * Y + (H / f)[ells].T * ang
 
 
+def _order_system(quad, ctx, L, bc, f, normal, scale, b):
+    """An axisymmetric surface's system after the unitary DFT along phi: the
+    (matrix, rhs) blocks of orders m = -L..L with columns (ell, m), ell >= |m|;
+    the bins no column reaches; each flat mode's position in the blocks."""
+    f, nr, nt, scale = (x[:: quad.n_phi] for x in (f, *normal[:2], scale))
+    H = specfun.hankel_out_table(L, ctx.k, f)[:, None]
+    P = specfun._norm_legendre_table(L, np.cos(quad.theta_axis), np.sin(quad.theta_axis))
+    if bc == DIRICHLET:
+        G = H * P
+    else:  # the normal has no phi component on a surface of revolution
+        Hd = specfun.hankel_out_dr_table(L, ctx.k, f)[:, None]
+        G = nr * Hd * P + nt * (H / f) * specfun._norm_legendre_dtheta_table(L, P)
+    G *= math.sqrt(quad.n_phi) * scale
+    bh = np.fft.fft(b.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho")
+    # Y[ell, m] = Pbar[ell, |m|] * (-1)**m * exp(i*m*phi) for m < 0
+    blocks = [(G[abs(m) :, abs(m)].T * (-1.0) ** min(m, 0), bh[:, m]) for m in range(-L, L + 1)]
+    order = np.argsort(np.argsort(specfun.mode_orders(L), kind="stable"))
+    return blocks, bh[:, L + 1 : quad.n_phi - L].ravel(), order
+
+
 def assemble_basis_matrix(
     surface: StarSurface,
     quad: SphereQuadrature,
@@ -198,25 +223,31 @@ def _factor(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.linalg.qr(np.column_stack((matrix / col_norms, rhs)), mode="r"), col_norms
 
 
-def _solve_factored(matrix, rhs, R, col_norms, svd_cutoff) -> LeastSquaresInfo:
-    """Solve of min ||matrix @ c + rhs|| on _factor's R: singular values give
-    rank and condition, a full rank R[:n, :n] is solved directly, and the
-    truncated SVD runs only when the cutoff drops a singular value."""
-    n = matrix.shape[1]
-    s = np.linalg.svd(R[:n, :n], compute_uv=False)
-    # an all-zero matrix (s[0] == 0) keeps nothing; s descends, so the kept
-    # values are the first rank ones
-    rank = int(np.count_nonzero((s > 0.0) & (s >= svd_cutoff * s[0])))
-    coeffs = np.zeros(n, dtype=complex)
-    if rank == n:
-        coeffs = np.linalg.solve(R[:n, :n], -R[:n, n]) / col_norms
-    elif rank > 0:
-        U, sv, Vh = np.linalg.svd(R[:, :n], full_matrices=False)
-        y = (U[:, :rank].conj().T @ R[:, n]) / sv[:rank]
-        coeffs = -(Vh[:rank].conj().T @ y) / col_norms
-    condition = float(s[0] / s[rank - 1]) if rank else math.inf
-    residual = float(np.linalg.norm(matrix @ coeffs + rhs))
-    return LeastSquaresInfo(coeffs=coeffs, residual=residual, rank=rank, condition=condition)
+def _solve_factored(blocks, factors, svd_cutoff, rest=(), order=slice(None)) -> LeastSquaresInfo:
+    """Solve of min ||A @ c + b|| for A block diagonal in the (matrix, rhs)
+    blocks, on their _factor R (see the module docstring); ``rest`` is the
+    part of b no column reaches, ``order`` picks the flat modes from the blocks."""
+    svals = [np.linalg.svd(R[: n.size, : n.size], compute_uv=False) for R, n in factors]
+    s_max = max(s[0] for s in svals)
+    parts, kept = [], []
+    for (R, col_norms), s in zip(factors, svals):
+        # an all-zero matrix (s_max == 0) keeps nothing; s descends, so the
+        # kept values are the first rank ones
+        n, rank = col_norms.size, int(np.count_nonzero((s > 0.0) & (s >= svd_cutoff * s_max)))
+        c = np.zeros(n, dtype=complex)
+        if rank == n:
+            c = np.linalg.solve(R[:n, :n], -R[:n, n]) / col_norms
+        elif rank > 0:
+            U, sv, Vh = np.linalg.svd(R[:, :n], full_matrices=False)
+            y = (U[:, :rank].conj().T @ R[:, n]) / sv[:rank]
+            c = -(Vh[:rank].conj().T @ y) / col_norms
+        parts.append(c)
+        kept.append(s[:rank])
+    kept, coeffs = np.concatenate(kept), np.concatenate(parts)[order]
+    condition = float(s_max / kept.min()) if kept.size else math.inf
+    residuals = [B @ c + b for (B, b), c in zip(blocks, parts)]
+    residual = float(np.linalg.norm(np.concatenate(residuals + [rest])))
+    return LeastSquaresInfo(coeffs=coeffs, residual=residual, rank=kept.size, condition=condition)
 
 
 def solve_least_squares(
@@ -232,7 +263,7 @@ def solve_least_squares(
     if matrix.size == 0:
         raise ValueError("empty system")
     _check_svd_cutoff(svd_cutoff)
-    return _solve_factored(matrix, rhs, *_factor(matrix, rhs), svd_cutoff)
+    return _solve_factored([(matrix, rhs)], [_factor(matrix, rhs)], svd_cutoff)
 
 
 def mrc_solve(
@@ -269,17 +300,21 @@ def mrc_solve(
         degree = max(math.ceil(quad_degree_factor * L), 2 * L, 16)
         quad = quadrature_for_degree(degree)
         f, normal, scale = _read_boundary(surface, quad)
-        A = scale[:, None] * _columns(quad, ctx, L, bc, f, normal)
         b = _incident(quad, ctx, bc, f, normal) * scale
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        if surface.axisymmetric:
+            blocks, rest, order = _order_system(quad, ctx, L, bc, f, normal, scale, b)
+        else:
+            A = scale[:, None] * _columns(quad, ctx, L, bc, f, normal)
+            blocks, rest, order = [(A, b)], (), slice(None)
+        if not all(np.isfinite(B).all() and np.isfinite(rhs).all() for B, rhs in blocks):
             logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
             break
-        R, col_norms = _factor(A, b)
+        factors = [_factor(*block) for block in blocks]
         b_norm = np.linalg.norm(b)
-        rel = np.linalg.norm(R[A.shape[1] :, -1]) / b_norm
+        rel = np.linalg.norm(np.concatenate([R[n.size :, -1] for R, n in factors] + [rest])) / b_norm
         history.append((L, rel))
         logger.debug("L=%d relative residual %.3e", L, rel)
-        system = (A, b, R, col_norms, svd_cutoff)
+        system = (blocks, factors, svd_cutoff, rest, order)
         # truncation or rounding can leave the solved residual above the QR one
         if rel <= eps_target and (info := _solve_factored(*system)).residual <= eps_target * b_norm:
             converged = True

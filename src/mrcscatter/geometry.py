@@ -9,6 +9,7 @@ spherical-harmonic integrands up to the declared degree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -154,11 +155,16 @@ def make_quadrature(n_theta: int, n_phi: int) -> SphereQuadrature:
     )
 
 
+@functools.lru_cache(maxsize=128)  # an escalation to L=30 builds 25 rules, degrees 16 to 75
 def quadrature_for_degree(degree: int) -> SphereQuadrature:
-    """Smallest tensor-product rule exact up to the given harmonic degree."""
+    """Smallest tensor-product rule exact up to the given harmonic degree,
+    built once per degree and process (its arrays are read-only)."""
     n_theta = max(2, (degree + 2) // 2)
     n_phi = max(4, degree + 1)
-    return make_quadrature(n_theta, n_phi)
+    quad = make_quadrature(n_theta, n_phi)
+    for nodes in (quad.theta, quad.phi, quad.weights):
+        nodes.flags.writeable = False
+    return quad
 
 
 # --------------------------------------------------------------------------
@@ -168,7 +174,12 @@ def quadrature_for_degree(degree: int) -> SphereQuadrature:
 class StarSurface:
     """Base class: a positive radial map f over the unit sphere.  A shape
     implements ``radial_map``; ``radius``, ``radius_dtheta`` and
-    ``radius_dphi`` read its three parts."""
+    ``radius_dphi`` read its three parts.  ``axisymmetric`` is structural:
+    true when the parameters make f depend on theta alone (a surface of
+    revolution about z, whose boundary system splits by azimuthal order), as
+    sampling f along phi cannot tell: rounding varies a spheroid's f there."""
+
+    axisymmetric = False
 
     def radial_map(self, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f, df/dtheta, df/dphi) at the given angles, from one evaluation."""
@@ -199,6 +210,7 @@ class StarSurface:
 @dataclass(frozen=True)
 class Sphere(StarSurface):
     radius_value: float
+    axisymmetric = True
 
     def __post_init__(self) -> None:
         if self.radius_value <= 0:
@@ -242,6 +254,7 @@ class PerturbedSphere(StarSurface):
         self._scales = tuple(
             _legendre_peak(ell, abs(m)) for ell, m, _ in bumps
         )
+        self.axisymmetric = all(m == 0 for _, m, _ in bumps)
 
     def radial_map(self, theta, phi):
         # the Legendre tables take 1-D angles: evaluate on the raveled broadcast
@@ -333,6 +346,7 @@ class Ellipsoid(StarSurface):
     a: float
     b: float
     c: float
+    axisymmetric = property(lambda self: self.a == self.b)
 
     def __post_init__(self) -> None:
         if min(self.a, self.b, self.c) <= 0:

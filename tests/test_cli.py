@@ -3,12 +3,13 @@
 import csv
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from mrcscatter import serialize
-from mrcscatter.cli import EXIT_ERROR, EXIT_OK, main
+from mrcscatter.cli import EXIT_ERROR, EXIT_OK, EXIT_UNCONVERGED, main
 
 SOLVE_CFG = {
     "schema_version": 1,
@@ -232,3 +233,28 @@ class TestOracleAndFieldmap:
         assert main(["fieldmap", "--config", fcfg, "--out", str(tmp_path)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "fieldmap.csv").exists()
+
+
+class TestInvertProvenance:
+    NEUMANN_SYNTH = dict(SYNTH_CFG, bc="neumann", forward={"eps_target": 1e-6, "L_max": 12})
+    INVERT = dict(INVERT_CFG, directions={"type": "fibonacci", "count": 8})
+
+    def invert(self, tmp_path, data, caplog):
+        cfg = write_cfg(tmp_path / "inv.json", self.INVERT)
+        with caplog.at_level(logging.WARNING, logger="mrcscatter.cli"):
+            code = main(["invert", str(data), "--config", cfg, "--out", str(tmp_path / "o")])
+        return code, [r.getMessage() for r in caplog.records if r.name == "mrcscatter.cli"]
+
+    def test_neumann_data_is_named_as_the_cause(self, tmp_path, caplog):
+        cfg = write_cfg(tmp_path / "syn.json", self.NEUMANN_SYNTH)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        code, messages = self.invert(tmp_path, tmp_path / "near_field.json", caplog)
+        # the Dirichlet ray criterion does not settle on Neumann data; the exit code says so
+        assert code == EXIT_UNCONVERGED
+        assert len(messages) == 1
+        assert "near_field.json" in messages[0] and "'neumann'" in messages[0]
+
+    def test_dirichlet_data_raises_no_warning(self, tmp_path, data_file, caplog):
+        code, messages = self.invert(tmp_path, data_file, caplog)
+        assert code == EXIT_OK
+        assert messages == []

@@ -221,3 +221,16 @@ class TestDirections:
         assert len(dirs) == 50
         for d in dirs:
             assert abs(np.linalg.norm(d.vector) - 1.0) < 1e-14
+
+
+def test_quadrature_for_degree_is_built_once_with_read_only_nodes():
+    quad = quadrature_for_degree(23)
+    assert quadrature_for_degree(23) is quad
+    assert quadrature_for_degree(24) is not quad
+    for nodes in (quad.theta, quad.phi, quad.weights, quad.theta_axis, quad.phi_axis):
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+    fresh = make_quadrature(quad.n_theta, quad.n_phi)
+    np.testing.assert_array_equal(quad.weights, fresh.weights)
+    assert fresh.weights.flags.writeable
