@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (synthesize)")
 
     for name, fn in [
         ("solve", cmd_solve),
@@ -240,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         common(p)
         p.set_defaults(func=fn)
+        if name == "synthesize":
+            p.add_argument("--seed", type=int, default=0, help="noise RNG seed")
 
     p = sub.add_parser("invert")
     p.add_argument("data", help="near-field data JSON file")

@@ -160,19 +160,14 @@ def _basis_columns(
 def _columns(quad, ctx, L, bc, f, normal) -> np.ndarray:
     if L < 0:
         raise ValueError(f"truncation degree must be >= 0, got {L}")
-    if quad.degree < 2 * L:
-        raise ValueError(
-            f"quadrature degree {quad.degree} insufficient for L={L} "
-            f"(needs >= {2 * L}: aliasing risk)"
-        )
+    quad.check_aliasing(L)
     ells = specfun.mode_degrees(L)
-    H = specfun.hankel_out_table(L, ctx.k, f)
     # harmonics on the grid: Legendre and azimuth tables on its axes
     P, E = specfun._harmonic_factors(L, quad.theta_axis, quad.phi_axis)
     Y = specfun._grid_modes(L, P, E)
     if bc == DIRICHLET:
-        return Y * H[ells].T
-    Hd = specfun.hankel_out_dr_table(L, ctx.k, f)
+        return Y * specfun.hankel_out_table(L, ctx.k, f)[ells].T
+    H, Hd = specfun._hankel_out_pair(L, ctx.k, f)
     dY = specfun._grid_modes(L, specfun._norm_legendre_dtheta_table(L, P), E)
     nr, nt, nph = normal
     ang = nt[:, None] * dY + nph[:, None] * specfun._dphi_over_sin(L, quad.theta, Y)
@@ -184,12 +179,11 @@ def _order_system(quad, ctx, L, bc, f, normal, scale, b):
     (matrix, rhs) blocks of orders m = -L..L with columns (ell, m), ell >= |m|;
     the bins no column reaches; each flat mode's position in the blocks."""
     f, nr, nt, scale = (x[:: quad.n_phi] for x in (f, *normal[:2], scale))
-    H = specfun.hankel_out_table(L, ctx.k, f)[:, None]
     P = specfun._norm_legendre_table(L, np.cos(quad.theta_axis), np.sin(quad.theta_axis))
     if bc == DIRICHLET:
-        G = H * P
+        G = specfun.hankel_out_table(L, ctx.k, f)[:, None] * P
     else:  # the normal has no phi component on a surface of revolution
-        Hd = specfun.hankel_out_dr_table(L, ctx.k, f)[:, None]
+        H, Hd = (T[:, None] for T in specfun._hankel_out_pair(L, ctx.k, f))
         G = nr * Hd * P + nt * (H / f) * specfun._norm_legendre_dtheta_table(L, P)
     G *= math.sqrt(quad.n_phi) * scale
     bh = np.fft.fft(b.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho")
@@ -212,8 +206,9 @@ def assemble_basis_matrix(
     outward normal derivative), so the Euclidean residual of the linear system
     is the discretized L2 boundary norm.  Requires quadrature degree >= 2L.
     """
-    A = _basis_columns(surface, quad, ctx, L, bc)
-    return _boundary_weight(surface, quad)[:, None] * A
+    _check_bc(bc)
+    f, normal, scale = _read_boundary(surface, quad)
+    return scale[:, None] * _columns(quad, ctx, L, bc, f, normal)
 
 
 def _factor(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

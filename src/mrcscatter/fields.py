@@ -76,10 +76,7 @@ def far_field_amplitude(coeffs: CoefficientSet, theta, phi) -> np.ndarray:
 def project_far_field(samples: np.ndarray, quad: SphereQuadrature, L: int) -> CoefficientSet:
     """Recover mode coefficients from far-field samples on quadrature nodes
     by orthonormal projection (the inverse of far_field_amplitude)."""
-    if quad.degree < 2 * L:
-        raise ValueError(
-            f"quadrature degree {quad.degree} insufficient for L={L} (needs >= {2 * L})"
-        )
+    quad.check_aliasing(L)
     P, E = specfun._harmonic_factors(L, quad.theta_axis, quad.phi_axis)
     # azimuthal sums per order m on each polar ring, then polar sums per (ell, m)
     F = (quad.weights * samples).reshape(quad.n_theta, quad.n_phi) @ E.conj().T

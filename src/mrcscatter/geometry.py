@@ -119,6 +119,15 @@ class SphereQuadrature:
     def vectors(self) -> np.ndarray:
         return angles_to_vectors(self.theta, self.phi)
 
+    def check_aliasing(self, L: int) -> None:
+        """ValueError unless the rule is exact for products of two degree-L
+        harmonics, i.e. degree >= 2L, as a degree-L transform needs."""
+        if self.degree < 2 * L:
+            raise ValueError(
+                f"quadrature degree {self.degree} insufficient for L={L} "
+                f"(needs >= {2 * L}: aliasing risk)"
+            )
+
     def integrate(self, values: np.ndarray) -> complex:
         """Integral over the unit sphere of sampled values."""
         return np.sum(self.weights * values, axis=-1)

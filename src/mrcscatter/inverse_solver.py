@@ -9,8 +9,8 @@ truncation degree through a schedule and stop at the smallest degree that
 resolves a quorum of directions.
 
 The ray search runs as one array program per (degree, entry) over all
-directions: per-degree weights for every direction and one Hankel table of
-one degree more at the shared grid radii give p and g = Re(conj(p) * p') on
+directions: per-degree weights for every direction and one Hankel table with
+its r-derivative at the shared grid radii give p and g = Re(conj(p) * p') on
 the (direction x grid) array; every interior grid minimum of |p| is polished
 together as the root of g by one batched bracketed secant, or by golden
 section where g shows no sign change.  ``find_ray_root`` is the same search
@@ -145,14 +145,10 @@ def ray_function(coeffs: CoefficientSet, ctx: WaveContext, dir_out: Direction, r
 
 def _ray_values(W: np.ndarray, cosang, k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p and g = Re(conj(p) * dp/dr) on rays with per-degree weights W[..., :],
-    incidence cosines cosang and radii r broadcast against cosang, from one table
-    of degree L+1: dH_0/dr = i*k*H_1, dH_ell/dr = k*(i*H_{ell-1} - (ell+1)/(k*r)*H_ell)."""
-    L = W.shape[-1] - 1
-    H = specfun.hankel_out_table(L + 1, k, r)
-    dH = np.arange(2, L + 2).reshape((L,) + (1,) * r.ndim) / (k * r) * H[1 : L + 1]
-    dH = k * np.concatenate([1j * H[1:2], 1j * H[:L] - dH])
+    incidence cosines cosang and radii r broadcast against cosang."""
+    H, dH = specfun._hankel_out_pair(W.shape[-1] - 1, k, r)
     inc = np.exp(1j * k * cosang * r)
-    p = inc + _degree_sum(W, H[: L + 1])
+    p = inc + _degree_sum(W, H)
     return p, np.real(np.conj(p) * (1j * k * cosang * inc + _degree_sum(W, dH)))
 
 
@@ -319,12 +315,9 @@ def stable_reconstruct(
     if bracket is None:
         bracket = (0.2 * data.R, 0.9 * data.R)
     schedule = sorted(set(int(L) for L in L_schedule))
+    if not schedule:
+        raise ValueError("empty L_schedule: no degree to reconstruct at")
     L_top = schedule[-1]
-    if data.quadrature.degree < 2 * L_top:
-        raise ValueError(
-            f"data quadrature degree {data.quadrature.degree} cannot support "
-            f"extraction at L={L_top}"
-        )
     # extract once at the top degree and truncate per scheduled L: the
     # projections are independent mode by mode, so this equals extracting at
     # each L up to rounding (radii move by about 5e-10 between schedules

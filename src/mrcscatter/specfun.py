@@ -4,7 +4,8 @@ Radial convention: ``hankel_out(ell, k, r)`` is the outgoing radial factor
 normalized so that it behaves as exp(i*k*r)/r for r -> infinity, for every
 degree ``ell``.  In terms of the standard first-kind spherical Hankel
 function h1 this equals i**(ell+1) * k * h1_ell(k*r); the conversion factor
-is confined to this module.
+is confined to this module, and so is its r-derivative: ``_hankel_out_pair``
+is the one source of dH/dr, for the solvers and ``hankel_out_dr_table`` alike.
 
 Angular convention: orthonormal spherical harmonics on the unit sphere with
 the Condon-Shortley phase, so conj(Y[ell, m]) == (-1)**m * Y[ell, -m].
@@ -225,16 +226,18 @@ def hankel_out(ell: int, k: float, r: float) -> complex:
     return complex(hankel_out_table(ell, k, r)[ell])
 
 
+def _hankel_out_pair(L: int, k: float, r) -> tuple[np.ndarray, np.ndarray]:
+    """hankel_out_table(L, k, r) and its r-derivative, from one table of degree
+    max(L, 1): dH_0/dr = i*k*H_1, dH_ell/dr = k*(i*H_{ell-1} - (ell+1)/(k*r)*H_ell)."""
+    H = hankel_out_table(L or 1, k, r)  # a negative L still raises
+    ra = np.asarray(r, dtype=float)
+    dH = np.arange(2, L + 2).reshape((L,) + (1,) * ra.ndim) / (k * ra) * H[1 : L + 1]
+    return H[: L + 1], k * np.concatenate([1j * H[1:2], 1j * H[:L] - dH])
+
+
 def hankel_out_dr_table(L: int, k: float, r) -> np.ndarray:
     """d/dr of hankel_out(ell, k, r) for ell = 0..L."""
-    _check_radial_args(L, r)
-    if k <= 0:
-        raise DomainError(f"wavenumber must be > 0, got {k}")
-    ra = np.asarray(r, dtype=float)
-    z = k * ra
-    dh = _bessel_dz(_h1_table(L + 1, z), z)
-    phase = _outgoing_phase(L) * k * k
-    return dh * phase.reshape((L + 1,) + (1,) * ra.ndim)
+    return _hankel_out_pair(L, k, r)[1]
 
 
 def hankel_out_dr(ell: int, k: float, r: float) -> complex:

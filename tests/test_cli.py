@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mrcscatter import serialize
-from mrcscatter.cli import EXIT_ERROR, EXIT_OK, EXIT_UNCONVERGED, main
+from mrcscatter.cli import EXIT_ERROR, EXIT_OK, EXIT_UNCONVERGED, build_parser, main
 
 SOLVE_CFG = {
     "schema_version": 1,
@@ -258,3 +258,19 @@ class TestInvertProvenance:
         code, messages = self.invert(tmp_path, data_file, caplog)
         assert code == EXIT_OK
         assert messages == []
+
+
+class TestSeedOption:
+    """--seed draws synthesize's noise and is no option of the other subcommands."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", "c.json"],
+        ["oracle", "--config", "c.json"],
+        ["fieldmap", "--config", "c.json"],
+        ["invert", "d.json", "--config", "c.json"],
+    ])
+    def test_rejected_outside_synthesize(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from mrcscatter import specfun as sf
 from mrcscatter.direct_solver import (
     CoefficientSet,
     _basis_columns,
+    _boundary_weight,
     WaveContext,
     assemble_basis_matrix,
     incident_trace,
@@ -307,3 +308,17 @@ class TestCoefficientSet:
         np.testing.assert_array_equal(t.coeffs, np.arange(4, dtype=complex))
         with pytest.raises(ValueError):
             c.truncated(5)
+
+
+def test_assemble_basis_matrix_reads_the_surface_once():
+    surface = PerturbedSphere(1.0, [(2, 1, 0.15), (3, -2, 0.1)])
+    quad, ctx = quadrature_for_degree(14), WaveContext(1.3, Direction(0.7, 0.2))
+    ref = {bc: _boundary_weight(surface, quad)[:, None] * _basis_columns(surface, quad, ctx, 6, bc)
+           for bc in ("dirichlet", "neumann")}
+    calls = []
+    radial_map = surface.radial_map
+    surface.radial_map = lambda theta, phi: calls.append(theta.size) or radial_map(theta, phi)
+    for bc, A in ref.items():
+        calls.clear()
+        np.testing.assert_array_equal(assemble_basis_matrix(surface, quad, ctx, 6, bc), A)
+        assert calls == [len(quad)]

@@ -234,3 +234,10 @@ def test_quadrature_for_degree_is_built_once_with_read_only_nodes():
     fresh = make_quadrature(quad.n_theta, quad.n_phi)
     np.testing.assert_array_equal(quad.weights, fresh.weights)
     assert fresh.weights.flags.writeable
+
+
+def test_check_aliasing_needs_twice_the_transform_degree():
+    quad = make_quadrature(5, 10)  # exact to degree 9
+    quad.check_aliasing(4)
+    with pytest.raises(ValueError, match="aliasing"):
+        quad.check_aliasing(5)

@@ -435,3 +435,9 @@ class TestHarmonicModel:
         radii[~mask] = 100.0
         fit = _fit_harmonic_model(dirs, radii, mask, 4)
         np.testing.assert_allclose(fit, coeffs, rtol=0, atol=1e-12)
+
+
+def test_empty_schedule_is_named():
+    data = sphere_data(quad=make_quadrature(8, 16), L=8)
+    with pytest.raises(ValueError, match="empty L_schedule"):
+        stable_reconstruct(data, fibonacci_directions(4), L_schedule=())

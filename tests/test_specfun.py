@@ -310,3 +310,30 @@ class TestModeIndexing:
         assert seen == list(range(sf.n_modes(L)))
         assert sf.mode_degrees(L).tolist() == [ell for ell, _ in sf.mode_list(L)]
         assert sf.mode_orders(L).tolist() == [m for _, m in sf.mode_list(L)]
+
+
+class TestHankelOutPair:
+    """H and dH/dr from one Hankel table: H is bitwise hankel_out_table and
+    dH bitwise hankel_out_dr_table, whose values agree with the derivative of
+    the standard h1 table."""
+
+    @pytest.mark.parametrize("L", [0, 1, 4, 19])
+    def test_matches_the_public_tables(self, L):
+        k, r = 1.3, np.linspace(0.3, 2.5, 25)
+        H, dH = sf._hankel_out_pair(L, k, r)
+        assert H.tobytes() == sf.hankel_out_table(L, k, r).tobytes()
+        assert dH.tobytes() == sf.hankel_out_dr_table(L, k, r).tobytes()
+        # d/dr of i**(ell+1) * k * h1_ell(k*r)
+        z = k * r
+        ref = sf._bessel_dz(sf._h1_table(L + 1, z), z) * (sf._outgoing_phase(L) * k * k)[:, None]
+        np.testing.assert_allclose(dH, ref, rtol=1e-13, atol=0)
+
+    def test_scalar_radius(self):
+        H, dH = sf._hankel_out_pair(3, 1.0, 2.0)
+        assert H.shape == dH.shape == (4,)
+        assert dH[2] == sf.hankel_out_dr(2, 1.0, 2.0)
+
+    @pytest.mark.parametrize("L,r", [(-1, 1.0), (2, 0.0)])
+    def test_domain(self, L, r):
+        with pytest.raises(sf.DomainError):
+            sf._hankel_out_pair(L, 1.0, r)
