@@ -7,17 +7,19 @@ psi[ell, m](x) = Y[ell, m](x/|x|) * hankel_out(ell, k, |x|).  For a soft
 derivatives.  The truncation degree L escalates until the relative residual
 meets the target; the smallest such L is kept.
 
-Each step reads the surface once and takes one Householder QR of [A | b] per
-block of its system (columns of A at unit norm), reading the residual off
-the R factors as Q is orthonormal.  At the kept step their singular values
-give rank and condition over all blocks; a block keeping all of its values
-is solved directly, the truncated SVD runs only where the cutoff drops one.
-A general surface is one block.  On a surface of revolution
+Each step reads the surface once and takes one Householder QR of [A | b]
+(columns of A at unit norm), reading the residual off the R factor as Q is
+orthonormal.  At the kept step its singular values give rank and condition;
+a system keeping all of its values is solved directly, the truncated SVD
+runs only where the cutoff drops one.  On a surface of revolution
 (``StarSurface.axisymmetric``) column (ell, m) is g(theta) * exp(i*m*phi)
-and n_phi >= 2L+1, so the unitary DFT along phi splits the system into 2L+1
-blocks of n_theta x (L+1-|m|), one per order m, built on the polar axis: the
+and n_phi >= 2L+1, so the unitary DFT along phi splits the system into one
+block B_m of n_theta x (L+1-|m|) per order, built on the polar axis: the
 azimuthal decoupling of T-matrix codes for bodies of revolution (Waterman
-1971; Mishchenko, Travis & Mackowski, JQSRT 55 (1996) 535).
+1971; Mishchenko, Travis & Mackowski, JQSRT 55 (1996) 535).  As B_-m =
+(-1)**m B_m, the QR is of a stack of L+1 systems [B_|m| | 0 | b_m | (-1)**m
+b_-m], zero-padded to L+1 columns (Householder no-ops); a general surface
+is a stack of one system.
 """
 
 from __future__ import annotations
@@ -175,9 +177,11 @@ def _columns(quad, ctx, L, bc, f, normal) -> np.ndarray:
 
 
 def _order_system(quad, ctx, L, bc, f, normal, scale, b):
-    """An axisymmetric surface's system after the unitary DFT along phi: the
-    (matrix, rhs) blocks of orders m = -L..L with columns (ell, m), ell >= |m|;
-    the bins no column reaches; each flat mode's position in the blocks."""
+    """An axisymmetric surface's system after the unitary DFT along phi (see
+    the module docstring): the stack of L+1 systems B_|m| with right-hand
+    sides (b_m, (-1)**m b_-m), the bins no column reaches, and where each
+    flat mode (ell, m) sits in the solution stack: system |m|, column
+    ell - |m|, right-hand side 0 for m >= 0 and 1 for m < 0."""
     f, nr, nt, scale = (x[:: quad.n_phi] for x in (f, *normal[:2], scale))
     P = specfun._norm_legendre_table(L, np.cos(quad.theta_axis), np.sin(quad.theta_axis))
     if bc == DIRICHLET:
@@ -187,10 +191,14 @@ def _order_system(quad, ctx, L, bc, f, normal, scale, b):
         G = nr * Hd * P + nt * (H / f) * specfun._norm_legendre_dtheta_table(L, P)
     G *= math.sqrt(quad.n_phi) * scale
     bh = np.fft.fft(b.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho")
-    # Y[ell, m] = Pbar[ell, |m|] * (-1)**m * exp(i*m*phi) for m < 0
-    blocks = [(G[abs(m) :, abs(m)].T * (-1.0) ** min(m, 0), bh[:, m]) for m in range(-L, L + 1)]
-    order = np.argsort(np.argsort(specfun.mode_orders(L), kind="stable"))
-    return blocks, bh[:, L + 1 : quad.n_phi - L].ravel(), order
+    ells, ms = specfun.mode_degrees(L), specfun.mode_orders(L)
+    modes = (np.abs(ms), ells - np.abs(ms), (ms < 0).astype(int))
+    A = np.zeros((L + 1, quad.n_theta, L + 1), dtype=complex)
+    A[modes[0], :, modes[1]] = G[ells, modes[0]]
+    # Y[ell, -m] = Pbar[ell, m] * (-1)**m * exp(-i*m*phi), so B_-m = (-1)**m B_m
+    rhs = np.zeros((L + 1, quad.n_theta, 2), dtype=complex)
+    rhs[modes[0], :, modes[2]] = bh[:, ms].T * np.where(ms < 0, (-1.0) ** ms, 1.0)[:, None]
+    return A, rhs, bh[:, L + 1 : quad.n_phi - L].ravel(), modes
 
 
 def assemble_basis_matrix(
@@ -211,38 +219,64 @@ def assemble_basis_matrix(
     return scale[:, None] * _columns(quad, ctx, L, bc, f, normal)
 
 
+# where the flat modes sit in the solution of one system with one right-hand side
+_DENSE = (0, slice(None), 0)
+
+
 def _factor(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R factor of [matrix / column norms | rhs], and the norms (0 read as 1)."""
-    col_norms = np.linalg.norm(matrix, axis=0)
+    """R factor of [matrix / column norms | rhs], and the norms (0 read as 1),
+    for one system (rhs a vector) or a stack of them (rhs a column each)."""
+    col_norms = np.linalg.norm(matrix, axis=-2)
     col_norms[col_norms == 0.0] = 1.0
-    return np.linalg.qr(np.column_stack((matrix / col_norms, rhs)), mode="r"), col_norms
+    rhs = rhs.reshape(*matrix.shape[:-1], -1)
+    augmented = np.concatenate((matrix / col_norms[..., None, :], rhs), axis=-1)
+    return np.linalg.qr(augmented, mode="r"), col_norms
 
 
-def _solve_factored(blocks, factors, svd_cutoff, rest=(), order=slice(None)) -> LeastSquaresInfo:
-    """Solve of min ||A @ c + b|| for A block diagonal in the (matrix, rhs)
-    blocks, on their _factor R (see the module docstring); ``rest`` is the
-    part of b no column reaches, ``order`` picks the flat modes from the blocks."""
-    svals = [np.linalg.svd(R[: n.size, : n.size], compute_uv=False) for R, n in factors]
+def _stacked(system, factor):
+    """A (matrix, rhs, rest, modes) system and its _factor as stacks, with the
+    real column and right-hand-side counts of each: those ``modes`` reads."""
+    A, B, _, modes = system
+    A = A.reshape(-1, *A.shape[-2:])
+    B = B.reshape(*A.shape[:2], -1)
+    R, norms = factor[0].reshape(len(A), *factor[0].shape[-2:]), factor[1].reshape(len(A), -1)
+    real = np.zeros((len(A), A.shape[2], B.shape[2]), dtype=bool)
+    real[modes] = True
+    return A, B, R, norms, real.any(axis=2).sum(axis=1), real.any(axis=1).sum(axis=1)
+
+
+def _qr_residual(system, factor) -> float:
+    """Least-squares residual off the R factors: each system's right-hand
+    sides below its real columns, and the part of b no column reaches."""
+    A, _, R, _, n, _ = _stacked(system, factor)
+    below = np.arange(R.shape[1]) >= n[:, None]
+    return float(np.linalg.norm(np.concatenate((R[..., A.shape[2] :][below].ravel(), system[2]))))
+
+
+def _solve_factored(system, factor, svd_cutoff) -> LeastSquaresInfo:
+    """Solve of min ||A @ C + B|| over a (matrix, rhs, rest, modes) stack of
+    systems on its _factor R (see the module docstring); ``rest`` is the part
+    of b no column reaches, ``modes`` picks the flat modes out of C."""
+    A, B, R, norms, n, orders = _stacked(system, factor)
+    w = A.shape[2]
+    svals = [np.linalg.svd(Rs[:ns, :ns], compute_uv=False) for Rs, ns in zip(R, n)]
     s_max = max(s[0] for s in svals)
-    parts, kept = [], []
-    for (R, col_norms), s in zip(factors, svals):
+    C = np.zeros((len(A), w, B.shape[2]), dtype=complex)
+    rank, s_min = 0, math.inf
+    for Rs, cn, ns, s, Cs, q in zip(R, norms[:, :, None], n, svals, C, orders):
         # an all-zero matrix (s_max == 0) keeps nothing; s descends, so the
-        # kept values are the first rank ones
-        n, rank = col_norms.size, int(np.count_nonzero((s > 0.0) & (s >= svd_cutoff * s_max)))
-        c = np.zeros(n, dtype=complex)
-        if rank == n:
-            c = np.linalg.solve(R[:n, :n], -R[:n, n]) / col_norms
-        elif rank > 0:
-            U, sv, Vh = np.linalg.svd(R[:, :n], full_matrices=False)
-            y = (U[:, :rank].conj().T @ R[:, n]) / sv[:rank]
-            c = -(Vh[:rank].conj().T @ y) / col_norms
-        parts.append(c)
-        kept.append(s[:rank])
-    kept, coeffs = np.concatenate(kept), np.concatenate(parts)[order]
-    condition = float(s_max / kept.min()) if kept.size else math.inf
-    residuals = [B @ c + b for (B, b), c in zip(blocks, parts)]
-    residual = float(np.linalg.norm(np.concatenate(residuals + [rest])))
-    return LeastSquaresInfo(coeffs=coeffs, residual=residual, rank=kept.size, condition=condition)
+        # kept values are the first r ones, shared by the q orders of a system
+        r = int(np.count_nonzero((s > 0.0) & (s >= svd_cutoff * s_max)))
+        if r == ns:
+            Cs[:ns] = np.linalg.solve(Rs[:ns, :ns], -Rs[:ns, w:]) / cn[:ns]
+        elif r > 0:
+            U, sv, Vh = np.linalg.svd(Rs[:, :ns], full_matrices=False)
+            y = (U[:, :r].conj().T @ Rs[:, w:]) / sv[:r, None]
+            Cs[:ns] = -(Vh[:r].conj().T @ y) / cn[:ns]
+        rank, s_min = rank + r * q, min(s_min, s[r - 1]) if r else s_min
+    condition = float(s_max / s_min) if rank else math.inf
+    residual = float(np.linalg.norm(np.concatenate(((A @ C + B).ravel(), system[2]))))
+    return LeastSquaresInfo(C[system[3]], residual, int(rank), condition)
 
 
 def solve_least_squares(
@@ -258,7 +292,8 @@ def solve_least_squares(
     if matrix.size == 0:
         raise ValueError("empty system")
     _check_svd_cutoff(svd_cutoff)
-    return _solve_factored([(matrix, rhs)], [_factor(matrix, rhs)], svd_cutoff)
+    system = (matrix, rhs, (), _DENSE)
+    return _solve_factored(system, _factor(matrix, rhs), svd_cutoff)
 
 
 def mrc_solve(
@@ -280,8 +315,10 @@ def mrc_solve(
     """
     _check_bc(bc)
     _check_svd_cutoff(svd_cutoff)
-    if eps_target <= 0:
+    if not eps_target > 0:  # NaN too
         raise ValueError(f"eps_target must be > 0, got {eps_target}")
+    if L_start < 0:
+        raise ValueError(f"truncation degree must be >= 0, got L_start={L_start}")
     if L_start > L_max:
         raise ValueError(f"L_start={L_start} exceeds L_max={L_max}")
     if quad_degree_factor < 2.0:
@@ -297,30 +334,29 @@ def mrc_solve(
         f, normal, scale = _read_boundary(surface, quad)
         b = _incident(quad, ctx, bc, f, normal) * scale
         if surface.axisymmetric:
-            blocks, rest, order = _order_system(quad, ctx, L, bc, f, normal, scale, b)
+            system = _order_system(quad, ctx, L, bc, f, normal, scale, b)
         else:
-            A = scale[:, None] * _columns(quad, ctx, L, bc, f, normal)
-            blocks, rest, order = [(A, b)], (), slice(None)
-        if not all(np.isfinite(B).all() and np.isfinite(rhs).all() for B, rhs in blocks):
+            system = (scale[:, None] * _columns(quad, ctx, L, bc, f, normal), b, (), _DENSE)
+        if not (np.isfinite(system[0]).all() and np.isfinite(system[1]).all()):
             logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
             break
-        factors = [_factor(*block) for block in blocks]
+        factor = _factor(*system[:2])
         b_norm = np.linalg.norm(b)
-        rel = np.linalg.norm(np.concatenate([R[n.size :, -1] for R, n in factors] + [rest])) / b_norm
+        rel = _qr_residual(system, factor) / b_norm
         history.append((L, rel))
         logger.debug("L=%d relative residual %.3e", L, rel)
-        system = (blocks, factors, svd_cutoff, rest, order)
         # truncation or rounding can leave the solved residual above the QR one
-        if rel <= eps_target and (info := _solve_factored(*system)).residual <= eps_target * b_norm:
+        step = (system, factor, svd_cutoff)
+        if rel <= eps_target and (info := _solve_factored(*step)).residual <= eps_target * b_norm:
             converged = True
             break
         if best is None or rel < best[0]:
-            best = (rel, L, b_norm, system)
+            best = (rel, L, b_norm, step)
     if not converged:
         if best is None:
             raise ValueError(f"no finite escalation step from L={L_start}")
-        _, L, b_norm, system = best
-        info = _solve_factored(*system)
+        _, L, b_norm, step = best
+        info = _solve_factored(*step)
         logger.warning(
             "escalation ended at L=%d; keeping L=%d with relative residual %.3e > %.3e",
             history[-1][0], L, info.residual / b_norm, eps_target,

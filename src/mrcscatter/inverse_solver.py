@@ -360,12 +360,14 @@ def stable_reconstruct(
             schedule, 100 * quorum, 100 * frac, L_sel,
         )
 
-    if np.count_nonzero(resolved) > specfun.n_modes(harmonic_degree):
+    n_resolved, model_modes = int(np.count_nonzero(resolved)), specfun.n_modes(harmonic_degree)
+    if n_resolved > model_modes:
         model = _fit_harmonic_model(dirs, radii, resolved, harmonic_degree)
     else:
-        # too few resolved directions to fit: a sphere of their mean radius
+        logger.warning("%d resolved directions do not outnumber the %d modes of the harmonic "
+                       "model: it is a sphere of their mean radius", n_resolved, model_modes)
         mean = np.mean(radii[resolved]) if np.any(resolved) else 0.5 * (bracket[0] + bracket[1])
-        model = np.zeros(specfun.n_modes(harmonic_degree))
+        model = np.zeros(model_modes)
         model[0] = float(mean) * math.sqrt(4.0 * math.pi)
     fill = ~resolved
     if np.any(fill):

@@ -3,7 +3,9 @@ small least-squares problem per azimuthal order.
 
 On a surface whose radial map depends on theta alone, column (ell, m) of the
 boundary system is a function of theta times exp(i*m*phi), so the unitary DFT
-along phi takes the system to 2L+1 blocks.  The per-order solve must select
+along phi takes the system to one block per order m, and the blocks of m and
+-m share one matrix up to (-1)**m: each step factors L+1 stacked systems,
+one per |m|, with two right-hand sides each.  The per-order solve must select
 the same degree, rank and convergence as the dense system built from
 ``_basis_columns``, ``_boundary_weight`` and ``incident_trace``, and agree
 with it to rounding (the tolerances of ``assert_same_solution``).
@@ -95,9 +97,11 @@ def test_square_order_zero_block_at_the_smallest_quadrature(surface, bc, monkeyp
     ref = mrc_solve_svd(surface, ctx, bc, eps_target=EPS[bc], L_max=16, quad_degree_factor=2.0)
     assert_same_solution(got, ref)
     assert got.converged and got.coefficients.L >= 8
-    # one block per order at every step, the order-0 block square from L = 8 on
-    assert len(shapes) == sum(2 * L + 1 for L, _ in got.history)
-    assert (got.coefficients.L + 1,) * 2 in shapes
+    # one factorization per step, of L+1 systems (one per |m|), the order-0
+    # system square (n_theta = L + 1 rows, L + 1 columns) at the kept L
+    assert [shape[0] for shape in shapes] == [L + 1 for L, _ in got.history]
+    kept = dict(zip((L for L, _ in got.history), shapes))[got.coefficients.L]
+    assert kept == (got.coefficients.L + 1,) * 3
 
 
 def test_exhausted_escalation_keeps_the_dense_choice(caplog):

@@ -295,6 +295,24 @@ class TestMrcSolve:
             with pytest.raises(ValueError, match="svd_cutoff must be in"):
                 mrc_solve(Sphere(1.0), ctx, svd_cutoff=svd_cutoff)
 
+    @pytest.mark.parametrize("bumps", [[(2, 0, 0.2)], [(2, 1, 0.15)]], ids=["per_order", "dense"])
+    @pytest.mark.parametrize(
+        "kwargs", [{"L_start": -1}, {"eps_target": float("nan")}], ids=["L_start", "eps_target"]
+    )
+    def test_bad_arguments_rejected_before_the_surface_is_read(self, bumps, kwargs):
+        reads = []
+
+        class Counting(PerturbedSphere):
+            def radial_map(self, theta, phi):
+                reads.append(theta.size)
+                return super().radial_map(theta, phi)
+
+        surface = Counting(1.0, bumps)
+        assert surface.axisymmetric is (bumps[0][1] == 0)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            mrc_solve(surface, WaveContext(1.0, Z_HAT), **kwargs)
+        assert reads == []
+
 
 class TestCoefficientSet:
     def test_length_invariant(self):

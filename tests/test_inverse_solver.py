@@ -1,6 +1,7 @@
 """Coefficient extraction, ray root search, stable reconstruction."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -342,6 +343,18 @@ class TestStableReconstruct:
         assert not rec.converged
         assert not np.all(rec.resolved)
         assert np.all((rec.radii >= 0.3) & (rec.radii <= 2.5))
+
+    @pytest.mark.parametrize("count, warns", [(20, True), (50, False)])
+    def test_sphere_fallback_of_the_harmonic_model_is_logged(self, count, warns, caplog):
+        # the degree-4 model has 25 modes: 20 directions cannot fit it
+        with caplog.at_level(logging.WARNING, logger="mrcscatter.inverse_solver"):
+            rec = stable_reconstruct(sphere_data(), fibonacci_directions(count), bracket=(0.3, 2.5))
+        assert np.count_nonzero(rec.resolved) == count
+        messages = [r.getMessage() for r in caplog.records if r.name == "mrcscatter.inverse_solver"]
+        if warns:
+            assert any("20 resolved directions" in m and "25 modes" in m for m in messages)
+        else:
+            assert not any("modes" in m for m in messages)
 
     def test_requires_entries(self):
         quad = make_quadrature(12, 24)
