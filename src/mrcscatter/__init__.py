@@ -1,10 +1,11 @@
 """Acoustic scattering by star-shaped obstacles via outgoing-wave expansions.
 
-Direct problem: coefficients of an outgoing spherical-wave expansion are
-found by minimizing the boundary residual, escalating the truncation degree
-until a target is met.  Inverse problem: mode coefficients extracted from
-near-field data on a measurement sphere define a one-dimensional root search
-per observation direction that recovers the radial map of the obstacle.
+Direct problem (``mrc_solve``): outgoing spherical-wave coefficients minimize
+the boundary residual, raising the truncation degree until a target is met.
+Inverse problem (``stable_reconstruct``): mode coefficients of near-field data
+on a measurement sphere define a root search per direction for the obstacle's
+radial map.  The root exports these two with their data types and inputs; the
+references the tests compare against (``hankel_out``, ...) stay in their modules.
 """
 
 from types import ModuleType as _ModuleType
@@ -13,17 +14,13 @@ from .direct_solver import (
     CoefficientSet,
     DirectSolution,
     WaveContext,
-    assemble_basis_matrix,
-    incident_trace,
     mrc_solve,
-    solve_least_squares,
 )
 from .fields import (
     far_field_amplitude,
     field_on_sphere,
     project_far_field,
     scattered_field,
-    scattered_field_dr,
     total_field,
 )
 from .geometry import (
@@ -36,33 +33,24 @@ from .geometry import (
     SurfaceError,
     fibonacci_directions,
     make_quadrature,
-    outward_normal,
     quadrature_for_degree,
-    surface_element,
     surface_from_descriptor,
 )
 from .inverse_solver import (
     NearFieldData,
     NearFieldEntry,
-    RayRoot,
     ReconstructedSurface,
     add_noise,
     extract_coeffs,
-    find_ray_root,
-    ray_function,
     stable_reconstruct,
 )
 from .specfun import (
     DomainError,
     ModeIndex,
-    hankel_out,
-    hankel_out_dr,
     mode_from_index,
     mode_index,
     mode_list,
     n_modes,
-    sph_harm,
-    spherical_bessel_j,
 )
 from .sphere_oracle import plane_wave_coeffs, sphere_scattering_coeffs
 

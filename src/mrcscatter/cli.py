@@ -47,14 +47,18 @@ def _setup_logging() -> None:
     )
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def _load_document(path, schema: str) -> dict:
     """Read a JSON file and validate it against the named schema."""
     p = Path(path)
     if not p.is_file():
         raise CliError(f"file not found: {path}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(p.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except ValueError as exc:  # also NaN and Infinity, which draft-7 would pass as numbers
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     try:
         serialize.validate(doc, schema)
@@ -117,7 +121,7 @@ def cmd_synthesize(args) -> int:
     cfg = _load_document(args.config, "config_synthesize")
     surface = _surface(cfg)
     R = float(cfg["R"])
-    if R <= surface.max_radius():
+    if not R > surface.max_radius():  # NaN too
         raise CliError(
             f"measurement radius {R} must enclose the obstacle "
             f"(max radius {surface.max_radius()})"

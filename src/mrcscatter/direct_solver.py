@@ -65,7 +65,7 @@ class WaveContext:
     alpha: Direction
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
+        if not self.k > 0:  # NaN too
             raise ValueError(f"wavenumber must be > 0, got {self.k}")
 
 
@@ -321,15 +321,15 @@ def mrc_solve(
         raise ValueError(f"truncation degree must be >= 0, got L_start={L_start}")
     if L_start > L_max:
         raise ValueError(f"L_start={L_start} exceeds L_max={L_max}")
-    if quad_degree_factor < 2.0:
+    if not 2.0 <= quad_degree_factor < math.inf:
         raise ValueError(
-            f"quad_degree_factor must be >= 2 (anti-aliasing), got {quad_degree_factor}"
+            f"quad_degree_factor must be finite and >= 2 (anti-aliasing), got {quad_degree_factor}"
         )
     history: list[tuple[int, float]] = []
     best, converged = None, False
     for L in range(L_start, L_max + 1):
-        # floor keeps small-L residual estimates trustworthy
-        degree = max(math.ceil(quad_degree_factor * L), 2 * L, 16)
+        # >= 2L as quad_degree_factor >= 2; the floor keeps small-L residuals trustworthy
+        degree = max(math.ceil(quad_degree_factor * L), 16)
         quad = quadrature_for_degree(degree)
         f, normal, scale = _read_boundary(surface, quad)
         b = _incident(quad, ctx, bc, f, normal) * scale

@@ -88,7 +88,7 @@ def field_on_sphere(
     coeffs: CoefficientSet, ctx: WaveContext, R: float, quad: SphereQuadrature
 ) -> np.ndarray:
     """Scattered field sampled at R times the quadrature directions."""
-    if R <= 0:
+    if not R > 0:  # NaN too
         raise ValueError(f"sphere radius must be > 0, got {R}")
     L, ells = coeffs.L, specfun.mode_degrees(coeffs.L)
     P, E = specfun._harmonic_factors(L, quad.theta_axis, quad.phi_axis)

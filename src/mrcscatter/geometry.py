@@ -222,7 +222,7 @@ class Sphere(StarSurface):
     axisymmetric = True
 
     def __post_init__(self) -> None:
-        if self.radius_value <= 0:
+        if not self.radius_value > 0:  # NaN too
             raise SurfaceError(f"sphere radius must be > 0, got {self.radius_value}")
 
     def radial_map(self, theta, phi):
@@ -246,14 +246,14 @@ class PerturbedSphere(StarSurface):
     """
 
     def __init__(self, base_radius: float, bumps: Sequence[tuple[int, int, float]]):
-        if base_radius <= 0:
+        if not base_radius > 0:  # NaN too
             raise SurfaceError(f"base radius must be > 0, got {base_radius}")
         bumps = tuple((int(e), int(m), float(a)) for e, m, a in bumps)
         for ell, m, _ in bumps:
             if ell < 0 or abs(m) > ell:
                 raise SurfaceError(f"invalid bump mode (ell={ell}, m={m})")
         total = sum(abs(a) for _, _, a in bumps)
-        if total >= base_radius:
+        if not total < base_radius:  # a NaN amplitude too
             raise SurfaceError(
                 f"sum of bump amplitudes {total} must stay below the base radius "
                 f"{base_radius} to keep the radial map positive"
@@ -358,7 +358,7 @@ class Ellipsoid(StarSurface):
     axisymmetric = property(lambda self: self.a == self.b)
 
     def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c) <= 0:
+        if not all(s > 0 for s in (self.a, self.b, self.c)):  # NaN too
             raise SurfaceError("all semi-axes must be > 0")
 
     def radial_map(self, theta, phi):

@@ -44,7 +44,7 @@ class NearFieldEntry:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
+        if not self.delta >= 0:  # NaN too
             raise ValueError(f"noise level must be >= 0, got {self.delta}")
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
 
@@ -59,7 +59,7 @@ class NearFieldData:
     entries: tuple[NearFieldEntry, ...]
 
     def __post_init__(self) -> None:
-        if self.R <= 0:
+        if not self.R > 0:  # NaN too
             raise ValueError(f"measurement radius must be > 0, got {self.R}")
         object.__setattr__(self, "entries", tuple(self.entries))
         for e in self.entries:
@@ -97,7 +97,7 @@ def add_noise(data: NearFieldData, delta: float, seed: int) -> NearFieldData:
     """Perturb every entry with complex Gaussian noise scaled so that the
     discrete L2 norm of the perturbation is exactly delta times the norm of
     that entry's samples (relative-delta convention); deterministic per seed."""
-    if delta < 0:
+    if not delta >= 0:  # NaN too
         raise ValueError(f"noise level must be >= 0, got {delta}")
     rng = np.random.default_rng(seed)
     entries = []

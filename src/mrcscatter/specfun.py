@@ -98,7 +98,7 @@ _MILLER_EXTRA = 20
 def _check_radial_args(ell: int, x) -> None:
     if ell < 0:
         raise DomainError(f"degree must be >= 0, got {ell}")
-    if np.any(np.asarray(x) <= 0):
+    if not np.all(np.asarray(x) > 0):  # NaN too
         raise DomainError(f"argument must be > 0, got {x}")
 
 
@@ -139,19 +139,13 @@ def _jn_downward(L: int, x: np.ndarray) -> np.ndarray:
         # so the j_1-anchored chain must not contain rho_1 at all.
         j1 = np.sin(x) / x**2 - np.cos(x) / x
         use_j1 = np.abs(j1) > np.abs(j0)
-        prev = np.where(use_j1, j1, j0 * rho[1])
-        out[1] = prev
-        for ell in range(2, L + 1):
-            prev = prev * rho[ell]
-            out[ell] = prev
+        out[1:] = np.cumprod([np.where(use_j1, j1, j0 * rho[1]), *rho[2 : L + 1]], axis=0)
     return out
 
 
 def spherical_bessel_j_table(L: int, x) -> np.ndarray:
     """j_ell(x) for ell = 0..L; shape (L+1,) + shape(x)."""
-    _check_radial_args(0, x)
-    if L < 0:
-        raise DomainError(f"degree must be >= 0, got {L}")
+    _check_radial_args(L, x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((L + 1,) + xa.shape)
     up = xa > L
@@ -167,7 +161,6 @@ def spherical_bessel_j_table(L: int, x) -> np.ndarray:
 
 def spherical_bessel_j(ell: int, x: float) -> float:
     """Spherical Bessel function of the first kind, j_ell(x)."""
-    _check_radial_args(ell, x)
     return float(spherical_bessel_j_table(ell, x)[ell])
 
 
@@ -213,7 +206,7 @@ def hankel_out_table(L: int, k: float, r) -> np.ndarray:
     """hankel_out(ell, k, r) for ell = 0..L; shape (L+1,) + shape(r).  Rows
     0..L of a degree-(L+1) table are bitwise this table (see ``_h1_table``)."""
     _check_radial_args(L, r)
-    if k <= 0:
+    if not k > 0:  # NaN too
         raise DomainError(f"wavenumber must be > 0, got {k}")
     ra = np.asarray(r, dtype=float)
     h = _h1_table(L, k * ra)

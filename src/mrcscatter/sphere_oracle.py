@@ -46,7 +46,7 @@ def sphere_scattering_coeffs(a: float, ctx: WaveContext, L: int, bc: str) -> Coe
     so the total field vanishes on r = a mode by mode.  Hard (Neumann): same
     with radial derivatives.
     """
-    if a <= 0:
+    if not a > 0:  # NaN too
         raise ValueError(f"sphere radius must be > 0, got {a}")
     b = plane_wave_coeffs(ctx, L)
     k = ctx.k

@@ -8,7 +8,7 @@ import logging
 import numpy as np
 import pytest
 
-from mrcscatter import serialize
+from mrcscatter import cli, serialize
 from mrcscatter.cli import EXIT_ERROR, EXIT_OK, EXIT_UNCONVERGED, build_parser, main
 
 SOLVE_CFG = {
@@ -274,3 +274,24 @@ class TestSeedOption:
             build_parser().parse_args(argv + ["--seed", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_synthesize_refuses_the_literal_and_writes_nothing(self, tmp_path, capsys, literal):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SYNTH_CFG).replace('"R": 3.0', f'"R": {literal}'))
+        assert literal in cfg.read_text()
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert str(cfg) in err and f"{literal} is not a finite number" in err
+
+    def test_nan_measurement_radius_does_not_enclose_the_obstacle(self, tmp_path, monkeypatch, capsys):
+        # the loader refuses NaN, so the radius guard is reached by replacing it
+        monkeypatch.setattr(cli, "_load_document", lambda path, schema: dict(SYNTH_CFG, R=float("nan")))
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", "unused.json", "--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+        assert "must enclose the obstacle" in capsys.readouterr().err

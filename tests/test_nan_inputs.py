@@ -1,0 +1,68 @@
+"""Every positivity guard refuses NaN: written as ``not x > 0``, since
+``x <= 0`` is false for NaN and would let it through to a later, unrelated
+failure (or none at all)."""
+
+import math
+
+import numpy as np
+import pytest
+
+from mrcscatter import fields, specfun
+from mrcscatter.direct_solver import CoefficientSet, WaveContext, mrc_solve
+from mrcscatter.geometry import Direction, Ellipsoid, PerturbedSphere, Sphere, make_quadrature
+from mrcscatter.inverse_solver import NearFieldData, NearFieldEntry, add_noise
+from mrcscatter.sphere_oracle import sphere_scattering_coeffs
+
+NAN = math.nan
+CTX = WaveContext(1.0, Direction(0.0, 0.0))
+QUAD = make_quadrature(4, 8)
+
+
+CASES = {
+    "WaveContext.k": (lambda: WaveContext(NAN, CTX.alpha), "wavenumber must be > 0"),
+    "Sphere": (lambda: Sphere(NAN), "sphere radius must be > 0"),
+    "PerturbedSphere.base_radius": (lambda: PerturbedSphere(NAN, []), "base radius must be > 0"),
+    "PerturbedSphere.amplitude": (
+        lambda: PerturbedSphere(1.0, [(2, 0, NAN)]), "sum of bump amplitudes nan must stay below"
+    ),
+    "Ellipsoid.a": (lambda: Ellipsoid(NAN, 1.0, 1.0), "all semi-axes must be > 0"),
+    "Ellipsoid.b": (lambda: Ellipsoid(1.0, NAN, 1.0), "all semi-axes must be > 0"),
+    "Ellipsoid.c": (lambda: Ellipsoid(1.0, 1.0, NAN), "all semi-axes must be > 0"),
+    "NearFieldData.R": (
+        lambda: NearFieldData(R=NAN, quadrature=QUAD, entries=()), "measurement radius must be > 0"
+    ),
+    "NearFieldEntry.delta": (
+        lambda: NearFieldEntry(ctx=CTX, samples=np.ones(len(QUAD)), delta=NAN),
+        "noise level must be >= 0",
+    ),
+    "add_noise": (
+        lambda: add_noise(NearFieldData(R=3.0, quadrature=QUAD, entries=()), NAN, seed=0),
+        "noise level must be >= 0",
+    ),
+    "field_on_sphere.R": (
+        lambda: fields.field_on_sphere(CoefficientSet(1, np.ones(4)), CTX, NAN, QUAD),
+        "sphere radius must be > 0",
+    ),
+    "sphere_scattering_coeffs.a": (
+        lambda: sphere_scattering_coeffs(NAN, CTX, 3, "dirichlet"), "sphere radius must be > 0"
+    ),
+    "spherical_bessel_j_table.x": (
+        lambda: specfun.spherical_bessel_j_table(3, np.array([1.0, NAN])), "argument must be > 0"
+    ),
+    "hankel_out_table.r": (lambda: specfun.hankel_out_table(3, 1.0, NAN), "argument must be > 0"),
+    "hankel_out_table.k": (lambda: specfun.hankel_out_table(3, NAN, 1.0), "wavenumber must be > 0"),
+    "mrc_solve.quad_degree_factor=nan": (
+        lambda: mrc_solve(Sphere(1.0), CTX, quad_degree_factor=NAN),
+        "quad_degree_factor must be finite and >= 2",
+    ),
+    "mrc_solve.quad_degree_factor=inf": (
+        lambda: mrc_solve(Sphere(1.0), CTX, L_start=1, quad_degree_factor=math.inf),
+        "quad_degree_factor must be finite and >= 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())
+def test_nan_fails_the_guard(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
