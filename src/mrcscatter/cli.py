@@ -47,8 +47,10 @@ def _setup_logging() -> None:
     )
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a finite number")
+def _finite(literal: str) -> float:
+    if not np.isfinite(value := float(literal)):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
 
 
 def _load_document(path, schema: str) -> dict:
@@ -57,8 +59,8 @@ def _load_document(path, schema: str) -> dict:
     if not p.is_file():
         raise CliError(f"file not found: {path}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    except ValueError as exc:  # also NaN and Infinity, which draft-7 would pass as numbers
+        doc = json.loads(p.read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:  # also NaN, Infinity and 1e999, which draft-7 passes as numbers
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     try:
         serialize.validate(doc, schema)

@@ -19,7 +19,8 @@ azimuthal decoupling of T-matrix codes for bodies of revolution (Waterman
 1971; Mishchenko, Travis & Mackowski, JQSRT 55 (1996) 535).  As B_-m =
 (-1)**m B_m, the QR is of a stack of L+1 systems [B_|m| | 0 | b_m | (-1)**m
 b_-m], zero-padded to L+1 columns (Householder no-ops); a general surface
-is a stack of one system.
+is a stack of one system.  Its rule owns a step's harmonic tables: an escalation
+to L_max=30 leaves 3.0 (Dirichlet, axisymmetric) to 6.1 MB (Neumann, general).
 """
 
 from __future__ import annotations
@@ -118,14 +119,14 @@ class DirectSolution:
     history: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _read_boundary(surface: StarSurface, quad: SphereQuadrature):
-    """From one radial_map at the quadrature directions: f, the outward
+def _read_boundary(surface: StarSurface, quad: SphereQuadrature, nodes=slice(None)):
+    """From one radial_map at the quadrature nodes ``nodes`` picks: f, the outward
     normal's (r, theta, phi) components and the weight sqrt(w_p * omega_p)
     with omega = f**2 / n_r, which turns the Euclidean norm over the nodes
     into the discretized L2 boundary norm."""
-    f, ft, fp = surface.radial_map(quad.theta, quad.phi)
-    normal = _normal_from_map(quad.theta, f, ft, fp)
-    return f, normal, np.sqrt(quad.weights * (f * f / normal[0]))
+    f, ft, fp = surface.radial_map(quad.theta[nodes], quad.phi[nodes])
+    normal = _normal_from_map(quad.theta[nodes], f, ft, fp)
+    return f, normal, np.sqrt(quad.weights[nodes] * (f * f / normal[0]))
 
 
 def incident_trace(
@@ -164,31 +165,28 @@ def _columns(quad, ctx, L, bc, f, normal) -> np.ndarray:
         raise ValueError(f"truncation degree must be >= 0, got {L}")
     quad.check_aliasing(L)
     ells = specfun.mode_degrees(L)
-    # harmonics on the grid: Legendre and azimuth tables on its axes
-    P, E = specfun._harmonic_factors(L, quad.theta_axis, quad.phi_axis)
-    Y = specfun._grid_modes(L, P, E)
+    Y = specfun._grid_modes(L, quad.legendre(L), quad.azimuths(L))
     if bc == DIRICHLET:
         return Y * specfun.hankel_out_table(L, ctx.k, f)[ells].T
     H, Hd = specfun._hankel_out_pair(L, ctx.k, f)
-    dY = specfun._grid_modes(L, specfun._norm_legendre_dtheta_table(L, P), E)
+    dY = specfun._grid_modes(L, quad.legendre_dtheta(L), quad.azimuths(L))
     nr, nt, nph = normal
     ang = nt[:, None] * dY + nph[:, None] * specfun._dphi_over_sin(L, quad.theta, Y)
     return (nr * Hd)[ells].T * Y + (H / f)[ells].T * ang
 
 
 def _order_system(quad, ctx, L, bc, f, normal, scale, b):
-    """An axisymmetric surface's system after the unitary DFT along phi (see
-    the module docstring): the stack of L+1 systems B_|m| with right-hand
-    sides (b_m, (-1)**m b_-m), the bins no column reaches, and where each
-    flat mode (ell, m) sits in the solution stack: system |m|, column
+    """An axisymmetric surface's system (f, normal, scale on the polar axis)
+    after the unitary DFT along phi: the stack of L+1 systems B_|m| with
+    right-hand sides (b_m, (-1)**m b_-m), the bins no column reaches, and where
+    each flat mode (ell, m) sits in the solution stack: system |m|, column
     ell - |m|, right-hand side 0 for m >= 0 and 1 for m < 0."""
-    f, nr, nt, scale = (x[:: quad.n_phi] for x in (f, *normal[:2], scale))
-    P = specfun._norm_legendre_table(L, np.cos(quad.theta_axis), np.sin(quad.theta_axis))
+    P, (nr, nt, _) = quad.legendre(L), normal
     if bc == DIRICHLET:
         G = specfun.hankel_out_table(L, ctx.k, f)[:, None] * P
     else:  # the normal has no phi component on a surface of revolution
         H, Hd = (T[:, None] for T in specfun._hankel_out_pair(L, ctx.k, f))
-        G = nr * Hd * P + nt * (H / f) * specfun._norm_legendre_dtheta_table(L, P)
+        G = nr * Hd * P + nt * (H / f) * quad.legendre_dtheta(L)
     G *= math.sqrt(quad.n_phi) * scale
     bh = np.fft.fft(b.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho")
     ells, ms = specfun.mode_degrees(L), specfun.mode_orders(L)
@@ -331,8 +329,11 @@ def mrc_solve(
         # >= 2L as quad_degree_factor >= 2; the floor keeps small-L residuals trustworthy
         degree = max(math.ceil(quad_degree_factor * L), 16)
         quad = quadrature_for_degree(degree)
-        f, normal, scale = _read_boundary(surface, quad)
-        b = _incident(quad, ctx, bc, f, normal) * scale
+        # a surface of revolution is read on the polar axis, repeated along phi for b
+        step = quad.n_phi if surface.axisymmetric else 1
+        f, normal, scale = _read_boundary(surface, quad, slice(None, None, step))
+        grid = [np.repeat(x, step, axis=-1) for x in (f, normal, scale)]
+        b = _incident(quad, ctx, bc, *grid[:2]) * grid[2]
         if surface.axisymmetric:
             system = _order_system(quad, ctx, L, bc, f, normal, scale, b)
         else:

@@ -77,7 +77,7 @@ def project_far_field(samples: np.ndarray, quad: SphereQuadrature, L: int) -> Co
     """Recover mode coefficients from far-field samples on quadrature nodes
     by orthonormal projection (the inverse of far_field_amplitude)."""
     quad.check_aliasing(L)
-    P, E = specfun._harmonic_factors(L, quad.theta_axis, quad.phi_axis)
+    P, E = quad.legendre(L), quad.azimuths(L)
     # azimuthal sums per order m on each polar ring, then polar sums per (ell, m)
     F = (quad.weights * samples).reshape(quad.n_theta, quad.n_phi) @ E.conj().T
     C = np.sum(P[:, abs(np.arange(-L, L + 1))] * F.T, axis=-1)
@@ -91,7 +91,7 @@ def field_on_sphere(
     if not R > 0:  # NaN too
         raise ValueError(f"sphere radius must be > 0, got {R}")
     L, ells = coeffs.L, specfun.mode_degrees(coeffs.L)
-    P, E = specfun._harmonic_factors(L, quad.theta_axis, quad.phi_axis)
+    P, E = quad.legendre(L), quad.azimuths(L)
     # the transpose of the projection: polar sums per order, then azimuthal ones
     C = np.zeros((L + 1, 2 * L + 1), dtype=complex)
     H = specfun.hankel_out_table(L, ctx.k, R)

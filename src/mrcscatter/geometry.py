@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -86,6 +86,11 @@ class SphereQuadrature:
     weights sum to 4*pi.  The nodes are the grid of the n_theta polar angles
     ``theta_axis`` by the n_phi azimuths ``phi_axis``, theta-major, so node
     values reshape to (n_theta, n_phi); other node arrays are rejected.
+
+    It owns the read-only tables of its nodes (``legendre``, ``legendre_dtheta``,
+    ``azimuths``, ``vectors``), built at the first L asked for, rebuilt for a
+    larger L and sliced, bitwise, for a smaller one; an escalation to
+    L_max=30 leaves 3.0 to 6.1 MB of them in ``quadrature_for_degree``'s rules.
     """
 
     theta: np.ndarray
@@ -94,6 +99,7 @@ class SphereQuadrature:
     degree: int
     n_theta: int
     n_phi: int
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n_theta * self.n_phi
@@ -117,7 +123,28 @@ class SphereQuadrature:
 
     @property
     def vectors(self) -> np.ndarray:
-        return angles_to_vectors(self.theta, self.phi)
+        return self._table("vectors", 0, lambda: angles_to_vectors(self.theta, self.phi))
+
+    def legendre(self, L: int) -> np.ndarray:
+        """Pbar[ell, m] for ell, m <= L on ``theta_axis``, shape (L+1, L+1, n_theta)."""
+        th = self.theta_axis
+        P = self._table("P", L, lambda: specfun._norm_legendre_table(L, np.cos(th), np.sin(th)))
+        return P[: L + 1, : L + 1]
+
+    def legendre_dtheta(self, L: int) -> np.ndarray:
+        dP = self._table("dP", L, lambda: specfun._norm_legendre_dtheta_table(L, self.legendre(L)))
+        return dP[: L + 1, : L + 1]
+
+    def azimuths(self, L: int) -> np.ndarray:
+        """Azimuth factors of orders -L..L on ``phi_axis``, shape (2L+1, n_phi)."""
+        E = self._table("E", L, lambda: specfun._azimuth_factors(L, self.phi_axis))
+        return E[len(E) // 2 - L : len(E) // 2 + L + 1]
+
+    def _table(self, name: str, L: int, build) -> np.ndarray:
+        if self._tables.get(name, (-1,))[0] < L:
+            self._tables[name] = (L, build())
+            self._tables[name][1].flags.writeable = False
+        return self._tables[name][1]
 
     def check_aliasing(self, L: int) -> None:
         """ValueError unless the rule is exact for products of two degree-L
@@ -164,10 +191,10 @@ def make_quadrature(n_theta: int, n_phi: int) -> SphereQuadrature:
     )
 
 
-@functools.lru_cache(maxsize=128)  # an escalation to L=30 builds 25 rules, degrees 16 to 75
+@functools.lru_cache(maxsize=128)  # L=30 escalation: 25 rules, degrees 16-75, 3.0-6.1 MB of tables
 def quadrature_for_degree(degree: int) -> SphereQuadrature:
     """Smallest tensor-product rule exact up to the given harmonic degree,
-    built once per degree and process (its arrays are read-only)."""
+    built once per degree and process (its arrays and tables are read-only)."""
     n_theta = max(2, (degree + 2) // 2)
     n_phi = max(4, degree + 1)
     quad = make_quadrature(n_theta, n_phi)

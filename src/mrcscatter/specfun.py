@@ -16,10 +16,10 @@ ell**2 + ell + m, degrees ascending and orders -ell..ell within a degree.
 a per-degree or per-order factor is applied by indexing with them, e.g.
 ``Y * H[mode_degrees(L)].T`` scales each mode column by its radial factor.
 
-Harmonics come from a Legendre table on polar angles and an azimuth table
-(``_harmonic_factors``), paired node by node on scattered directions
-(``sph_harm_table``) or taken on the two axes of the quadrature grid, where Y
-is their product per mode (``_grid_modes``) with bitwise the same values.
+Harmonics come from a Legendre table on polar angles and an azimuth table,
+paired node by node on scattered directions (``_harmonic_factors``) or kept by
+a quadrature rule for its two axes, where Y is their product per mode
+(``_grid_modes``) with bitwise the same values.
 
 All functions are pure; vectorized ``*_table`` variants return values for
 every degree 0..L at once and are what the solvers use internally.
@@ -242,6 +242,21 @@ def hankel_out_dr(ell: int, k: float, r: float) -> complex:
 # Orthonormal spherical harmonics (Condon-Shortley phase)
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _legendre_factors(L: int) -> tuple:
+    """(c_up, c_down, diagonal, off-diagonal, a, b) for degrees <= L, read-only."""
+    ell, m = np.arange(L + 1)[:, None, None], np.arange(L + 1)[:, None]
+    # a and b are read for m <= ell - 2 only, where abs and maximum change nothing
+    factors = (np.sqrt(np.maximum((ell - m) * (ell + m + 1), 0)),
+               np.sqrt(np.maximum((ell + m) * (ell - m + 1), 0)),
+               -np.sqrt((2 * m[1:] + 1) / (2.0 * m[1:])), np.sqrt(2 * m[1:] + 1),
+               np.sqrt(np.abs(4.0 * ell * ell - 1.0) / np.maximum(ell * ell - m * m, 1)),
+               np.sqrt(np.maximum((ell - 1.0) ** 2 - m * m, 0) / (4.0 * (ell - 1.0) ** 2 - 1.0)))
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
 def _norm_legendre_table(L: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
     """Fully normalized associated Legendre values Pbar[ell, m] for m >= 0.
 
@@ -250,18 +265,17 @@ def _norm_legendre_table(L: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
     (L+1, L+1, n); entries with m > ell are zero.
     """
     n = ct.shape[0]
+    _, _, diag_step, off_step, a, b = _legendre_factors(L)
     P = np.zeros((L + 1, L + 1, n))
-    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    # diagonal Pbar[m, m] and first off-diagonal Pbar[m, m-1]
-    for m in range(1, L + 1):
-        P[m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * st * P[m - 1, m - 1]
-        P[m, m - 1] = math.sqrt(2 * m + 1) * ct * P[m - 1, m - 1]
+    # Pbar[m, m] is row m*(L+2) of the flat view and Pbar[m, m-1] the row before it
+    diag, off = (P.reshape(-1, n)[first :: L + 2] for first in (0, L + 1))
+    diag[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    np.cumprod(np.concatenate([diag[:1], diag_step * st]), axis=0, out=diag)
+    np.multiply(off_step * ct, diag[:-1], out=off)
     # ascending-degree recurrence for all orders m <= ell - 2, normalized on the fly
     for ell in range(2, L + 1):
-        m = np.arange(ell - 1)
-        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))[:, None]
-        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))[:, None]
-        P[ell, : ell - 1] = a * (ct * P[ell - 1, : ell - 1] - b * P[ell - 2, : ell - 1])
+        k = slice(ell - 1)
+        P[ell, k] = a[ell, k] * (ct * P[ell - 1, k] - b[ell, k] * P[ell - 2, k])
     return P
 
 
@@ -271,10 +285,7 @@ def _norm_legendre_dtheta_table(L: int, P: np.ndarray) -> np.ndarray:
 
     Pole-safe: no division by sin(theta).
     """
-    ell = np.arange(L + 1)[:, None]
-    m = np.arange(L + 1)[None, :]
-    c_up = np.sqrt(np.maximum((ell - m) * (ell + m + 1), 0))[..., None]
-    c_down = np.sqrt(np.maximum((ell + m) * (ell - m + 1), 0))[..., None]
+    c_up, c_down = _legendre_factors(L)[:2]
     Pz = np.concatenate([P, np.zeros_like(P[:, :1])], axis=1)
     # Pbar[ell, -1] is -Pbar[ell, 1] under this normalization
     below = np.concatenate([-Pz[:, 1:2], Pz[:, :L]], axis=1)
@@ -297,8 +308,7 @@ def _azimuth_factors(L: int, phi: np.ndarray) -> np.ndarray:
 
 def _harmonic_factors(L: int, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """Pbar on the polar angles and the azimuth factors of orders -L..L on the
-    azimuths: paired node by node on scattered directions (``_assemble_modes``),
-    or the two axes of a tensor grid (``_grid_modes``)."""
+    azimuths, paired node by node on scattered directions (``_assemble_modes``)."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     ph = np.atleast_1d(np.asarray(phi, dtype=float))
     return _norm_legendre_table(L, np.cos(th), np.sin(th)), _azimuth_factors(L, ph)

@@ -295,3 +295,27 @@ class TestNonFiniteInputs:
         assert main(["synthesize", "--config", "unused.json", "--out", str(out)]) == EXIT_ERROR
         assert not out.exists()
         assert "must enclose the obstacle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("R", 3.0), ("k", 1.5)])
+    def test_synthesize_refuses_an_overflowing_literal(self, tmp_path, capsys, key, value):
+        # json.loads reads 1e999 as inf, which draft-7 passes as a number
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SYNTH_CFG).replace(f'"{key}": {value}', f'"{key}": 1e999'))
+        assert "1e999" in cfg.read_text()
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "1e999 is not a finite number" in err
+
+    def test_invert_refuses_an_overflowing_sample(self, tmp_path, capsys, data_file):
+        doc = json.loads(data_file.read_text())
+        doc["entries"][1]["samples"][7] = [0.125, 12345.5]
+        data = tmp_path / "near_field.json"
+        data.write_text(json.dumps(doc).replace("12345.5", "-1e999"))
+        cfg = write_cfg(tmp_path / "inv.json", INVERT_CFG)
+        out = tmp_path / "out"
+        assert main(["invert", str(data), "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert str(data) in err and "-1e999 is not a finite number" in err
