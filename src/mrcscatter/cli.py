@@ -4,14 +4,20 @@ Subcommands: solve (direct problem), synthesize (near-field data generation),
 invert (shape reconstruction), oracle (exact sphere reference), fieldmap
 (field samples along a ray to CSV).  All outputs are deterministic given the
 configuration and seed; set MRC_LOG=DEBUG|INFO|WARNING for verbosity.
+
+The loader refuses ``NaN``, ``Infinity``, float literals that overflow (``1e999``)
+and integers beyond float range, with exit 1 and an error naming file and literal.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -53,14 +59,32 @@ def _finite(literal: str) -> float:
     return value
 
 
+def _numbers_finite(node) -> bool:
+    """False if node holds a non-finite float or an int beyond float range."""
+    if isinstance(node, dict):
+        return all(map(_numbers_finite, node.values()))
+    if isinstance(node, list):
+        with contextlib.suppress(ValueError):  # numbers or rows of them: one array
+            if (array := np.asarray(node)).dtype.kind in "biuf":
+                return bool(np.isfinite(array).all())
+        return all(map(_numbers_finite, node))  # ragged rows, null, strings, objects, big ints
+    try:
+        return not isinstance(node, (int, float)) or math.isfinite(node)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _load_document(path, schema: str) -> dict:
     """Read a JSON file and validate it against the named schema."""
     p = Path(path)
     if not p.is_file():
         raise CliError(f"file not found: {path}")
+    text = p.read_text(encoding="utf-8")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite)
-    except ValueError as exc:  # also NaN, Infinity and 1e999, which draft-7 passes as numbers
+        doc = json.loads(text, parse_constant=_finite)
+        if not _numbers_finite(doc):  # parse again, only to name the literal
+            json.loads(text, parse_float=_finite, parse_int=_finite)
+    except ValueError as exc:  # NaN, Infinity, 1e999 and huge ints too: draft-7 passes them as numbers
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     try:
         serialize.validate(doc, schema)
@@ -255,9 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process: parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

@@ -2,7 +2,10 @@
 
 Floats are written with 17 significant digits (exact round-trip for doubles)
 and object keys are emitted sorted, so equal inputs always produce
-byte-identical files.  Non-finite numbers serialize as null.
+byte-identical files.  Non-finite numbers serialize as null.  A list of finite
+plain floats, or of equal-length rows of them, is written by one ``"[%.17g,...]"``
+row template; any other list (ints, bools, None, non-finite values, numpy
+scalars, ragged rows) by one recursion per item, which writes the same text.
 
 ``validate`` makes one jsonschema pass with draft-7's ``items`` replaced by
 ``_items``: a bulk array, whose item rule is a scalar rule or a fixed-length
@@ -15,6 +18,7 @@ jsonschema's.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -39,15 +43,24 @@ def _format_scalar(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if not math.isfinite(x):
-            return "null"
-        return format(x, ".17g")
+        return format(float(x), ".17g") if math.isfinite(x) else "null"
     if x is None:
         return "null"
     if isinstance(x, str):
         return json.dumps(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _float_rows(obj) -> str | None:
+    """obj by row template if a list of finite plain floats or of equal rows of them, else None."""
+    rows = obj if obj and set(map(type, obj)) == {list} else [obj]
+    flat = tuple(itertools.chain.from_iterable(rows))
+    if set(map(len, rows)) != {len(rows[0])} or set(map(type, flat)) != {float}:
+        return None
+    if not all(map(math.isfinite, flat)):
+        return None
+    text = ",".join(["[" + ",".join(["%.17g"] * len(rows[0])) + "]"] * len(rows)) % flat
+    return "[" + text + "]" if rows is obj else text
 
 
 def dumps(obj) -> str:
@@ -57,7 +70,7 @@ def dumps(obj) -> str:
         body = ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in items)
         return "{" + body + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in obj) + "]"
+        return _float_rows(obj) or "[" + ",".join(dumps(v) for v in obj) + "]"
     return _format_scalar(obj)
 
 
@@ -247,7 +260,7 @@ def near_field_to_jsonable(data: NearFieldData, provenance: dict) -> dict:
                 "k": e.ctx.k,
                 "alpha": direction_to_pair(e.ctx.alpha),
                 "delta": e.delta,
-                "samples": [[float(v.real), float(v.imag)] for v in e.samples],
+                "samples": np.column_stack((e.samples.real, e.samples.imag)).tolist(),
             }
             for e in data.entries
         ],
@@ -259,11 +272,11 @@ def near_field_from_jsonable(doc: dict) -> NearFieldData:
     entries = []
     for e in doc["entries"]:
         theta, phi = e["alpha"]
-        samples = np.array([re + 1j * im for re, im in e["samples"]])
+        re, im = np.asarray(e["samples"], dtype=float).reshape(-1, 2).T
         entries.append(
             NearFieldEntry(
                 ctx=WaveContext(float(e["k"]), Direction(float(theta), float(phi))),
-                samples=samples,
+                samples=re + 1j * im,
                 delta=float(e["delta"]),
             )
         )

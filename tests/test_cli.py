@@ -319,3 +319,48 @@ class TestNonFiniteInputs:
         assert not out.exists()
         err = capsys.readouterr().err
         assert str(data) in err and "-1e999 is not a finite number" in err
+
+
+class TestIntegerBeyondFloatRange:
+    """An integer literal beyond float range is refused like 1e999, with exit 1
+    and the file named, where it used to escape as an OverflowError."""
+
+    HUGE = "1" + "0" * 400
+
+    def assert_refused(self, err, path):
+        assert str(path) in err and f"{self.HUGE} is not a finite number" in err
+        assert "Traceback" not in err
+
+    def test_synthesize_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SYNTH_CFG).replace('"R": 3.0', f'"R": {self.HUGE}'))
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+        self.assert_refused(capsys.readouterr().err, cfg)
+
+    def test_invert_sample_row(self, tmp_path, capsys, data_file):
+        doc = json.loads(data_file.read_text())
+        doc["entries"][0]["samples"][3] = [0.25, 12345]
+        data = tmp_path / "near_field.json"
+        data.write_text(json.dumps(doc).replace("12345]", f"-{self.HUGE}]"))
+        cfg = write_cfg(tmp_path / "inv.json", INVERT_CFG)
+        out = tmp_path / "out"
+        assert main(["invert", str(data), "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+        self.assert_refused(capsys.readouterr().err, data)
+
+    @pytest.mark.parametrize("value", [10**300, -(10**308), True, None, "1e999", "NaN"],
+                             ids=["1e300", "-1e308", "true", "null", "string 1e999", "string NaN"])
+    def test_other_values_are_not_refused(self, value):
+        # ints within float range, null, bools and strings are no numbers to refuse
+        doc = json.loads(json.dumps({"rows": [[value, 1.5], [2.5, 3.5]], "x": [value], "y": value}))
+        assert cli._numbers_finite(doc)
+
+
+def test_main_builds_one_parser_per_process(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json", SOLVE_CFG)
+    for _ in range(2):
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not cli._parser()  # callers of build_parser get their own

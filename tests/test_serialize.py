@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrcscatter import fields, serialize
 from mrcscatter.direct_solver import CoefficientSet, DirectSolution, WaveContext
@@ -34,6 +35,76 @@ class TestDumps:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             serialize.dumps({"x": object()})
+
+
+def reference_dumps(obj) -> str:
+    """One recursion per value: sorted keys, format(x, ".17g") floats, null for non-finite."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{reference_dumps(v)}" for k, v in sorted(obj.items())) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(reference_dumps, obj)) + "]"
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    return format(float(obj), ".17g") if math.isfinite(obj) else "null"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308])
+OTHER = st.sampled_from([None, math.nan, math.inf, -math.inf, True, False]) | st.integers() | FINITE.map(np.float64)
+SCALAR = FINITE | OTHER
+
+
+def rows_of(item):
+    return st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(item, min_size=n, max_size=n), max_size=6))
+
+
+LEAF = (SCALAR | st.text(max_size=3) | st.lists(FINITE, max_size=6) | st.lists(SCALAR, max_size=6)
+        | rows_of(FINITE) | rows_of(SCALAR) | st.lists(st.lists(FINITE, max_size=3), max_size=6)
+        | st.lists(st.lists(SCALAR, max_size=4), max_size=6))
+DOCUMENTS = st.recursive(
+    LEAF, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCUMENTS)
+def test_dumps_matches_the_reference_byte_for_byte(doc):
+    assert serialize.dumps(doc) == reference_dumps(doc)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+# a 2 x 4 quadrature: 8 samples per entry
+N_SAMPLES = len(make_quadrature(2, 4))
+# what json.loads gives for a sample row: ints where the text had no point
+SAMPLE = FINITE | st.integers(-(2**53), 2**53)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(SAMPLE, SAMPLE).map(list), min_size=N_SAMPLES, max_size=N_SAMPLES))
+def test_samples_read_bitwise_as_one_complex_per_row(rows):
+    doc = {"R": 3.0, "quadrature": {"n_theta": 2, "n_phi": 4},
+           "entries": [{"k": 1.0, "alpha": [0.0, 0.0], "delta": 0.0, "samples": rows}]}
+    samples = serialize.near_field_from_jsonable(doc).entries[0].samples
+    assert bits(samples) == bits([re + 1j * im for re, im in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(FINITE, FINITE), min_size=N_SAMPLES, max_size=N_SAMPLES))
+def test_samples_written_bitwise_as_one_float_pair_per_sample(parts):
+    samples = np.array([complex(re, im) for re, im in parts], dtype=complex)
+    data = NearFieldData(R=3.0, quadrature=make_quadrature(2, 4),
+                         entries=(NearFieldEntry(ctx=WaveContext(1.0, Direction(0.0, 0.0)), samples=samples),))
+    rows = serialize.near_field_to_jsonable(data, {})["entries"][0]["samples"]
+    reference = [[float(v.real), float(v.imag)] for v in samples]
+    assert {type(x) for row in rows for x in row} <= {float}
+    assert bits([complex(*r) for r in rows]) == bits([complex(*r) for r in reference])
 
 
 class TestConverters:
