@@ -80,12 +80,14 @@ def _load_document(path, schema: str) -> dict:
     if not p.is_file():
         raise CliError(f"file not found: {path}")
     text = p.read_text(encoding="utf-8")
+    what = " is not valid JSON"
     try:
-        doc = json.loads(text, parse_constant=_finite)
-        if not _numbers_finite(doc):  # parse again, only to name the literal
+        doc = json.loads(text, parse_constant=_finite)  # NaN and Infinity are no JSON
+        if not _numbers_finite(doc):  # 1e999 and huge ints are, and draft-7 passes them
+            what = ": number out of range"  # parse again, only to name the literal
             json.loads(text, parse_float=_finite, parse_int=_finite)
-    except ValueError as exc:  # NaN, Infinity, 1e999 and huge ints too: draft-7 passes them as numbers
-        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"{path}{what}: {exc}") from exc
     try:
         serialize.validate(doc, schema)
     except serialize.SchemaError as exc:

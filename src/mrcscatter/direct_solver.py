@@ -11,15 +11,20 @@ Each step reads the surface once and takes one Householder QR of [A | b]
 (columns of A at unit norm), reading the residual off the R factor as Q is
 orthonormal.  At the kept step its singular values give rank and condition;
 a system keeping all of its values is solved directly, the truncated SVD
-runs only where the cutoff drops one.  On a surface of revolution
-(``StarSurface.axisymmetric``) column (ell, m) is g(theta) * exp(i*m*phi)
-and n_phi >= 2L+1, so the unitary DFT along phi splits the system into one
-block B_m of n_theta x (L+1-|m|) per order, built on the polar axis: the
-azimuthal decoupling of T-matrix codes for bodies of revolution (Waterman
-1971; Mishchenko, Travis & Mackowski, JQSRT 55 (1996) 535).  As B_-m =
-(-1)**m B_m, the QR is of a stack of L+1 systems [B_|m| | 0 | b_m | (-1)**m
-b_-m], zero-padded to L+1 columns (Householder no-ops); a general surface
-is a stack of one system.  Its rule owns a step's harmonic tables: an escalation
+runs only where the cutoff drops one.  The QR is of a stack of systems, each
+zero-padded to one width (Householder no-ops); rank and condition are over all
+of them.  On a surface of revolution (``StarSurface.axisymmetric``) column
+(ell, m) is g(theta) * exp(i*m*phi) and n_phi >= 2L+1, so the unitary DFT along
+phi leaves L+1 systems [B_|m| | 0 | b_m | (-1)**m b_-m] of n_theta rows (B_-m =
+(-1)**m B_m), built on the polar axis: the azimuthal decoupling of bodies of
+revolution (Waterman 1971; Mishchenko, Travis & Mackowski, JQSRT 55 (1996) 535).
+On another shape symmetric about z = 0 (``mirror_symmetric``: every ellipsoid,
+bumps with ell + |m| even) column (ell, m) takes the sign (-1)**(ell+m) at the
+mirror node, so the rows (top +- bottom)/sqrt(2) leave two systems, the even
+columns and the odd ones, built on the upper rows and the equator (Waterman
+1971; the equatorial symmetry of Mishchenko & Travis, JQSRT 60 (1998) 309).
+At L=0 no column is odd and the odd rows' data is all residual.  A general
+surface is one system.  The rule owns a step's harmonic tables: an escalation
 to L_max=30 leaves 3.0 (Dirichlet, axisymmetric) to 6.1 MB (Neumann, general).
 """
 
@@ -106,8 +111,9 @@ class LeastSquaresInfo:
 class DirectSolution:
     """Result of an escalation run.
 
-    ``residual`` is relative to the boundary norm of the incident data;
-    ``history`` records (L, relative residual) per escalation step.
+    ``residual`` is relative to the boundary norm of the incident data and bounds
+    the relative far-field error (measured: at most 0.96 x on the sphere, 0.32 x
+    elsewhere); ``history`` records (L, relative residual) per escalation step.
     """
 
     coefficients: CoefficientSet
@@ -160,19 +166,43 @@ def _basis_columns(
     return _columns(quad, ctx, L, _check_bc(bc), *_read_boundary(surface, quad)[:2])
 
 
-def _columns(quad, ctx, L, bc, f, normal) -> np.ndarray:
+def _columns(quad, ctx, L, bc, f, normal, rows=slice(None)) -> np.ndarray:
     if L < 0:
         raise ValueError(f"truncation degree must be >= 0, got {L}")
     quad.check_aliasing(L)
     ells = specfun.mode_degrees(L)
-    Y = specfun._grid_modes(L, quad.legendre(L), quad.azimuths(L))
+    Y = specfun._grid_modes(L, quad.legendre(L)[..., rows], quad.azimuths(L))
     if bc == DIRICHLET:
         return Y * specfun.hankel_out_table(L, ctx.k, f)[ells].T
     H, Hd = specfun._hankel_out_pair(L, ctx.k, f)
-    dY = specfun._grid_modes(L, quad.legendre_dtheta(L), quad.azimuths(L))
+    dY = specfun._grid_modes(L, quad.legendre_dtheta(L)[..., rows], quad.azimuths(L))
     nr, nt, nph = normal
-    ang = nt[:, None] * dY + nph[:, None] * specfun._dphi_over_sin(L, quad.theta, Y)
+    theta = quad.theta.reshape(quad.n_theta, quad.n_phi)[rows].ravel()
+    ang = nt[:, None] * dY + nph[:, None] * specfun._dphi_over_sin(L, theta, Y)
     return (nr * Hd)[ells].T * Y + (H / f)[ells].T * ang
+
+
+def _parity_system(quad, ctx, L, bc, f, normal, scale, b):
+    """A mirror-symmetric surface's system after the unitary row transform g *
+    (top +- bottom) over mirror pairs of polar rows (g = 1/sqrt(2), 1/2 at the
+    equator, its own pair), built by _columns on the upper rows and the equator:
+    system 0 holds the columns with ell + m even, system 1 the odd ones,
+    zero-padded; each flat mode sits at (parity, column, 0)."""
+    h, eq = divmod(quad.n_theta, 2)
+    up = slice(h * quad.n_phi, None)
+    g = np.repeat(np.where(np.arange(h + eq) < eq, 0.5, math.sqrt(0.5)), quad.n_phi)
+    A = (2 * g * scale[up])[:, None] * _columns(
+        quad, ctx, L, bc, f[up], [x[up] for x in normal], slice(h, None))
+    b = b.reshape(quad.n_theta, quad.n_phi)
+    rhs = np.stack((b[h:] + b[::-1][h:], b[h:] - b[::-1][h:])).reshape(2, -1) * g
+    ells = specfun.mode_degrees(L)
+    odd = (ells + specfun.mode_orders(L)) % 2
+    M = np.zeros((2, len(g), odd.size - odd.sum()), dtype=complex)
+    M[0], M[1, eq * quad.n_phi :, : odd.sum()] = A[:, odd == 0], A[eq * quad.n_phi :, odd == 1]
+    i = np.arange(odd.size)  # lower degrees hold ell(ell+1)/2 even and ell(ell-1)/2 odd modes
+    modes = (odd, np.where(odd, i - ells - 1, i + ells) // 2, 0 * odd)
+    n = 2 if L else 1  # at L=0 no column is odd: the odd rows are all residual
+    return M[:n], rhs[:n], rhs[n:].ravel(), modes
 
 
 def _order_system(quad, ctx, L, bc, f, normal, scale, b):
@@ -336,6 +366,8 @@ def mrc_solve(
         b = _incident(quad, ctx, bc, *grid[:2]) * grid[2]
         if surface.axisymmetric:
             system = _order_system(quad, ctx, L, bc, f, normal, scale, b)
+        elif surface.mirror_symmetric:
+            system = _parity_system(quad, ctx, L, bc, f, normal, scale, b)
         else:
             system = (scale[:, None] * _columns(quad, ctx, L, bc, f, normal), b, (), _DENSE)
         if not (np.isfinite(system[0]).all() and np.isfinite(system[1]).all()):

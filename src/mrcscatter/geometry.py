@@ -210,12 +210,15 @@ def quadrature_for_degree(degree: int) -> SphereQuadrature:
 class StarSurface:
     """Base class: a positive radial map f over the unit sphere.  A shape
     implements ``radial_map``; ``radius``, ``radius_dtheta`` and
-    ``radius_dphi`` read its three parts.  ``axisymmetric`` is structural:
-    true when the parameters make f depend on theta alone (a surface of
-    revolution about z, whose boundary system splits by azimuthal order), as
-    sampling f along phi cannot tell: rounding varies a spheroid's f there."""
+    ``radius_dphi`` read its three parts.  The flags are structural, read off
+    the parameters, as sampling f cannot tell (rounding varies a spheroid's f
+    along phi): ``axisymmetric`` when f depends on theta alone (a surface of
+    revolution about z, whose boundary system splits by azimuthal order),
+    ``mirror_symmetric`` when f(pi - theta, phi) = f(theta, phi) (symmetric
+    about z = 0, whose boundary system splits by equatorial parity)."""
 
     axisymmetric = False
+    mirror_symmetric = False
 
     def radial_map(self, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f, df/dtheta, df/dphi) at the given angles, from one evaluation."""
@@ -246,7 +249,7 @@ class StarSurface:
 @dataclass(frozen=True)
 class Sphere(StarSurface):
     radius_value: float
-    axisymmetric = True
+    axisymmetric = mirror_symmetric = True
 
     def __post_init__(self) -> None:
         if not self.radius_value > 0:  # NaN too
@@ -291,6 +294,8 @@ class PerturbedSphere(StarSurface):
             _legendre_peak(ell, abs(m)) for ell, m, _ in bumps
         )
         self.axisymmetric = all(m == 0 for _, m, _ in bumps)
+        # Pbar[ell, |m|](pi - theta) = (-1)**(ell + m) Pbar[ell, |m|](theta)
+        self.mirror_symmetric = all((ell + m) % 2 == 0 for ell, m, _ in bumps)
 
     def radial_map(self, theta, phi):
         # the Legendre tables take 1-D angles: evaluate on the raveled broadcast
@@ -383,6 +388,7 @@ class Ellipsoid(StarSurface):
     b: float
     c: float
     axisymmetric = property(lambda self: self.a == self.b)
+    mirror_symmetric = True
 
     def __post_init__(self) -> None:
         if not all(s > 0 for s in (self.a, self.b, self.c)):  # NaN too

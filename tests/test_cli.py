@@ -358,6 +358,25 @@ class TestIntegerBeyondFloatRange:
         assert cli._numbers_finite(doc)
 
 
+@pytest.mark.parametrize("literal, wording", [
+    ("1e999", "number out of range: 1e999 is not a finite number"),
+    ("1" + "0" * 400, "number out of range: 1" + "0" * 400 + " is not a finite number"),
+    ("NaN", "is not valid JSON: NaN is not a finite number"),
+    ("Infinity", "is not valid JSON: Infinity is not a finite number"),
+    ("3.0,,", "is not valid JSON: Expecting property name"),
+], ids=["1e999", "401-digit int", "NaN", "Infinity", "syntax error"])
+def test_loader_calls_only_malformed_files_invalid_json(tmp_path, capsys, literal, wording):
+    # 1e999 and a 401-digit integer are well-formed JSON whose value no float holds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SYNTH_CFG).replace('"R": 3.0', f'"R": {literal}'))
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(cfg) in err and wording in err and "Traceback" not in err
+    assert ("is not valid JSON" in err) is ("valid JSON" in wording)
+
+
 def test_main_builds_one_parser_per_process(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", SOLVE_CFG)
     for _ in range(2):
