@@ -9,11 +9,11 @@ meets the target; the smallest such L is kept.
 
 Each step reads the surface once and takes one Householder QR of [A | b]
 (columns of A at unit norm), reading the residual off the R factor as Q is
-orthonormal.  At the kept step its singular values give rank and condition;
-a system keeping all of its values is solved directly, the truncated SVD
-runs only where the cutoff drops one.  The QR is of a stack of systems, each
-zero-padded to one width (Householder no-ops); rank and condition are over all
-of them.  On a surface of revolution (``StarSurface.axisymmetric``) column
+orthonormal.  The QR is of a stack of systems, each zero-padded to one width
+(Householder no-ops).  The kept step solves the whole stack at once: one
+batched SVD of R gives rank and condition over all systems, then one solve on
+R with a unit pivot per padded column, or a truncated SVD if a value drops.
+On a surface of revolution (``StarSurface.axisymmetric``) column
 (ell, m) is g(theta) * exp(i*m*phi) and n_phi >= 2L+1, so the unitary DFT along
 phi leaves L+1 systems [B_|m| | 0 | b_m | (-1)**m b_-m] of n_theta rows (B_-m =
 (-1)**m B_m), built on the polar axis: the azimuthal decoupling of bodies of
@@ -283,28 +283,27 @@ def _qr_residual(system, factor) -> float:
 
 def _solve_factored(system, factor, svd_cutoff) -> LeastSquaresInfo:
     """Solve of min ||A @ C + B|| over a (matrix, rhs, rest, modes) stack of
-    systems on its _factor R (see the module docstring); ``rest`` is the part
-    of b no column reaches, ``modes`` picks the flat modes out of C."""
+    systems on its _factor R as one operation (see the module docstring): a unit
+    pivot in each padded column leaves each real triangle's back-substitution as
+    it is.  ``rest`` is the part of b no column reaches; ``modes`` picks C's modes."""
     A, B, R, norms, n, orders = _stacked(system, factor)
     w = A.shape[2]
-    svals = [np.linalg.svd(Rs[:ns, :ns], compute_uv=False) for Rs, ns in zip(R, n)]
-    s_max = max(s[0] for s in svals)
-    C = np.zeros((len(A), w, B.shape[2]), dtype=complex)
-    rank, s_min = 0, math.inf
-    for Rs, cn, ns, s, Cs, q in zip(R, norms[:, :, None], n, svals, C, orders):
-        # an all-zero matrix (s_max == 0) keeps nothing; s descends, so the
-        # kept values are the first r ones, shared by the q orders of a system
-        r = int(np.count_nonzero((s > 0.0) & (s >= svd_cutoff * s_max)))
-        if r == ns:
-            Cs[:ns] = np.linalg.solve(Rs[:ns, :ns], -Rs[:ns, w:]) / cn[:ns]
-        elif r > 0:
-            U, sv, Vh = np.linalg.svd(Rs[:, :ns], full_matrices=False)
-            y = (U[:, :r].conj().T @ Rs[:, w:]) / sv[:r, None]
-            Cs[:ns] = -(Vh[:r].conj().T @ y) / cn[:ns]
-        rank, s_min = rank + r * q, min(s_min, s[r - 1]) if r else s_min
-    condition = float(s_max / s_min) if rank else math.inf
+    # a padded column of R is exactly zero and adds an exact-zero value; an
+    # all-zero stack keeps nothing, and a system's kept values serve its orders
+    s = np.linalg.svd(R[:, :w, :w], compute_uv=False)
+    keep = (s > 0.0) & (s >= svd_cutoff * s.max())
+    rank = int(keep.sum(axis=1) @ orders)
+    if (keep.sum(axis=1) == n).all():
+        pivot = np.eye(w, dtype=bool) & (np.arange(w) >= n[:, None, None])
+        C = np.linalg.solve(np.where(pivot, 1.0, R[:, :w, :w]), -R[:, :w, w:])
+    else:  # truncated SVD: a dropped value's term is divided by inf
+        U, sv, Vh = np.linalg.svd(R[..., :w], full_matrices=False)
+        y = (U.conj().swapaxes(1, 2) @ R[..., w:]) / np.where(keep, sv, np.inf)[..., None]
+        C = -(Vh.conj().swapaxes(1, 2) @ y)
+    C /= norms[..., None]
+    condition = float(s.max() / s[keep].min()) if rank else math.inf
     residual = float(np.linalg.norm(np.concatenate(((A @ C + B).ravel(), system[2]))))
-    return LeastSquaresInfo(C[system[3]], residual, int(rank), condition)
+    return LeastSquaresInfo(C[system[3]], residual, rank, condition)
 
 
 def solve_least_squares(

@@ -176,7 +176,7 @@ def _ray_roots(
     Hankel table on the shared grid, then one batched bracketed secant on the
     roots of g over all candidates (golden section on |p| for the rest)."""
     r_lo, r_hi = bracket
-    if not 0.0 < r_lo < r_hi:
+    if not 0.0 < r_lo < r_hi < math.inf:
         raise ValueError(f"invalid bracket {bracket}")
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
@@ -312,11 +312,20 @@ def stable_reconstruct(
         raise ValueError("no entries in near-field data")
     if not dirs:
         raise ValueError("no directions to reconstruct")
+    if not 0.0 < quorum <= 1.0:  # NaN too, as below
+        raise ValueError(f"quorum must be in (0, 1], got {quorum}")
+    for name, value in (("stability_tol", stability_tol), ("residual_threshold", residual_threshold)):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+    if not harmonic_degree >= 0:
+        raise ValueError(f"harmonic_degree must be >= 0, got {harmonic_degree}")
     if bracket is None:
         bracket = (0.2 * data.R, 0.9 * data.R)
     schedule = sorted(set(int(L) for L in L_schedule))
     if not schedule:
         raise ValueError("empty L_schedule: no degree to reconstruct at")
+    if schedule[0] < 0:
+        raise ValueError(f"L_schedule degrees must be >= 0, got {schedule[0]}")
     L_top = schedule[-1]
     # extract once at the top degree and truncate per scheduled L: the
     # projections are independent mode by mode, so this equals extracting at

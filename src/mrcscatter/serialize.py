@@ -271,11 +271,11 @@ def near_field_from_jsonable(doc: dict) -> NearFieldData:
     quad = make_quadrature(int(doc["quadrature"]["n_theta"]), int(doc["quadrature"]["n_phi"]))
     entries = []
     for e in doc["entries"]:
-        theta, phi = e["alpha"]
-        re, im = np.asarray(e["samples"], dtype=float).reshape(-1, 2).T
+        rows = e["samples"]
+        re, im = np.fromiter(itertools.chain.from_iterable(rows), float, 2 * len(rows)).reshape(-1, 2).T
         entries.append(
             NearFieldEntry(
-                ctx=WaveContext(float(e["k"]), Direction(float(theta), float(phi))),
+                ctx=WaveContext(float(e["k"]), Direction(*map(float, e["alpha"]))),
                 samples=re + 1j * im,
                 delta=float(e["delta"]),
             )

@@ -454,3 +454,33 @@ def test_empty_schedule_is_named():
     data = sphere_data(quad=make_quadrature(8, 16), L=8)
     with pytest.raises(ValueError, match="empty L_schedule"):
         stable_reconstruct(data, fibonacci_directions(4), L_schedule=())
+
+
+class TestSettingsRefused:
+    """stable_reconstruct refuses the settings that the invert configuration
+    schema refuses, each by name; NaN fails every check."""
+
+    CASES = {
+        "quorum=0": ({"quorum": 0.0}, r"quorum must be in \(0, 1\], got 0.0"),
+        "quorum=1.5": ({"quorum": 1.5}, r"quorum must be in \(0, 1\], got 1.5"),
+        "quorum=nan": ({"quorum": math.nan}, r"quorum must be in \(0, 1\], got nan"),
+        "stability_tol=-0.05": ({"stability_tol": -0.05}, "stability_tol must be > 0, got -0.05"),
+        "stability_tol=nan": ({"stability_tol": math.nan}, "stability_tol must be > 0, got nan"),
+        "residual_threshold=0": ({"residual_threshold": 0.0}, "residual_threshold must be > 0, got 0.0"),
+        "residual_threshold=nan": (
+            {"residual_threshold": math.nan}, "residual_threshold must be > 0, got nan"
+        ),
+        "harmonic_degree=-1": ({"harmonic_degree": -1}, "harmonic_degree must be >= 0, got -1"),
+        "L_schedule=(-1, 3)": ({"L_schedule": (-1, 3)}, "L_schedule degrees must be >= 0, got -1"),
+        "bracket=(0.5, inf)": ({"bracket": (0.5, math.inf)}, r"invalid bracket \(0.5, inf\)"),
+    }
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return sphere_data(quad=make_quadrature(8, 16), L=8)
+
+    @pytest.mark.parametrize("settings, message", CASES.values(), ids=CASES.keys())
+    def test_refused_by_name(self, data, settings, message):
+        kw = {"bracket": (0.3, 2.5), "L_schedule": (3,), **settings}
+        with pytest.raises(ValueError, match=message):
+            stable_reconstruct(data, fibonacci_directions(4), **kw)
