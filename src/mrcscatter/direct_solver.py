@@ -83,6 +83,8 @@ class CoefficientSet:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.L < 0:
+            raise ValueError(f"truncation degree must be >= 0, got L={self.L}")
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (specfun.n_modes(self.L),):
             raise ValueError(
@@ -167,8 +169,6 @@ def _basis_columns(
 
 
 def _columns(quad, ctx, L, bc, f, normal, rows=slice(None)) -> np.ndarray:
-    if L < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {L}")
     quad.check_aliasing(L)
     ells = specfun.mode_degrees(L)
     Y = specfun._grid_modes(L, quad.legendre(L)[..., rows], quad.azimuths(L))

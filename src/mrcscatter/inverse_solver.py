@@ -275,10 +275,8 @@ def _fit_harmonic_model(
 def _real_harmonic_basis(degree: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Orthonormal real harmonics: sqrt(2) Re Y[ell, |m|] for m > 0,
     sqrt(2) Im Y[ell, |m|] for m < 0 and Y[ell, 0] for m = 0."""
-    ms = specfun.mode_orders(degree)
-    # column (ell, |m|) sits |m| - m places after column (ell, m)
-    Yp = specfun.sph_harm_table(degree, theta, phi)[:, np.arange(ms.size) + np.abs(ms) - ms]
-    return np.where(ms < 0, Yp.imag, Yp.real) * np.where(ms == 0, 1.0, math.sqrt(2.0))
+    ells, ms = specfun.mode_degrees(degree), specfun.mode_orders(degree)
+    return specfun._real_harmonics(ells, ms, np.where(ms == 0, 1.0, math.sqrt(2.0)), theta, phi)[0].T
 
 
 def evaluate_harmonic_model(coeffs: np.ndarray, degree: int, dirs: list[Direction]) -> np.ndarray:

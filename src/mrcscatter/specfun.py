@@ -19,7 +19,8 @@ a per-degree or per-order factor is applied by indexing with them, e.g.
 Harmonics come from a Legendre table on polar angles and an azimuth table,
 paired node by node on scattered directions (``_harmonic_factors``) or kept by
 a quadrature rule for its two axes, where Y is their product per mode
-(``_grid_modes``) with bitwise the same values.
+(``_grid_modes``) with bitwise the same values.  Real harmonics and their
+partials, for any list of weighted (ell, m), come from ``_real_harmonics``.
 
 All functions are pure; vectorized ``*_table`` variants return values for
 every degree 0..L at once and are what the solvers use internally.
@@ -290,6 +291,17 @@ def _norm_legendre_dtheta_table(L: int, P: np.ndarray) -> np.ndarray:
     # Pbar[ell, -1] is -Pbar[ell, 1] under this normalization
     below = np.concatenate([-Pz[:, 1:2], Pz[:, :L]], axis=1)
     return 0.5 * (c_up * Pz[:, 1:] - c_down * below)
+
+
+def _real_harmonics(ells, ms, w, theta: np.ndarray, phi: np.ndarray):
+    """Rows w * Pbar[ell, |m|](theta) * (cos(m*phi) if m >= 0 else sin(|m|*phi)) and their theta
+    and phi partials, (len(ells), len(theta)) each, all off one Legendre table; 1-D arguments."""
+    P = _norm_legendre_table(int(ells.max(initial=0)), np.cos(theta), np.sin(theta))
+    am, neg, w = np.abs(ms)[:, None], (ms < 0)[:, None], w[:, None]
+    wP, wdP = (w * T[ells, am[:, 0]] for T in (P, _norm_legendre_dtheta_table(len(P) - 1, P)))
+    cos, sin = np.cos(am * phi), np.sin(am * phi)
+    az = np.where(neg, sin, cos)
+    return wP * az, wdP * az, wP * (am * np.where(neg, cos, -sin))
 
 
 def _azimuth_factors(L: int, phi: np.ndarray) -> np.ndarray:

@@ -383,3 +383,39 @@ def test_main_builds_one_parser_per_process(tmp_path):
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert cli._parser() is cli._parser()
     assert build_parser() is not cli._parser()  # callers of build_parser get their own
+
+
+class TestListedDirections:
+    ITEMS = [[0.1, 0.2], [1.0, 2.0], [2.5, 4.0]]
+
+    def test_csv_rows_are_the_listed_directions(self, tmp_path, data_file):
+        cfg = write_cfg(tmp_path / "inv.json", dict(INVERT_CFG, directions={"type": "list", "items": self.ITEMS}))
+        assert main(["invert", str(data_file), "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        with open(tmp_path / "o" / "reconstruction.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [[float(t), float(p)] for t, p, _ in rows] == self.ITEMS
+        np.testing.assert_allclose([float(r) for *_, r in rows], 1.0, rtol=0, atol=1e-3)
+
+    def test_polar_angle_beyond_pi_exits_1(self, tmp_path, data_file, capsys):
+        items = self.ITEMS + [[4.0, 0.0]]
+        cfg = write_cfg(tmp_path / "inv.json", dict(INVERT_CFG, directions={"type": "list", "items": items}))
+        assert main(["invert", str(data_file), "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_ERROR
+        assert "theta must be in [0, pi], got 4.0" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "reconstruction.csv").exists()
+
+
+class TestSynthesizeEllipsoid:
+    CFG = dict(SYNTH_CFG, surface={"type": "ellipsoid", "semi_axes": [1.0, 0.95, 1.2]},
+               quadrature={"n_theta": 8, "n_phi": 16}, forward={"eps_target": 1e-3, "L_max": 12})
+
+    def test_runs_and_records_the_ellipsoid(self, tmp_path):
+        cfg = write_cfg(tmp_path / "cfg.json", self.CFG)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "near_field.json").read_text())
+        assert doc["provenance"]["surface"] == self.CFG["surface"]
+
+    def test_measurement_radius_must_enclose_the_longest_semi_axis(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "cfg.json", dict(self.CFG, R=1.1))
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == EXIT_ERROR
+        assert "must enclose the obstacle (max radius 1.2)" in capsys.readouterr().err
+        assert not (tmp_path / "near_field.json").exists()

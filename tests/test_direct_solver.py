@@ -340,3 +340,10 @@ def test_assemble_basis_matrix_reads_the_surface_once():
         calls.clear()
         np.testing.assert_array_equal(assemble_basis_matrix(surface, quad, ctx, 6, bc), A)
         assert calls == [len(quad)]
+
+
+@pytest.mark.parametrize("L, n", [(-1, 0), (-2, 1)])
+def test_coefficient_set_refuses_a_negative_degree(L, n):
+    # n_modes(-1) is 0 and n_modes(-2) is 1: the shape check alone passes these
+    with pytest.raises(ValueError, match=f"truncation degree must be >= 0, got L={L}"):
+        CoefficientSet(L, np.zeros(n, dtype=complex))

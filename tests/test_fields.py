@@ -127,3 +127,9 @@ class TestRadiationBehavior:
         p10, p1e3, p1e4 = proxy(10.0), proxy(1e3), proxy(1e4)
         assert p1e3 < 1.05e-2 * p10
         assert p1e4 < 1.05e-3 * p10
+
+
+def test_project_far_field_refuses_a_negative_degree():
+    quad = make_quadrature(6, 12)
+    with pytest.raises(ValueError, match="truncation degree must be >= 0, got L=-1"):
+        fields.project_far_field(np.zeros(len(quad), dtype=complex), quad, -1)

@@ -12,6 +12,7 @@ from mrcscatter.geometry import (
     PerturbedSphere,
     Sphere,
     SurfaceError,
+    _normal_from_map,
     fibonacci_directions,
     make_quadrature,
     outward_normal,
@@ -241,3 +242,33 @@ def test_check_aliasing_needs_twice_the_transform_degree():
     quad.check_aliasing(4)
     with pytest.raises(ValueError, match="aliasing"):
         quad.check_aliasing(5)
+
+
+def test_check_aliasing_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="truncation degree must be >= 0, got L=-1"):
+        make_quadrature(5, 10).check_aliasing(-1)
+
+
+@pytest.mark.parametrize("bump", [(2.7, 0, 0.1), (2, 1.9, 0.1), (math.nan, 0, 0.1), (2, math.inf, 0.1)])
+def test_perturbed_sphere_refuses_a_non_integral_degree_or_order(bump):
+    with pytest.raises(SurfaceError, match=rf"bump \({bump[0]}, {bump[1]}, 0.1\): degree and order"):
+        PerturbedSphere(1.0, [(3, 1, 0.1), bump])
+
+
+def test_perturbed_sphere_reads_integral_floats_as_integers():
+    s = PerturbedSphere(1.0, [(2.0, -1.0, 0.1), (np.float64(3), np.int64(2), 0.05)])
+    assert s.bumps == ((2, -1, 0.1), (3, 2, 0.05))
+    assert s == PerturbedSphere(1.0, [(2, -1, 0.1), (3, 2, 0.05)])
+
+
+def test_normal_refuses_a_nonzero_azimuthal_partial_at_a_pole():
+    theta = np.array([0.0, 1.0])
+    f, ft = np.ones(2), np.zeros(2)
+    _normal_from_map(theta, f, ft, np.array([1e-13, 0.5]))  # within rounding of zero
+    with pytest.raises(SurfaceError, match="nonzero f_phi at a pole"):
+        _normal_from_map(theta, f, ft, np.array([1e-3, 0.5]))
+
+
+def test_zero_vector_has_no_direction():
+    with pytest.raises(ValueError, match="zero vector has no direction"):
+        Direction.from_vector([0.0, 0.0, 0.0])

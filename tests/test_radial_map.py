@@ -196,3 +196,61 @@ def test_surface_evaluations_per_escalation_step(bc, most):
     s = CountingSurface(1.0, [(2, 0, 0.2)])
     mrc_solve(s, WaveContext(1.0, Direction(0.0, 0.0)), bc=bc, eps_target=1e-3, L_start=5, L_max=5)
     assert s.evaluations <= most
+
+
+# Bump lists the single kernel call must sum exactly as the per-bump loop did.
+BUMP_LISTS = {
+    "no_bumps": [],
+    "degree_zero": [(0, 0, 0.1)],
+    "repeated_mode": [(3, 1, 0.1), (3, 1, -0.05), (2, 0, 0.1)],
+    "negative_amplitudes": [(2, -2, -0.1), (4, 3, -0.07)],
+    "six_mixed": [(6, -6, 0.05), (1, 1, -0.1), (0, 0, 0.02), (5, -3, 0.08), (6, 4, -0.03),
+                  (4, -4, 0.1)],
+}
+
+
+@pytest.mark.parametrize("bumps", BUMP_LISTS.values(), ids=BUMP_LISTS)
+def test_radial_map_of_any_bump_list_matches_the_per_bump_loop_bitwise(bumps):
+    surface = PerturbedSphere(1.2, bumps)
+    ref = PerturbedSphereReference(surface)
+    quad = quadrature_for_degree(20)
+    rng = np.random.default_rng(11)
+    scattered = rng.uniform(0.0, math.pi, 41), rng.uniform(0.0, 2 * math.pi, 41)
+    axis = quad.theta_axis, np.zeros(quad.n_theta)
+    for theta, phi in ((quad.theta, quad.phi), scattered, axis):
+        f, ft, fp = surface.radial_map(theta, phi)
+        assert_bitwise(f, ref.radius(theta, phi))
+        assert_bitwise(ft, ref.radius_dtheta(theta, phi))
+        assert_bitwise(fp, ref.radius_dphi(theta, phi))
+    # broadcast angles: the reference takes 1-D angles, so it reads the raveled grid
+    theta, phi = np.linspace(0.0, math.pi, 7)[:, None], np.linspace(0.0, 6.0, 5)
+    grid = [a.ravel() for a in np.broadcast_arrays(theta, phi)]
+    for part, ref_part in zip(surface.radial_map(theta, phi),
+                              (ref.radius(*grid), ref.radius_dtheta(*grid), ref.radius_dphi(*grid))):
+        assert_bitwise(part.ravel(), ref_part)
+
+
+def test_radial_map_builds_one_legendre_table_whatever_the_bump_count(monkeypatch):
+    surface = SURFACES["bumps_mixed"]
+    calls, table = [], specfun._norm_legendre_table
+
+    def counting(L, ct, st):
+        calls.append(L)
+        return table(L, ct, st)
+
+    monkeypatch.setattr(specfun, "_norm_legendre_table", counting)
+    quad = quadrature_for_degree(20)
+    surface.radial_map(quad.theta, quad.phi)
+    assert len(surface.bumps) == 4 and calls == [5]
+
+
+def test_partials_of_a_negative_order_bump_match_central_differences():
+    s = PerturbedSphere(1.0, [(3, -2, 0.2), (2, -1, 0.1), (4, -4, 0.05)])
+    h = 1e-6
+    th, ph = np.array([0.3, 1.1, 2.5]), np.array([0.8, 2.9, 4.4])
+    fd_t = (s.radius(th + h, ph) - s.radius(th - h, ph)) / (2 * h)
+    fd_p = (s.radius(th, ph + h) - s.radius(th, ph - h)) / (2 * h)
+    _, ft, fp = s.radial_map(th, ph)
+    assert np.all(np.abs(fp) > 0.01)
+    assert np.max(np.abs(ft - fd_t)) < 1e-9
+    assert np.max(np.abs(fp - fd_p)) < 1e-9
