@@ -8,20 +8,20 @@ root that is stable across (wavenumber, incidence) entries; escalate the
 truncation degree through a schedule and stop at the smallest degree that
 resolves a quorum of directions.
 
-The ray search runs as one array program per (degree, entry) over all
-directions: per-degree weights for every direction and one Hankel table with
-its r-derivative at the shared grid radii give p and g = Re(conj(p) * p') on
-the (direction x grid) array; every interior grid minimum of |p| is polished
-together as the root of g by one batched bracketed secant, or by golden
-section where g shows no sign change.  ``find_ray_root`` is the same search
-on a single direction.
+The ray search runs as one array program per degree over all entries and
+directions: per-degree weights for every (entry, direction) row and one Hankel
+table with its r-derivative at the shared grid radii and every entry's k give
+p and g = Re(conj(p) * p') on the (entry x direction x grid) array; every
+interior grid minimum of |p| is polished together, at its entry's k, as the
+root of g by one batched bracketed secant, or by golden section where g shows
+no sign change.  The stable root of every direction is then picked by one loop
+over anchor slots.  ``find_ray_root`` is the same search on a single direction.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,26 +126,42 @@ def _angles(dirs: list[Direction]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs])
 
 
+def _degree_weights(Y: np.ndarray, coeffs: list[CoefficientSet]) -> np.ndarray:
+    """Per-degree weights sum_m c[ell, m] Y[ell, m](dir) of each entry, shape
+    (entries, n_dir, L+1).  Y may be the table of a higher degree: its leading
+    columns are bitwise the table of this one, as both recurrences ascend."""
+    L = coeffs[0].L
+    C = np.array([c.coeffs for c in coeffs])
+    # degree ell starts at flat index ell**2
+    return np.add.reduceat(Y[:, : C.shape[1]] * C[:, None], np.arange(L + 1) ** 2, axis=-1)
+
+
+def _incidence(dirs: list[Direction], ctxs: list[WaveContext]) -> tuple[np.ndarray, np.ndarray]:
+    """cos(angle between each direction and each entry's incidence), shape
+    (entries, n_dir), and the entries' wavenumbers."""
+    vectors = np.array([d.vector for d in dirs])
+    return np.array([vectors @ c.alpha.vector for c in ctxs]), np.array([c.k for c in ctxs], dtype=float)
+
+
 def _ray_weights(coeffs: CoefficientSet, ctx: WaveContext, dirs: list[Direction]):
     """Per-degree weights sum_m c[ell, m] Y[ell, m](dir), shape (n_dir, L+1),
     and cos(angle between each direction and the incidence)."""
     Y = specfun.sph_harm_table(coeffs.L, *_angles(dirs))
-    # degree ell starts at flat index ell**2
-    W = np.add.reduceat(Y * coeffs.coeffs, np.arange(coeffs.L + 1) ** 2, axis=1)
-    cosang = np.array([d.vector for d in dirs]) @ ctx.alpha.vector
-    return W, cosang
+    return _degree_weights(Y, [coeffs])[0], _incidence(dirs, [ctx])[0][0]
 
 
 def ray_function(coeffs: CoefficientSet, ctx: WaveContext, dir_out: Direction, r) -> np.ndarray:
     """p(r) = incident plane wave + truncated outgoing expansion along the ray
     r * dir_out; its positive root estimates the boundary radius."""
     W, cosang = _ray_weights(coeffs, ctx, [dir_out])
-    return _ray_values(W[0], cosang[0], ctx.k, np.asarray(r, dtype=float))[0]
+    r = np.asarray(r, dtype=float)
+    return _ray_values(W[:, None], cosang[:, None], ctx.k, r.ravel())[0][0].reshape(r.shape)
 
 
-def _ray_values(W: np.ndarray, cosang, k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ray_values(W: np.ndarray, cosang, k, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p and g = Re(conj(p) * dp/dr) on rays with per-degree weights W[..., :],
-    incidence cosines cosang and radii r broadcast against cosang."""
+    incidence cosines cosang and wavenumbers k, with radii r broadcast against
+    cosang and k."""
     H, dH = specfun._hankel_out_pair(W.shape[-1] - 1, k, r)
     inc = np.exp(1j * k * cosang * r)
     p = inc + _degree_sum(W, H)
@@ -153,69 +169,79 @@ def _ray_values(W: np.ndarray, cosang, k: float, r: np.ndarray) -> tuple[np.ndar
 
 
 def _degree_sum(W: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """sum over ell of W[..., ell] * T[ell, ...], broadcast: one matrix product
-    where every row of W meets every radius of T (the search grid), else a dot
-    product per (row, radius) pair."""
-    rows, radii = W.shape[:-1], T.shape[1:]
-    lead = max(len(rows) - len(radii), 0)  # W's dims ahead of T's radii
-    if all(n == 1 for n in rows[lead:]):
-        flat = W.reshape(-1, W.shape[-1]) @ T.reshape(T.shape[0], -1)
-        return flat.reshape(rows[:lead] + radii)
-    return np.add.reduce(W.transpose(-1, *range(W.ndim - 1)) * T)
+    """sum over ell of W[..., ell] * T[ell, ...], broadcast.  On the search grid,
+    W of shape (..., n, 1, L+1) against T with the grid last (and a unit axis
+    before it when stacked), it is one matrix product per leading index: every
+    row meets every radius.  Else it is a sum per (row, radius) pair, accumulated
+    degree by degree, so a pair's sum is the same in any batch (a reduction over
+    one contiguous column would sum pairwise)."""
+    if W.ndim > 2 and W.shape[-2] == 1:
+        T = T.reshape(T.shape[:1] + T.shape[1:-2] + T.shape[-1:])
+        return np.matmul(W[..., 0, :], np.moveaxis(T, 0, -2))
+    return np.add.accumulate(W.transpose(-1, *range(W.ndim - 1)) * T)[-1]
 
 
-def _ray_roots(
-    coeffs: CoefficientSet,
-    ctx: WaveContext,
-    dirs: list[Direction],
-    bracket: tuple[float, float],
-    grid_n: int,
-    residual_threshold: float,
-) -> list[list[RayRoot]]:
-    """find_ray_root for every direction at once: one harmonic table, one
-    Hankel table on the shared grid, then one batched bracketed secant on the
-    roots of g over all candidates (golden section on |p| for the rest)."""
+def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[float, float],
+            grid_n: int, residual_threshold: float):
+    """The ray search on every (entry, direction) row at once: per-degree
+    weights W (entries, n_dir, L+1), incidence cosines (entries, n_dir) and the
+    entries' wavenumbers k.  One Hankel table on the grid at every k, then
+    one batched bracketed secant on the roots of g over all candidates (golden
+    section on |p| for the rest); each candidate carries its entry's k.
+    Returns entry, direction, r, residual and imag_score of the kept
+    candidates, ordered by entry, direction and residual (a stable sort of the
+    grid order)."""
     r_lo, r_hi = bracket
     if not 0.0 < r_lo < r_hi < math.inf:
         raise ValueError(f"invalid bracket {bracket}")
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
-    k, L = ctx.k, coeffs.L
-    W, cosang = _ray_weights(coeffs, ctx, dirs)
     grid = np.linspace(r_lo, r_hi, grid_n)
-    p, g = _ray_values(W[:, None], cosang[:, None], k, grid)
+    p, g = _ray_values(W[:, :, None], cosang[:, :, None], k[:, None, None], grid)
     pg = np.abs(p)
-    # strict interior minima; row-major order keeps each direction's grid order
-    inner = pg[:, 1:-1]
-    rows, cells = np.nonzero((inner < pg[:, :-2]) & (inner < pg[:, 2:]))
+    # strict interior minima; row-major order keeps each row's grid order
+    inner = pg[..., 1:-1]
+    ents, rows, cells = np.nonzero((inner < pg[..., :-2]) & (inner < pg[..., 2:]))
     # a half-cell, [c, c+1] or [c+1, c+2], where g turns from negative to
     # non-negative holds the minimum of |p| as a simple root of g
-    g0, g1, g2 = (g[rows, cells + n] for n in range(3))
+    g0, g1, g2 = (g[ents, rows, cells + n] for n in range(3))
     right = (g1 < 0) & (g2 >= 0)
     polish = right | ((g0 < 0) & (g1 >= 0))
     i, j = np.flatnonzero(polish), np.flatnonzero(~polish)
     a, r0, f0 = (cells + right)[i], np.empty(rows.size), np.empty(rows.size)
-    ray = lambda n, r: _ray_values(W[rows[n]], cosang[rows[n]], k, r)
+    ray = lambda n, r: _ray_values(W[ents[n], rows[n]], cosang[ents[n], rows[n]], k[ents[n]], r)
     r0[i], steps = specfun.bracketed_root(
-        lambda r: ray(i, r)[1], grid[a], grid[a + 1], g[rows[i], a], g[rows[i], a + 1]
+        lambda r: ray(i, r)[1], grid[a], grid[a + 1], g[ents[i], rows[i], a], g[ents[i], rows[i], a + 1]
     )
     f0[i] = np.abs(ray(i, r0[i])[0])
     if j.size:
         b = cells[j]
         r0[j], f0[j] = specfun.golden_min(lambda r: np.abs(ray(j, r)[0]), grid[b], grid[b + 2])
-    logger.debug("ray search L=%d k=%g: %d candidates, %d secant steps, %d golden fallbacks",
-                 L, k, rows.size, steps, j.size)
+    if logger.isEnabledFor(logging.DEBUG):
+        count = lambda e: np.bincount(e, minlength=len(k)).tolist()
+        logger.debug("ray search L=%d k=%s: %s candidates, %d secant steps, %s golden fallbacks",
+                     W.shape[-1] - 1, k.tolist(), count(ents), steps, count(ents[j]))
     # an all-zero row has no strict minimum, so max |p| > 0 on every candidate row
-    score = f0 / np.max(pg, axis=1)[rows]
-    found: list[list[RayRoot]] = [[] for _ in dirs]
-    for n in np.flatnonzero(score <= residual_threshold):
-        d = rows[n]
-        found[d].append(RayRoot(
-            dir_out=dirs[d], r=float(r0[n]), residual=float(f0[n]), imag_score=float(score[n])
-        ))
-    for roots in found:
-        roots.sort(key=lambda rr: rr.residual)
-    return found
+    score = f0 / np.max(pg, axis=-1)[ents, rows]
+    keep = np.flatnonzero(score <= residual_threshold)
+    keep = keep[np.lexsort((f0[keep], rows[keep], ents[keep]))]
+    return ents[keep], rows[keep], r0[keep], f0[keep], score[keep]
+
+
+def _ray_roots(coeffs, ctx, dirs: list[Direction], bracket: tuple[float, float], grid_n: int,
+               residual_threshold: float) -> list:
+    """find_ray_root for every direction at once, of one entry (a list per
+    direction) or, given lists of CoefficientSet and WaveContext, of every
+    entry at one degree (a list per entry of those): one harmonic table and one
+    ``_search``, so a candidate is bitwise the same whichever entries share it."""
+    single = isinstance(coeffs, CoefficientSet)
+    coeffs, ctxs = ([coeffs], [ctx]) if single else (list(coeffs), list(ctx))
+    Y = specfun.sph_harm_table(coeffs[0].L, *_angles(dirs))
+    found = _search(_degree_weights(Y, coeffs), *_incidence(dirs, ctxs), bracket, grid_n, residual_threshold)
+    roots: list[list[list[RayRoot]]] = [[[] for _ in dirs] for _ in ctxs]
+    for e, d, r, f, s in zip(*(v.tolist() for v in found)):
+        roots[e][d].append(RayRoot(dir_out=dirs[d], r=r, residual=f, imag_score=s))
+    return roots[0] if single else roots
 
 
 def find_ray_root(
@@ -236,29 +262,43 @@ def find_ray_root(
     (``imag_score``) measures how close the root is to the positive semiaxis.
 
     This is the one-direction call of the batched search that
-    ``stable_reconstruct`` runs over all directions at once.
+    ``stable_reconstruct`` runs over all directions and entries at once.
     """
     return _ray_roots(coeffs, ctx, [dir_out], bracket, grid_n, residual_threshold)[0]
 
 
-def _consistent_roots(candidates: list[list[RayRoot]]) -> tuple[list[RayRoot], float] | None:
-    """Pick one candidate per entry minimizing the relative spread in r, then
-    the largest residual.  Every candidate of every entry anchors once, and
-    each entry contributes its candidate nearest the anchor, so the order of
-    the entries does not matter.  Returns the chosen roots and their relative
-    spread, or None if some entry has no candidates.
-    """
-    if any(len(c) == 0 for c in candidates):
-        return None
-    best = None
-    for anchor in (rr for c in candidates for rr in c):
-        chosen = [min(c, key=lambda rr: abs(rr.r - anchor.r)) for c in candidates]
-        rs = [rr.r for rr in chosen]
-        med = statistics.median(rs)
-        key = ((max(rs) - min(rs)) / med if med > 0 else math.inf, max(rr.residual for rr in chosen))
-        if best is None or key < best[0]:
-            best = (key, chosen)
-    return best[1], best[0][0]
+def _stable_roots(ents, rows, r, residual, shape: tuple[int, int]):
+    """Per direction, one candidate per entry minimizing the relative spread in
+    r, then the largest residual, from candidates ordered as ``_search`` returns
+    them.  Every candidate anchors once, in that order; each entry contributes
+    its candidate nearest the anchor (the first of equals), so the order of the
+    entries does not matter, and the first least (spread, residual) wins.
+    Returns the chosen roots' median (statistics.median's formula), largest
+    residual and spread, NaN where an entry has no candidate, and where all do."""
+    n_ent, n_dir = shape
+    group = ents * n_dir + rows
+    counts = np.bincount(group, minlength=n_ent * n_dir)
+    slots = np.arange(group.size) - (np.cumsum(counts) - counts)[group]
+    counts = counts.reshape(shape)
+    R = np.full(shape + (int(counts.max(initial=0)),), np.inf)  # inf: no candidate in this slot
+    F = np.zeros(R.shape)
+    R[ents, rows, slots], F[ents, rows, slots] = r, residual
+    found = np.all(counts > 0, axis=0)
+    R, F, counts = R[:, found], F[:, found], counts[:, found]
+    best = np.full((3, R.shape[1]), np.nan)  # median, largest residual, spread
+    seen = np.zeros(R.shape[1], dtype=bool)
+    for e, s in np.ndindex(n_ent, R.shape[2]):
+        anchor = s < counts[e]
+        near = np.argmin(np.abs(R - np.where(anchor, R[e, :, s], 0.0)[:, None]), axis=-1)[..., None]
+        rs = np.sort(np.take_along_axis(R, near, -1)[..., 0], axis=0)
+        med = rs[n_ent // 2] if n_ent % 2 else (rs[n_ent // 2 - 1] + rs[n_ent // 2]) / 2
+        # every root lies in the bracket, so med > 0
+        key = np.array([med, np.take_along_axis(F, near, -1)[..., 0].max(axis=0), (rs[-1] - rs[0]) / med])
+        wins = anchor & (~seen | (key[2] < best[2]) | ((key[2] == best[2]) & (key[1] < best[1])))
+        best[:, wins], seen = key[:, wins], seen | wins
+    out = np.full((3, n_dir), np.nan)
+    out[:, found] = best
+    return out[0], out[1], out[2], found
 
 
 def _fit_harmonic_model(
@@ -297,14 +337,17 @@ def stable_reconstruct(
 ) -> ReconstructedSurface:
     """Reconstruct r(direction) from near-field data.
 
-    For each degree in the ascending schedule, roots are found per direction
-    and per (k, alpha) entry; a direction is resolved when every entry has a
-    root and their relative spread is at most stability_tol (with a single
-    entry the spread is undefined and resolution falls back to the residual
-    criterion alone).  The search stops at the smallest degree resolving at
-    least the quorum fraction of directions; the radius per direction is the
-    median across entries.  Unresolved directions are filled from the
-    smoothed harmonic fit of the resolved ones and stay flagged.
+    For each degree in the ascending schedule, one search (``_search``) finds
+    the roots of every direction and (k, alpha) entry; a direction is resolved
+    when every entry has a root and their relative spread is at most
+    stability_tol (with a single entry the spread is undefined and resolution
+    falls back to the residual criterion alone).  The search stops at the
+    smallest degree resolving at least the quorum fraction of directions; the
+    radius per direction is the median across entries.  Unresolved directions
+    are filled from the smoothed harmonic fit of the resolved ones and stay
+    flagged.  Radii are clipped to the bracket, with a warning; resolved roots
+    lie inside it by construction, so only radii filled from the model can be
+    clipped.
     """
     if not data.entries:
         raise ValueError("no entries in near-field data")
@@ -330,28 +373,20 @@ def stable_reconstruct(
     # each L up to rounding (radii move by about 5e-10 between schedules
     # (3,) and (3, 4, 5, 6), as the projection rounds differently per degree)
     full = [extract_coeffs(e, data.quadrature, data.R, L_top) for e in data.entries]
-    single_entry = len(data.entries) == 1
+    # one harmonic table, sliced per degree, and one set of incidence cosines
+    Y = specfun.sph_harm_table(L_top, *_angles(dirs))
+    cosang, ks = _incidence(dirs, [e.ctx for e in data.entries])
 
     n = len(dirs)
     best = None  # (resolution, L, radii, residuals, spreads, resolved)
     for L in schedule:
-        per_entry = [
-            _ray_roots(c.truncated(L), e.ctx, dirs, bracket, grid_n, residual_threshold)
-            for c, e in zip(full, data.entries)
-        ]
-        radii = np.full(n, np.nan)
-        residuals = np.full(n, np.nan)
-        spreads = np.full(n, np.nan)
-        resolved = np.zeros(n, dtype=bool)
-        for i, cands in enumerate(zip(*per_entry)):
-            combo = _consistent_roots(list(cands))
-            if combo is None:
-                continue
-            roots, spread = combo
-            radii[i] = statistics.median(rr.r for rr in roots)
-            residuals[i] = float(max(rr.residual for rr in roots))
-            spreads[i] = spread if not single_entry else np.nan
-            resolved[i] = True if single_entry else spread <= stability_tol
+        W = _degree_weights(Y, [c.truncated(L) for c in full])
+        ents, rows, r, f, _ = _search(W, cosang, ks, bracket, grid_n, residual_threshold)
+        radii, residuals, spreads, resolved = _stable_roots(ents, rows, r, f, (len(ks), n))
+        if len(ks) == 1:  # the spread of one root is undefined
+            spreads[:] = np.nan
+        else:
+            resolved &= spreads <= stability_tol
         frac = float(np.count_nonzero(resolved)) / n
         logger.debug("L=%d resolves %.0f%% of directions", L, 100 * frac)
         if best is None or frac > best[0]:
@@ -381,6 +416,10 @@ def stable_reconstruct(
         filled = evaluate_harmonic_model(model, harmonic_degree, [dirs[i] for i in np.nonzero(fill)[0]])
         radii[fill] = filled
     lo, hi = bracket
+    clipped = np.count_nonzero((radii < lo) | (radii > hi))
+    if clipped:
+        logger.warning("%d of %d radii filled from the harmonic model lie outside the bracket %s: "
+                       "clipped to it", clipped, n, bracket)
     radii = np.clip(radii, lo, hi)
 
     return ReconstructedSurface(

@@ -203,16 +203,15 @@ def _bessel_dz(f: np.ndarray, z) -> np.ndarray:
     return np.concatenate([-f[1:2], f[:L] - (ells + 1) / z * f[1 : L + 1]])
 
 
-def hankel_out_table(L: int, k: float, r) -> np.ndarray:
-    """hankel_out(ell, k, r) for ell = 0..L; shape (L+1,) + shape(r).  Rows
-    0..L of a degree-(L+1) table are bitwise this table (see ``_h1_table``)."""
+def hankel_out_table(L: int, k, r) -> np.ndarray:
+    """hankel_out(ell, k, r) for ell = 0..L; shape (L+1,) + the broadcast shape
+    of k and r, each value bitwise that of its scalar k.  Rows 0..L of a
+    degree-(L+1) table are bitwise this table (see ``_h1_table``)."""
     _check_radial_args(L, r)
-    if not k > 0:  # NaN too
+    if not (np.all(k > 0) if isinstance(k, np.ndarray) else k > 0):  # NaN too
         raise DomainError(f"wavenumber must be > 0, got {k}")
-    ra = np.asarray(r, dtype=float)
-    h = _h1_table(L, k * ra)
-    phase = _outgoing_phase(L) * k
-    return h * phase.reshape((L + 1,) + (1,) * ra.ndim)
+    kr = k * np.asarray(r, dtype=float)
+    return _h1_table(L, kr) * (_outgoing_phase(L).reshape((L + 1,) + (1,) * kr.ndim) * k)
 
 
 def hankel_out(ell: int, k: float, r: float) -> complex:
@@ -220,12 +219,12 @@ def hankel_out(ell: int, k: float, r: float) -> complex:
     return complex(hankel_out_table(ell, k, r)[ell])
 
 
-def _hankel_out_pair(L: int, k: float, r) -> tuple[np.ndarray, np.ndarray]:
+def _hankel_out_pair(L: int, k, r) -> tuple[np.ndarray, np.ndarray]:
     """hankel_out_table(L, k, r) and its r-derivative, from one table of degree
     max(L, 1): dH_0/dr = i*k*H_1, dH_ell/dr = k*(i*H_{ell-1} - (ell+1)/(k*r)*H_ell)."""
     H = hankel_out_table(L or 1, k, r)  # a negative L still raises
-    ra = np.asarray(r, dtype=float)
-    dH = np.arange(2, L + 2).reshape((L,) + (1,) * ra.ndim) / (k * ra) * H[1 : L + 1]
+    kr = k * np.asarray(r, dtype=float)
+    dH = np.arange(2, L + 2).reshape((L,) + (1,) * kr.ndim) / kr * H[1 : L + 1]
     return H[: L + 1], k * np.concatenate([1j * H[1:2], 1j * H[:L] - dH])
 
 
