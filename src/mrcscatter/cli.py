@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import logging
 import math
@@ -64,10 +65,11 @@ def _numbers_finite(node) -> bool:
     if isinstance(node, dict):
         return all(map(_numbers_finite, node.values()))
     if isinstance(node, list):
-        with contextlib.suppress(ValueError):  # numbers or rows of them: one array
-            if (array := np.asarray(node)).dtype.kind in "biuf":
-                return bool(np.isfinite(array).all())
-        return all(map(_numbers_finite, node))  # ragged rows, null, strings, objects, big ints
+        with contextlib.suppress(TypeError, ValueError, OverflowError):  # numbers or rows of them
+            items = itertools.chain.from_iterable(node) if set(map(type, node)) == {list} else node
+            if np.isfinite(np.fromiter(items, float)).all():  # null reads as NaN: not taken here
+                return True
+        return all(map(_numbers_finite, node))  # non-finite, null, strings, objects, big ints
     try:
         return not isinstance(node, (int, float)) or math.isfinite(node)
     except OverflowError:  # an int beyond float range

@@ -7,7 +7,9 @@ psi[ell, m](x) = Y[ell, m](x/|x|) * hankel_out(ell, k, |x|).  For a soft
 derivatives.  The truncation degree L escalates until the relative residual
 meets the target; the smallest such L is kept.
 
-Each step reads the surface once and takes one Householder QR of [A | b]
+The surface is read once per block of four degrees, over the block's distinct
+rules, node by node (one Hankel table per block on a surface of revolution),
+so no step depends on its block.  Each step takes one Householder QR of [A | b]
 (columns of A at unit norm), reading the residual off the R factor as Q is
 orthonormal.  The QR is of a stack of systems, each zero-padded to one width
 (Householder no-ops).  The kept step solves the whole stack at once: one
@@ -127,14 +129,22 @@ class DirectSolution:
     history: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _read_boundary(surface: StarSurface, quad: SphereQuadrature, nodes=slice(None)):
-    """From one radial_map at the quadrature nodes ``nodes`` picks: f, the outward
-    normal's (r, theta, phi) components and the weight sqrt(w_p * omega_p)
-    with omega = f**2 / n_r, which turns the Euclidean norm over the nodes
-    into the discretized L2 boundary norm."""
-    f, ft, fp = surface.radial_map(quad.theta[nodes], quad.phi[nodes])
-    normal = _normal_from_map(quad.theta[nodes], f, ft, fp)
-    return f, normal, np.sqrt(quad.weights[nodes] * (f * f / normal[0]))
+def _read_boundary(surface: StarSurface, quad: SphereQuadrature):
+    """f, normal and scale of _read_rules on one rule's whole grid."""
+    return _read_rules(surface, [quad], False)[:3]
+
+
+def _read_rules(surface: StarSurface, quads, axis: bool):
+    """From one radial_map at the nodes of all the rules (each one's polar axis
+    if ``axis``): f, the outward normal's (r, theta, phi) components, the weight
+    sqrt(w_p * omega_p), omega = f**2 / n_r, which turns the Euclidean norm over
+    the nodes into the discretized L2 boundary norm, and where each rule ends."""
+    theta, phi, w = (np.concatenate([getattr(q, name)[:: q.n_phi if axis else 1] for q in quads])
+                     for name in ("theta", "phi", "weights"))
+    f, ft, fp = surface.radial_map(theta, phi)
+    normal = _normal_from_map(theta, f, ft, fp)
+    ends = np.cumsum([q.n_theta if axis else len(q) for q in quads]).tolist()
+    return f, normal, np.sqrt(w * (f * f / normal[0])), ends
 
 
 def incident_trace(
@@ -155,8 +165,7 @@ def _incident(quad, ctx, bc, f, normal) -> np.ndarray:
 
 
 def _boundary_weight(surface: StarSurface, quad: SphereQuadrature) -> np.ndarray:
-    """sqrt(w_p * omega_p): turns the Euclidean norm over the nodes into the
-    discretized L2 boundary norm."""
+    """The weight sqrt(w_p * omega_p) of _read_rules."""
     return _read_boundary(surface, quad)[2]
 
 
@@ -205,20 +214,20 @@ def _parity_system(quad, ctx, L, bc, f, normal, scale, b):
     return M[:n], rhs[:n], rhs[n:].ravel(), modes
 
 
-def _order_system(quad, ctx, L, bc, f, normal, scale, b):
-    """An axisymmetric surface's system (f, normal, scale on the polar axis)
-    after the unitary DFT along phi: the stack of L+1 systems B_|m| with
-    right-hand sides (b_m, (-1)**m b_-m), the bins no column reaches, and where
-    each flat mode (ell, m) sits in the solution stack: system |m|, column
-    ell - |m|, right-hand side 0 for m >= 0 and 1 for m < 0."""
+def _order_system(quad, hankel, L, bc, f, normal, scale, bh):
+    """An axisymmetric surface's system (f, normal, scale on the polar axis;
+    Hankel table at f, and dH/dr for Neumann, of degree >= L) after the unitary
+    DFT along phi (``bh`` of b): the stack of L+1 systems B_|m| with right-hand
+    sides (b_m, (-1)**m b_-m), the bins no column reaches, and where each flat
+    mode (ell, m) sits in the solution stack: system |m|, column ell - |m|,
+    right-hand side 0 for m >= 0 and 1 for m < 0."""
     P, (nr, nt, _) = quad.legendre(L), normal
-    if bc == DIRICHLET:
-        G = specfun.hankel_out_table(L, ctx.k, f)[:, None] * P
+    if bc == DIRICHLET:  # rows 0..L of a higher-degree table are bitwise the degree-L table
+        G = hankel[0][: L + 1, None] * P
     else:  # the normal has no phi component on a surface of revolution
-        H, Hd = (T[:, None] for T in specfun._hankel_out_pair(L, ctx.k, f))
+        H, Hd = (T[: L + 1, None] for T in hankel)
         G = nr * Hd * P + nt * (H / f) * quad.legendre_dtheta(L)
     G *= math.sqrt(quad.n_phi) * scale
-    bh = np.fft.fft(b.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho")
     ells, ms = specfun.mode_degrees(L), specfun.mode_orders(L)
     modes = (np.abs(ms), ells - np.abs(ms), (ms < 0).astype(int))
     A = np.zeros((L + 1, quad.n_theta, L + 1), dtype=complex)
@@ -323,6 +332,35 @@ def solve_least_squares(
     return _solve_factored(system, _factor(matrix, rhs), svd_cutoff)
 
 
+_BLOCK = 4  # escalation steps read ahead together: one radial_map per block
+
+
+def _escalation_steps(surface, ctx, bc, Ls, quad_degree_factor):
+    """Per degree L of ``Ls``: its rule, the boundary read (f, normal, scale; on
+    the polar axis of a surface of revolution, repeated along phi for b), the
+    incident data b (there its DFT along phi) with the norm of b, and there the
+    Hankel table at f (and dH/dr for Neumann) of the top degree of L's block."""
+    axis, last = surface.axisymmetric, (None,)
+    hankel = specfun._hankel_out_pair if bc == NEUMANN else lambda *a: (specfun.hankel_out_table(*a),)
+    for first in range(0, len(Ls), _BLOCK):
+        block = Ls[first : first + _BLOCK]
+        # >= 2L as quad_degree_factor >= 2; the floor keeps small-L residuals trustworthy
+        rules = [max(math.ceil(quad_degree_factor * L), 16) for L in block]
+        quads = {d: quadrature_for_degree(d) for d in rules}
+        f, normal, scale, ends = _read_rules(surface, list(quads.values()), axis)
+        logger.debug("L=%d..%d: one read of rules %s, %d nodes", block[0], block[-1], list(quads), len(f))
+        read = (f, *normal, scale, *(hankel(block[-1], ctx.k, f) if axis else ()))
+        nodes = dict(zip(quads, map(slice, [0, *ends], ends)))
+        for L, d in zip(block, rules):
+            quad, (f, nr, nt, nph, scale, *T) = quads[d], [x[..., nodes[d]] for x in read]
+            if d != last[0]:  # rules repeat only from one degree to the next
+                grid = [np.repeat(x, quad.n_phi if axis else 1, axis=-1) for x in (f, (nr, nt, nph), scale)]
+                b = _incident(quad, ctx, bc, *grid[:2]) * grid[2]
+                bh = np.fft.fft(b.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho") if axis else b
+                last = d, bh, np.linalg.norm(b)
+            yield L, quad, (f, (nr, nt, nph), scale), last[1:], T
+
+
 def mrc_solve(
     surface: StarSurface,
     ctx: WaveContext,
@@ -338,7 +376,8 @@ def mrc_solve(
 
     Exhausting L_max is not an error: the best coefficients found are
     returned with ``converged = False``.  A step whose system is not finite
-    (overflow) ends the escalation the same way; ValueError if none was.
+    (overflow) ends the escalation the same way; ValueError if none was.  The
+    boundary is read per block of four degrees, each step bitwise as if alone.
     """
     _check_bc(bc)
     _check_svd_cutoff(svd_cutoff)
@@ -354,17 +393,10 @@ def mrc_solve(
         )
     history: list[tuple[int, float]] = []
     best, converged = None, False
-    for L in range(L_start, L_max + 1):
-        # >= 2L as quad_degree_factor >= 2; the floor keeps small-L residuals trustworthy
-        degree = max(math.ceil(quad_degree_factor * L), 16)
-        quad = quadrature_for_degree(degree)
-        # a surface of revolution is read on the polar axis, repeated along phi for b
-        step = quad.n_phi if surface.axisymmetric else 1
-        f, normal, scale = _read_boundary(surface, quad, slice(None, None, step))
-        grid = [np.repeat(x, step, axis=-1) for x in (f, normal, scale)]
-        b = _incident(quad, ctx, bc, *grid[:2]) * grid[2]
+    steps = _escalation_steps(surface, ctx, bc, range(L_start, L_max + 1), quad_degree_factor)
+    for L, quad, (f, normal, scale), (b, b_norm), hankel in steps:
         if surface.axisymmetric:
-            system = _order_system(quad, ctx, L, bc, f, normal, scale, b)
+            system = _order_system(quad, hankel, L, bc, f, normal, scale, b)
         elif surface.mirror_symmetric:
             system = _parity_system(quad, ctx, L, bc, f, normal, scale, b)
         else:
@@ -373,7 +405,6 @@ def mrc_solve(
             logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
             break
         factor = _factor(*system[:2])
-        b_norm = np.linalg.norm(b)
         rel = _qr_residual(system, factor) / b_norm
         history.append((L, rel))
         logger.debug("L=%d relative residual %.3e", L, rel)

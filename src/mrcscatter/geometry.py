@@ -169,6 +169,11 @@ class SphereQuadrature:
         return float(np.sqrt(np.sum(self.weights * np.abs(f) ** 2, axis=-1).real))
 
 
+@functools.lru_cache(maxsize=128)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)  # imports numpy.polynomial at first use
+
+
 def make_quadrature(n_theta: int, n_phi: int) -> SphereQuadrature:
     """Build the tensor-product rule; exact up to harmonic degree
     min(2*n_theta - 1, n_phi - 1)."""
@@ -176,7 +181,8 @@ def make_quadrature(n_theta: int, n_phi: int) -> SphereQuadrature:
         raise ValueError(f"n_theta must be >= 2, got {n_theta}")
     if n_phi < 4:
         raise ValueError(f"n_phi must be >= 4, got {n_phi}")
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    x, wx = _leggauss(n_theta)
+    x.flags.writeable = wx.flags.writeable = False  # cached, shared by every rule of n_theta
     theta_1d = np.arccos(x)
     phi_1d = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * math.pi / n_phi

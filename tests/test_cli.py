@@ -1,12 +1,15 @@
 """Command-line workflows: exit codes, file outputs, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrcscatter import cli, serialize
 from mrcscatter.cli import EXIT_ERROR, EXIT_OK, EXIT_UNCONVERGED, build_parser, main
@@ -356,6 +359,51 @@ class TestIntegerBeyondFloatRange:
         # ints within float range, null, bools and strings are no numbers to refuse
         doc = json.loads(json.dumps({"rows": [[value, 1.5], [2.5, 3.5]], "x": [value], "y": value}))
         assert cli._numbers_finite(doc)
+
+
+def numbers_finite_by_arrays(node) -> bool:
+    """The pass as it read a list before: one np.asarray of the nested list."""
+    if isinstance(node, dict):
+        return all(map(numbers_finite_by_arrays, node.values()))
+    if isinstance(node, list):
+        with contextlib.suppress(ValueError):
+            if (array := np.asarray(node)).dtype.kind in "biuf":
+                return bool(np.isfinite(array).all())
+        return all(map(numbers_finite_by_arrays, node))
+    try:
+        return not isinstance(node, (int, float)) or math.isfinite(node)
+    except OverflowError:
+        return False
+
+
+SCALARS = st.one_of(
+    st.floats(), st.integers(), st.integers(min_value=10**300, max_value=10**320), st.booleans(),
+    st.none(), st.sampled_from(["1e999", "NaN", "inf", "1.5", "x", ""]),
+)
+TREES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.lists(inner, min_size=2, max_size=2), max_size=4),  # sample rows
+        st.dictionaries(st.sampled_from(["1", "inf", "k"]), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(TREES)
+def test_numbers_finite_answers_as_the_array_pass(doc):
+    doc = json.loads(json.dumps(doc))  # what the loader sees: inf and nan come as 1e999 parses
+    assert cli._numbers_finite(doc) is numbers_finite_by_arrays(doc)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5, 1.5], [2.5, float("inf")]], [[0.5, None]], [[1.5], [2.5, 3.5]], [[0.5, 10**400]],
+    [[[0.5, 1.5]], [[2.5, float("nan")]]], [{"1": float("inf")}], [[0.5, "1e999"]], [],
+], ids=["inf", "null", "ragged", "huge int", "deeper", "dict row", "string", "empty"])
+def test_numbers_finite_reads_rows_exactly(rows):
+    assert cli._numbers_finite(rows) is numbers_finite_by_arrays(rows)
 
 
 @pytest.mark.parametrize("literal, wording", [

@@ -1,5 +1,5 @@
-"""One escalation step of ``mrc_solve``: one surface read, the boundary system
-it builds, and the solve at the kept step.
+"""One escalation step of ``mrc_solve``: the boundary system it builds from
+one surface read per block of four steps, and the solve at the kept step.
 
 The reference system below is built the way the solver built it before it
 read the surface once per step: the weight from ``surface_element``, the
@@ -67,7 +67,7 @@ def test_one_surface_read_per_step_and_the_same_system(bc, monkeypatch):
     # an unreachable target runs every step from L_start to L_max
     sol = mrc_solve(surface, ctx, bc, eps_target=1e-300, L_start=2, L_max=7)
     assert [L for L, _ in sol.history] == list(range(2, 8))
-    assert surface.evaluations == len(sol.history)
+    assert surface.evaluations == 2  # one read per block: L = 2..5 and 6..7
     monkeypatch.undo()
     for (L, _), (A, b) in zip(sol.history, systems):
         quad = direct_solver.quadrature_for_degree(max(int(np.ceil(2.5 * L)), 2 * L, 16))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mrcscatter import geometry
 from mrcscatter import specfun as sf
 from mrcscatter.geometry import (
     Direction,
@@ -235,6 +236,23 @@ def test_quadrature_for_degree_is_built_once_with_read_only_nodes():
     fresh = make_quadrature(quad.n_theta, quad.n_phi)
     np.testing.assert_array_equal(quad.weights, fresh.weights)
     assert fresh.weights.flags.writeable
+
+
+def test_gauss_legendre_nodes_are_computed_once_per_count():
+    geometry._leggauss.cache_clear()
+    first, again = make_quadrature(7, 12), make_quadrature(7, 16)
+    assert geometry._leggauss.cache_info()[:2] == (1, 1)  # one hit, one miss
+    x, w = np.polynomial.legendre.leggauss(7)
+    for quad, n_phi in ((first, 12), (again, 16)):
+        # each rule owns fresh, writable arrays, bitwise those of an uncached build
+        np.testing.assert_array_equal(quad.theta_axis, np.arccos(x))
+        np.testing.assert_array_equal(quad.weights, np.repeat(w * (2.0 * math.pi / n_phi), n_phi))
+        assert quad.theta.flags.writeable and quad.weights.flags.writeable
+    for cached in geometry._leggauss(7):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+    first.theta[0] = 0.0  # a rule's nodes are its own
+    np.testing.assert_array_equal(make_quadrature(7, 12).theta_axis, np.arccos(x))
 
 
 def test_check_aliasing_needs_twice_the_transform_degree():

@@ -7,9 +7,9 @@ degree first asked for, and rebuilds one only when a larger degree is asked
 for; a smaller degree reads a slice.  The recurrences ascend in degree and
 order, so every slice must be bitwise the table built fresh at its degree,
 whatever the order the degrees are asked in.  On an axisymmetric surface
-``mrc_solve`` reads the radial map once per step on the n_theta polar nodes,
-and the per-order system it builds must be bitwise the one built from a
-full-grid read.
+``mrc_solve`` reads the radial map once per block of four steps, on the n_theta
+polar nodes of each distinct rule of the block, and the per-order system it
+builds must be bitwise the one built from a full-grid read.
 """
 
 import math
@@ -122,25 +122,31 @@ def test_surface_of_revolution_is_read_on_the_polar_axis(surface, bc, monkeypatc
     monkeypatch.setattr(type(surface), "radial_map", counting)
     order_system = direct_solver._order_system
 
-    def recording(quad, ctx, L, bc, f, normal, scale, b):
-        system = order_system(quad, ctx, L, bc, f, normal, scale, b)
-        systems.append((quad, L, b, system))
+    def recording(quad, hankel, L, bc, f, normal, scale, bh):
+        system = order_system(quad, hankel, L, bc, f, normal, scale, bh)
+        systems.append((quad, L, bh, system))
         return system
 
     monkeypatch.setattr(direct_solver, "_order_system", recording)
     sol = mrc_solve(surface, CTX, bc, eps_target=EPS[bc], L_max=14)
     steps = [L for L, _ in sol.history]
-    assert reads == [(quadrature_for_degree(max(math.ceil(2.5 * L), 16)).n_theta,) for L in steps]
+    # one read per block L..L+3 reached, on the polar nodes of its distinct rules
+    blocks = [{max(math.ceil(2.5 * L), 16) for L in range(first, min(first + 4, 15))}
+              for first in range(0, steps[-1] + 1, 4)]
+    assert reads == [(sum(quadrature_for_degree(d).n_theta for d in rules),) for rules in blocks]
     assert [L for _, L, _, _ in systems] == steps
 
     # the same system from a full-grid read, sliced to the polar axis
-    for quad, L, b, (A, rhs, rest, modes) in systems:
+    for quad, L, bh, (A, rhs, rest, modes) in systems:
         f, normal, scale = _read_boundary(surface, quad)
         assert reads.pop() == (len(quad),)
         b_ref = _incident(quad, CTX, bc, f, normal) * scale
+        bh_ref = np.fft.fft(b_ref.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho")
         axis = slice(None, None, quad.n_phi)
-        ref = order_system(quad, CTX, L, bc, f[axis], [x[axis] for x in normal], scale[axis], b_ref)
-        assert b.tobytes() == b_ref.tobytes()
+        f, normal, scale = f[axis], [x[axis] for x in normal], scale[axis]
+        hankel = (sf.hankel_out_table(L, CTX.k, f),) if bc == "dirichlet" else sf._hankel_out_pair(L, CTX.k, f)
+        ref = order_system(quad, hankel, L, bc, f, normal, scale, bh_ref)
+        assert bh.tobytes() == bh_ref.tobytes()
         for got, want in zip((A, rhs, rest), ref[:3]):
             assert got.tobytes() == want.tobytes()
         assert all(np.array_equal(g, w) for g, w in zip(modes, ref[3]))
