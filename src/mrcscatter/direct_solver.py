@@ -32,6 +32,7 @@ to L_max=30 leaves 3.0 (Dirichlet, axisymmetric) to 6.1 MB (Neumann, general).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -230,12 +231,23 @@ def _order_system(quad, hankel, L, bc, f, normal, scale, bh):
     G *= math.sqrt(quad.n_phi) * scale
     ells, ms = specfun.mode_degrees(L), specfun.mode_orders(L)
     modes = (np.abs(ms), ells - np.abs(ms), (ms < 0).astype(int))
-    A = np.zeros((L + 1, quad.n_theta, L + 1), dtype=complex)
-    A[modes[0], :, modes[1]] = G[ells, modes[0]]
+    A = np.concatenate((G.ravel(), np.zeros(quad.n_theta)))[_order_plan(L, quad.n_theta)]
     # Y[ell, -m] = Pbar[ell, m] * (-1)**m * exp(-i*m*phi), so B_-m = (-1)**m B_m
     rhs = np.zeros((L + 1, quad.n_theta, 2), dtype=complex)
-    rhs[modes[0], :, modes[2]] = bh[:, ms].T * np.where(ms < 0, (-1.0) ** ms, 1.0)[:, None]
+    rhs[:, :, 0] = bh[:, : L + 1].T * 1.0  # the complex product m < 0 takes: signed zeros round alike
+    rhs[1:, :, 1] = bh[:, -1 : -L - 1 : -1].T * (-1.0) ** np.arange(1, L + 1)[:, None]
     return A, rhs, bh[:, L + 1 : quad.n_phi - L].ravel(), modes
+
+
+@functools.lru_cache(maxsize=None)
+def _order_plan(L: int, n_theta: int) -> np.ndarray:
+    """Flat indices taking G (L+1, L+1, n_theta), flattened with one zero row
+    appended, to the stack A[m, :, j] = G[m + j, m, :], zero where m + j > L."""
+    m, j = np.arange(L + 1)[:, None], np.arange(L + 1)
+    row = np.where(m + j <= L, (m + j) * (L + 1) + m, (L + 1) ** 2)
+    plan = row[:, None, :] * n_theta + np.arange(n_theta)[:, None]
+    plan.flags.writeable = False
+    return plan
 
 
 def assemble_basis_matrix(

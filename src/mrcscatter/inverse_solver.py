@@ -13,9 +13,9 @@ directions: per-degree weights for every (entry, direction) row and one Hankel
 table with its r-derivative at the shared grid radii and every entry's k give
 p and g = Re(conj(p) * p') on the (entry x direction x grid) array; every
 interior grid minimum of |p| is polished together, at its entry's k, as the
-root of g by one batched bracketed secant, or by golden section where g shows
-no sign change.  The stable root of every direction is then picked by one loop
-over anchor slots.  ``find_ray_root`` is the same search on a single direction.
+root of g by one batched safeguarded Newton iteration on g and g', or by golden
+section where g shows no sign change.  One loop over anchor slots then picks
+the stable root of every direction.  ``find_ray_root`` searches one direction.
 """
 
 from __future__ import annotations
@@ -158,14 +158,20 @@ def ray_function(coeffs: CoefficientSet, ctx: WaveContext, dir_out: Direction, r
     return _ray_values(W[:, None], cosang[:, None], ctx.k, r.ravel())[0][0].reshape(r.shape)
 
 
-def _ray_values(W: np.ndarray, cosang, k, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p and g = Re(conj(p) * dp/dr) on rays with per-degree weights W[..., :],
-    incidence cosines cosang and wavenumbers k, with radii r broadcast against
-    cosang and k."""
+def _ray_values(W: np.ndarray, cosang, k, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p, g = Re(conj(p) * p') and g' = |p'|**2 + Re(conj(p) * p'') on rays with
+    per-degree weights W[..., :], incidence cosines cosang and wavenumbers k,
+    with radii r broadcast against cosang and k.  H'' comes from H and H' by the
+    spherical Bessel equation (Abramowitz & Stegun 10.1.1):
+    H'' = -(2/r) H' - (k**2 - ell(ell+1)/r**2) H."""
     H, dH = specfun._hankel_out_pair(W.shape[-1] - 1, k, r)
-    inc = np.exp(1j * k * cosang * r)
-    p = inc + _degree_sum(W, H)
-    return p, np.real(np.conj(p) * (1j * k * cosang * inc + _degree_sum(W, dH)))
+    ell = np.arange(len(H)).reshape((-1,) + (1,) * (H.ndim - 1))
+    d2H = -(2 / r) * dH - (k**2 - ell * (ell + 1) / r**2) * H  # on the table, before the degree sum
+    ikc = 1j * k * cosang
+    inc = np.exp(ikc * r)
+    p, dp = inc + _degree_sum(W, H), ikc * inc + _degree_sum(W, dH)
+    cp = np.conj(p)
+    return p, np.real(cp * dp), np.abs(dp) ** 2 + np.real(cp * (ikc**2 * inc + _degree_sum(W, d2H)))
 
 
 def _degree_sum(W: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -186,8 +192,9 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     """The ray search on every (entry, direction) row at once: per-degree
     weights W (entries, n_dir, L+1), incidence cosines (entries, n_dir) and the
     entries' wavenumbers k.  One Hankel table on the grid at every k, then
-    one batched bracketed secant on the roots of g over all candidates (golden
-    section on |p| for the rest); each candidate carries its entry's k.
+    one batched safeguarded Newton iteration on the roots of g over all
+    candidates, g' from the same table as g (golden section on |p| for the
+    rest); each candidate carries its entry's k.
     Returns entry, direction, r, residual and imag_score of the kept
     candidates, ordered by entry, direction and residual (a stable sort of the
     grid order)."""
@@ -197,7 +204,7 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
     grid = np.linspace(r_lo, r_hi, grid_n)
-    p, g = _ray_values(W[:, :, None], cosang[:, :, None], k[:, None, None], grid)
+    p, g, _ = _ray_values(W[:, :, None], cosang[:, :, None], k[:, None, None], grid)
     pg = np.abs(p)
     # strict interior minima; row-major order keeps each row's grid order
     inner = pg[..., 1:-1]
@@ -211,7 +218,7 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     a, r0, f0 = (cells + right)[i], np.empty(rows.size), np.empty(rows.size)
     ray = lambda n, r: _ray_values(W[ents[n], rows[n]], cosang[ents[n], rows[n]], k[ents[n]], r)
     r0[i], steps = specfun.bracketed_root(
-        lambda r: ray(i, r)[1], grid[a], grid[a + 1], g[ents[i], rows[i], a], g[ents[i], rows[i], a + 1]
+        lambda r: ray(i, r)[1:], grid[a], grid[a + 1], g[ents[i], rows[i], a], g[ents[i], rows[i], a + 1]
     )
     f0[i] = np.abs(ray(i, r0[i])[0])
     if j.size:
@@ -219,7 +226,7 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
         r0[j], f0[j] = specfun.golden_min(lambda r: np.abs(ray(j, r)[0]), grid[b], grid[b + 2])
     if logger.isEnabledFor(logging.DEBUG):
         count = lambda e: np.bincount(e, minlength=len(k)).tolist()
-        logger.debug("ray search L=%d k=%s: %s candidates, %d secant steps, %s golden fallbacks",
+        logger.debug("ray search L=%d k=%s: %s candidates, %d Newton steps, %s golden fallbacks",
                      W.shape[-1] - 1, k.tolist(), count(ents), steps, count(ents[j]))
     # an all-zero row has no strict minimum, so max |p| > 0 on every candidate row
     score = f0 / np.max(pg, axis=-1)[ents, rows]
@@ -256,8 +263,10 @@ def find_ray_root(
 
     |p| is sampled on a uniform grid over the bracket; every interior local
     minimum below residual_threshold (relative to the grid maximum of |p|) is
-    polished as the root of d|p|^2/dr, or by golden section on |p| where that
-    shows no sign change on the grid.  Candidates come back sorted by residual.
+    polished as the root of d|p|^2/dr by safeguarded Newton steps (the second
+    derivative from the spherical Bessel equation), or by golden section on |p|
+    where that shows no sign change on the grid.  Candidates come back sorted
+    by residual.
     An exact zero may not exist on the real ray, so the depth of the minimum
     (``imag_score``) measures how close the root is to the positive semiaxis.
 
@@ -285,17 +294,25 @@ def _stable_roots(ents, rows, r, residual, shape: tuple[int, int]):
     R[ents, rows, slots], F[ents, rows, slots] = r, residual
     found = np.all(counts > 0, axis=0)
     R, F, counts = R[:, found], F[:, found], counts[:, found]
-    best = np.full((3, R.shape[1]), np.nan)  # median, largest residual, spread
-    seen = np.zeros(R.shape[1], dtype=bool)
+    # best: median, largest residual and spread; cols: the directions left in R
+    best, cols = np.full((3, R.shape[1]), np.nan), np.arange(R.shape[1])
     for e, s in np.ndindex(n_ent, R.shape[2]):
+        if not cols.size:
+            break
         anchor = s < counts[e]
         near = np.argmin(np.abs(R - np.where(anchor, R[e, :, s], 0.0)[:, None]), axis=-1)[..., None]
         rs = np.sort(np.take_along_axis(R, near, -1)[..., 0], axis=0)
         med = rs[n_ent // 2] if n_ent % 2 else (rs[n_ent // 2 - 1] + rs[n_ent // 2]) / 2
         # every root lies in the bracket, so med > 0
         key = np.array([med, np.take_along_axis(F, near, -1)[..., 0].max(axis=0), (rs[-1] - rs[0]) / med])
-        wins = anchor & (~seen | (key[2] < best[2]) | ((key[2] == best[2]) & (key[1] < best[1])))
-        best[:, wins], seen = key[:, wins], seen | wins
+        if e == s == 0:  # the first anchor wins everywhere; where every entry has one
+            # candidate, every later anchor picks the same roots, so those directions leave R
+            best, multi = key, np.any(counts > 1, axis=0)
+            R, F, counts, cols = R[:, multi], F[:, multi], counts[:, multi], cols[multi]
+        else:
+            old = best[:, cols]
+            wins = anchor & ((key[2] < old[2]) | ((key[2] == old[2]) & (key[1] < old[1])))
+            best[:, cols[wins]] = key[:, wins]
     out = np.full((3, n_dir), np.nan)
     out[:, found] = best
     return out[0], out[1], out[2], found

@@ -22,17 +22,21 @@ a quadrature rule for its two axes, where Y is their product per mode
 (``_grid_modes``) with bitwise the same values.  Real harmonics and their
 partials, for any list of weighted (ell, m), come from ``_real_harmonics``.
 
-All functions are pure; vectorized ``*_table`` variants return values for
-every degree 0..L at once and are what the solvers use internally.
+All functions are pure, but ``bracketed_root`` logs its bisections at DEBUG;
+vectorized ``*_table`` variants return values for every degree 0..L at once
+and are what the solvers use internally.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 
 class DomainError(ValueError):
@@ -417,22 +421,29 @@ def golden_min(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple[np.ndarray,
     return np.where(lt, c, d), np.where(lt, fc, fd)
 
 
-def bracketed_root(f: Callable[[np.ndarray], np.ndarray], a, b, fa, fb) -> tuple[np.ndarray, int]:
-    """Roots of f on the brackets [a[i], b[i]] with fa = f(a) < 0 <= fb = f(b),
-    and the number of calls of f, by Illinois regula falsi batched as in
-    ``golden_min``: the secant point replaces the end of its sign, and when one
-    end moves twice running the value at the other is halved.  A bracket stops
-    at width _ROOT_REL_TOL * max(|a|, |b|), or when its secant point leaves it."""
+def bracketed_root(f: Callable[[np.ndarray], tuple], a, b, fa, fb) -> tuple[np.ndarray, int]:
+    """Roots of g on the brackets [a[i], b[i]] with fa = g(a) < 0 <= fb = g(b),
+    and the number of calls of f, which returns (g, dg/dx) elementwise, by a
+    safeguarded Newton iteration (``rtsafe``, Numerical Recipes 9.4) batched as
+    in ``golden_min``.  Each bracket starts at its secant point (on an end, the
+    root, with no call); the evaluated point replaces the end of its sign, and
+    a step that leaves the bracket, is not finite or is not under half the step
+    before bisects instead.  A bracket stops when |g/g'| there is at most
+    _ROOT_REL_TOL * max(|a|, |b|), returning the Newton update (NaN for a NaN
+    g), or when it is that narrow.  The bisection count goes to the DEBUG log."""
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    moved, calls = np.zeros(a.shape), 0  # +1 where a moved last, -1 where b did
-    while True:
-        x = b - fb * (b - a) / (fb - fa)
-        active = (a < x) & (x < b) & ((b - a) > _ROOT_REL_TOL * np.maximum(np.abs(a), np.abs(b)))
-        if not np.any(active):
-            return x, calls
-        fx, calls = f(x), calls + 1
-        up, down = active & (fx < 0), active & ~(fx < 0)
-        fa, fb = np.where(down & (moved < 0), 0.5 * fa, fa), np.where(up & (moved > 0), 0.5 * fb, fb)
-        a, fa = np.where(up, x, a), np.where(up, fx, fa)
-        b, fb = np.where(down, x, b), np.where(down, fx, fb)
-        moved = np.where(up, 1.0, np.where(down, -1.0, moved))
+    x = b - fb * (b - a) / (fb - fa)
+    active, calls, step, bisections = (a < x) & (x < b), 0, b - a, 0
+    while np.any(active):
+        (g, dg), calls = f(x), calls + 1
+        a, b = np.where(active & (g < 0), x, a), np.where(active & (g >= 0), x, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = x - np.where(g == 0, 0.0, g / dg)
+        tol = _ROOT_REL_TOL * np.maximum(np.abs(a), np.abs(b))
+        done = ~(np.abs(t - x) > tol)  # a NaN g too
+        newton = done | ((a < t) & (t < b) & (np.abs(t - x) < 0.5 * step))
+        t = np.where(active, np.where(newton, t, 0.5 * (a + b)), x)
+        x, step, bisections = t, np.abs(t - x), bisections + np.count_nonzero(active & ~newton)
+        active &= ~done & ((b - a) > tol)
+    logger.debug("polished %d roots: %d Newton steps, %d bisection fallbacks", x.size, calls, bisections)
+    return x, calls

@@ -150,3 +150,33 @@ def test_only_the_general_path_builds_grid_modes(monkeypatch):
     assert calls == []
     sol = mrc_solve(Ellipsoid(1.0, 0.95, 0.9), ctx, "dirichlet", eps_target=1e-3, L_max=12)
     assert calls == [L for L, _ in sol.history]
+
+
+def _order_system_by_scatter(quad, hankel, L, bc, f, normal, scale, bh):
+    """``_order_system``'s stack and right-hand sides filled by an index
+    scatter into zeroed arrays: the reference for its cached gather."""
+    P, (nr, nt, _) = quad.legendre(L), normal
+    if bc == "dirichlet":
+        G = hankel[0][: L + 1, None] * P
+    else:
+        H, Hd = (T[: L + 1, None] for T in hankel)
+        G = nr * Hd * P + nt * (H / f) * quad.legendre_dtheta(L)
+    G *= math.sqrt(quad.n_phi) * scale
+    ells, ms = sf.mode_degrees(L), sf.mode_orders(L)
+    A = np.zeros((L + 1, quad.n_theta, L + 1), dtype=complex)
+    A[np.abs(ms), :, ells - np.abs(ms)] = G[ells, np.abs(ms)]
+    rhs = np.zeros((L + 1, quad.n_theta, 2), dtype=complex)
+    rhs[np.abs(ms), :, (ms < 0).astype(int)] = bh[:, ms].T * np.where(ms < 0, (-1.0) ** ms, 1.0)[:, None]
+    return A, rhs
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_order_system_gather_matches_the_scatter_bitwise(bc):
+    steps = direct_solver._escalation_steps(BUMPY, WaveContext(1.0, ALPHA), bc, range(0, 20), 2.5)
+    for L, quad, (f, normal, scale), (b, _), hankel in steps:
+        signed = b.copy()
+        signed.real[b.real < 0] = -0.0  # a product with 1.0 turns some -0.0 to +0.0
+        for bh in (b, signed):
+            A, rhs, *_ = direct_solver._order_system(quad, hankel, L, bc, f, normal, scale, bh)
+            A_ref, rhs_ref = _order_system_by_scatter(quad, hankel, L, bc, f, normal, scale, bh)
+            assert A.tobytes() == A_ref.tobytes() and rhs.tobytes() == rhs_ref.tobytes()

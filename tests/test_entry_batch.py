@@ -131,8 +131,8 @@ class TestAllEntriesSearch:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("ray search")]
         assert [line.split(":")[0] for line in lines] == ["ray search L=3 k=[1.0, 1.0, 1.5]",
                                                           "ray search L=4 k=[1.0, 1.0, 1.5]"]
-        # candidates and golden fallbacks per entry, one shared secant-step count
-        assert all("candidates" in line and "secant steps" in line and "golden" in line for line in lines)
+        # candidates and golden fallbacks per entry, one shared Newton-step count
+        assert all("candidates" in line and "Newton steps" in line and "golden" in line for line in lines)
 
 
 def _pick_both(per_entry_dir):

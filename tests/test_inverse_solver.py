@@ -1,5 +1,6 @@
 """Coefficient extraction, ray root search, stable reconstruction."""
 
+import functools
 import itertools
 import logging
 import math
@@ -141,6 +142,35 @@ class TestFindRayRoot:
             find_ray_root(c, WaveContext(1.0, Z_HAT), Z_HAT, (0.5, 2.0), grid_n=8)
 
 
+@functools.cache
+def _polished_search():
+    """(k, coefficients, context, roots, Hankel table count) of one ray search
+    per wavenumber on the perturbed-sphere data of the inverse_sweep
+    benchmark, at L = 8."""
+    surface = PerturbedSphere(1.0, [(2, 0, 0.2)])
+    quad = make_quadrature(24, 48)
+    dirs = fibonacci_directions(8)
+    calls = []
+    table = sf.hankel_out_table
+
+    def counted(*args):
+        calls.append(args[0])
+        return table(*args)
+
+    out = []
+    for k, alpha in ((1.0, Z_HAT), (1.5, X_HAT)):
+        ctx = WaveContext(k, alpha)
+        sol = mrc_solve(surface, ctx, "dirichlet", eps_target=1e-5, L_max=30)
+        entry = NearFieldEntry(ctx=ctx, samples=fields.field_on_sphere(sol.coefficients, ctx, 3.0, quad))
+        c = extract_coeffs(entry, quad, 3.0, 8)
+        calls.clear()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sf, "hankel_out_table", counted)
+            found = _ray_roots(c, ctx, dirs, (0.3, 2.5), 64, 0.5)
+        out.append((k, c, ctx, found, len(calls)))
+    return tuple(out)
+
+
 class TestRootPolish:
     """Each grid minimum of |p| is polished as the root of g = Re(conj(p) p')
     on the half-cell where g turns from negative to non-negative, or by
@@ -157,7 +187,7 @@ class TestRootPolish:
         roots = find_ray_root(c, ctx, d, bracket, grid_n, residual_threshold=1.0)
         grid = np.linspace(*bracket, grid_n)
         W, cosang = _ray_weights(c, ctx, [d])
-        p, g = (v[0] for v in _ray_values(W[:, None], cosang[:, None], ctx.k, grid))
+        p, g, _ = (v[0] for v in _ray_values(W[:, None], cosang[:, None], ctx.k, grid))
         pg = np.abs(p)
         cells = [i for i in range(grid_n - 2) if pg[i + 1] < pg[i] and pg[i + 1] < pg[i + 2]]
         assert len(cells) == len(roots) == 1
@@ -168,35 +198,80 @@ class TestRootPolish:
         )
         assert roots[0].r == r[0] and roots[0].residual == f[0]
 
-    def test_polished_search_makes_at_most_20_hankel_calls(self, monkeypatch):
-        # the perturbed-sphere data of the inverse_sweep benchmark, at L = 8
-        surface = PerturbedSphere(1.0, [(2, 0, 0.2)])
-        quad = make_quadrature(24, 48)
-        dirs = fibonacci_directions(8)
-        calls = []
-        table = sf.hankel_out_table
-
-        def counted(*args):
-            calls.append(args[0])
-            return table(*args)
-
-        for k, alpha in ((1.0, Z_HAT), (1.5, X_HAT)):
-            ctx = WaveContext(k, alpha)
-            sol = mrc_solve(surface, ctx, "dirichlet", eps_target=1e-5, L_max=30)
-            entry = NearFieldEntry(ctx=ctx, samples=fields.field_on_sphere(sol.coefficients, ctx, 3.0, quad))
-            c = extract_coeffs(entry, quad, 3.0, 8)
-            calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(sf, "hankel_out_table", counted)
-                found = _ray_roots(c, ctx, dirs, (0.3, 2.5), 64, 0.5)
+    def test_polished_search_makes_at_most_20_hankel_calls(self):
+        for k, c, ctx, found, calls in _polished_search():
             assert all(found)
-            assert len(calls) <= 20
+            assert calls <= 20
             for roots in found:
-                p, g = _ray_values(
+                p, g, _ = _ray_values(
                     *_ray_weights(c, ctx, [roots[0].dir_out]), k, np.array([roots[0].r])
                 )
                 # the polished radius is a stationary point of |p|
                 assert abs(g[0]) <= 1e-9 * abs(p[0]) * k
+
+    def test_polished_search_makes_at_most_10_hankel_calls(self):
+        # 8 at each k: the grid table, 6 Newton steps and the residual
+        for _, _, _, found, calls in _polished_search():
+            assert all(found)
+            assert calls <= 10
+
+    def test_ray_derivative_matches_a_central_difference(self):
+        # g' = |p'|**2 + Re(conj(p) p''), with p'' from the spherical Bessel equation
+        c = extract_coeffs(sphere_data().entries[1], make_quadrature(24, 48), 3.0, 8)
+        ctx = WaveContext(1.5, X_HAT)
+        W, cosang = _ray_weights(c, ctx, [Direction(1.1, 0.4), Direction(2.5, 4.0)])
+        r, h = np.array([0.4, 0.9, 1.0, 1.7, 2.4]), 1e-6
+        for w, cos in zip(W, cosang):
+            g = lambda x: _ray_values(w[None], cos, ctx.k, x)[1]
+            dg = _ray_values(w[None], cos, ctx.k, r)[2]
+            np.testing.assert_allclose(dg, (g(r + h) - g(r - h)) / (2 * h), rtol=1e-6, atol=1e-8)
+
+
+def _illinois_root(f, a, b, fa, fb):
+    """Illinois regula falsi on g alone, the reference for the Newton polish:
+    the secant point replaces the end of its sign, and when one end moves
+    twice running the value at the other is halved."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    moved, calls = np.zeros(a.shape), 0  # +1 where a moved last, -1 where b did
+    while True:
+        x = b - fb * (b - a) / (fb - fa)
+        active = (a < x) & (x < b) & ((b - a) > 1e-10 * np.maximum(np.abs(a), np.abs(b)))
+        if not np.any(active):
+            return x, calls
+        fx, calls = f(x)[0], calls + 1
+        up, down = active & (fx < 0), active & ~(fx < 0)
+        fa, fb = np.where(down & (moved < 0), 0.5 * fa, fa), np.where(up & (moved > 0), 0.5 * fb, fb)
+        a, fa = np.where(up, x, a), np.where(up, fx, fa)
+        b, fb = np.where(down, x, b), np.where(down, fx, fb)
+        moved = np.where(up, 1.0, np.where(down, -1.0, moved))
+
+
+class TestNewtonAgainstIllinois:
+    """The Newton polish finds the roots the regula falsi found, to rounding."""
+
+    @pytest.mark.parametrize("case", ["noisy_sphere", "bumpy"])
+    def test_same_roots_resolution_and_degree(self, case, monkeypatch):
+        quad = make_quadrature(24, 48)
+        if case == "noisy_sphere":
+            data, dirs, kw = add_noise(sphere_data(quad), 0.01, seed=3), fibonacci_directions(50), {}
+        else:
+            surface = PerturbedSphere(1.0, [(2, 0, 0.2)])
+            entries = []
+            for k, alpha in ((1.0, Z_HAT), (1.5, X_HAT)):
+                ctx = WaveContext(k, alpha)
+                sol = mrc_solve(surface, ctx, "dirichlet", eps_target=1e-5, L_max=30)
+                samples = fields.field_on_sphere(sol.coefficients, ctx, 3.0, quad)
+                entries.append(NearFieldEntry(ctx=ctx, samples=samples))
+            data = NearFieldData(R=3.0, quadrature=quad, entries=tuple(entries))
+            dirs = fibonacci_directions(8)
+            kw = {"stability_tol": 0.02}
+        newton = stable_reconstruct(data, dirs, bracket=(0.3, 2.5), **kw)
+        monkeypatch.setattr(sf, "bracketed_root", _illinois_root)
+        illinois = stable_reconstruct(data, dirs, bracket=(0.3, 2.5), **kw)
+        assert newton.L_selected == illinois.L_selected
+        np.testing.assert_array_equal(newton.resolved, illinois.resolved)
+        np.testing.assert_allclose(newton.radii, illinois.radii, rtol=1e-14)
+        np.testing.assert_allclose(newton.spreads, illinois.spreads, rtol=1e-14, atol=1e-15)
 
 
 class TestPerturbedSphereRoots:

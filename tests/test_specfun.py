@@ -1,6 +1,7 @@
 """Special-function layer: values against independent oracles and identities."""
 
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -266,32 +267,72 @@ class TestGoldenMin:
 
 
 class TestBracketedRoot:
+    """f returns (g, dg/dx); the bracket holds g(a) < 0 <= g(b)."""
+
+    @staticmethod
+    def _solve(f, a, b):
+        a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+        return sf.bracketed_root(f, a, b, f(a)[0], f(b)[0])
+
     def test_batch_is_bitwise_per_element(self):
-        f = lambda x: 0.2 * x - np.cos(3.0 * x)
-        # f < 0 at the left end and > 0 at the right end of each bracket
+        f = lambda x: (0.2 * x - np.cos(3.0 * x), 0.2 + 3.0 * np.sin(3.0 * x))
+        # g < 0 at the left end and > 0 at the right end of each bracket
         a = np.array([0.3, 2.0, 4.3])
         b = np.array([0.9, 2.5, 4.6])
-        x, calls = sf.bracketed_root(f, a, b, f(a), f(b))
+        x, calls = self._solve(f, a, b)
         for i in range(a.size):
-            ai, bi = a[i : i + 1], b[i : i + 1]
-            xi, _ = sf.bracketed_root(f, ai, bi, f(ai), f(bi))
+            xi, _ = self._solve(f, a[i : i + 1], b[i : i + 1])
             assert x[i] == xi[0]
-        np.testing.assert_allclose(f(x), 0.0, atol=1e-14)
+        np.testing.assert_allclose(f(x)[0], 0.0, atol=1e-14)
         assert calls <= 12
 
     def test_superlinear_on_a_simple_root(self):
-        f = lambda x: x**3 - 2.0
-        a, b = np.array([0.5]), np.array([3.0])
-        x, calls = sf.bracketed_root(f, a, b, f(a), f(b))
+        f = lambda x: (x**3 - 2.0, 3.0 * x**2)
+        x, calls = self._solve(f, 0.5, 3.0)
         assert abs(x[0] - 2.0 ** (1 / 3)) <= 4e-16
         assert calls <= 12
 
     def test_exact_root_at_the_right_end_and_nan_stop(self):
         a, b = np.array([0.0]), np.array([1.0])
-        x, calls = sf.bracketed_root(lambda t: t - 1.0, a, b, np.array([-1.0]), np.array([0.0]))
+        line = lambda t: (t - 1.0, np.ones_like(t))
+        x, calls = sf.bracketed_root(line, a, b, np.array([-1.0]), np.array([0.0]))
         assert x[0] == 1.0 and calls == 0
-        x, calls = sf.bracketed_root(lambda t: np.full_like(t, np.nan), a, b, np.array([-1.0]), np.array([1.0]))
+        nan = lambda t: (np.full_like(t, np.nan), np.full_like(t, np.nan))
+        x, calls = sf.bracketed_root(nan, a, b, np.array([-1.0]), np.array([1.0]))
         assert np.isnan(x[0]) and calls == 1
+
+    @pytest.mark.parametrize("root", [1e-12, 1.0 - 1e-12])
+    def test_root_within_1e12_of_an_end_takes_few_calls(self, root):
+        # a nonlinear g whose root sits next to an end, so the far end never
+        # moves and the bracket stays wide: the Newton estimate stops it
+        f = lambda x: (np.expm1(2.0 * (x - root)) + (x - root) ** 3,
+                       2.0 * np.exp(2.0 * (x - root)) + 3.0 * (x - root) ** 2)
+        x, calls = self._solve(f, 0.0, 1.0)
+        assert abs(x[0] - root) <= 1e-15 and calls <= 4
+
+    def test_non_monotone_g_converges_by_bisection(self, caplog):
+        # g' vanishes inside the bracket; from the secant point 0.8, where
+        # g' = -0.08, the Newton step leaves the bracket, so it bisects
+        f = lambda x: (x**3 - 2.0 * x + 2.0, 3.0 * x**2 - 2.0)
+        with caplog.at_level(logging.DEBUG, logger="mrcscatter.specfun"):
+            x, calls = self._solve(f, -3.0, 2.0)
+        assert abs(f(x)[0][0]) <= 1e-14 and calls <= 12
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert int(line.split(", ")[-1].split()[0]) > 0, line  # "..., <n> bisection fallbacks"
+
+
+class TestBesselEquation:
+    """The second radial derivative the ray search reads off H and dH/dr."""
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.4])
+    def test_second_derivative_matches_a_central_difference(self, k, r):
+        L, h = 8, 1e-5 * r
+        H, dH = sf._hankel_out_pair(L, k, r)
+        ell = np.arange(L + 1)
+        d2H = -(2.0 / r) * dH - (k**2 - ell * (ell + 1) / r**2) * H
+        fd = (sf._hankel_out_pair(L, k, r + h)[1] - sf._hankel_out_pair(L, k, r - h)[1]) / (2.0 * h)
+        np.testing.assert_allclose(d2H, fd, rtol=1e-7)
 
 
 class TestModeIndexing:
