@@ -25,9 +25,15 @@ bumps with ell + |m| even) column (ell, m) takes the sign (-1)**(ell+m) at the
 mirror node, so the rows (top +- bottom)/sqrt(2) leave two systems, the even
 columns and the odd ones, built on the upper rows and the equator (Waterman
 1971; the equatorial symmetry of Mishchenko & Travis, JQSRT 60 (1998) 309).
-At L=0 no column is odd and the odd rows' data is all residual.  A general
-surface is one system.  The rule owns a step's harmonic tables: an escalation
-to L_max=30 leaves 3.0 (Dirichlet, axisymmetric) to 6.1 MB (Neumann, general).
+Also symmetric about the xz-plane (``xz_symmetric``: every ellipsoid, bumps of
+order m >= 0), the rows (phi +- -phi)/sqrt(2) on phi in [0, pi] split each
+parity again, by the real harmonics (Y[ell, m] +- (-1)**m Y[ell, -m]) / sqrt(2)
+in slots (ell, +-m), m > 0, which share the complex column's norm: four systems
+unitarily equivalent to the unsplit one, condition included (Kahnert, Stamnes &
+Stamnes, Appl. Opt. 40 (2001) 3110).  A system with no column (the odd ones at
+L=0) leaves its data to the residual.  A general surface is one system.  The
+rule owns a step's harmonic tables: an escalation to L_max=30 leaves 3.0
+(Dirichlet, axisymmetric) to 6.1 MB (Neumann, general).
 """
 
 from __future__ import annotations
@@ -178,41 +184,66 @@ def _basis_columns(
     return _columns(quad, ctx, L, _check_bc(bc), *_read_boundary(surface, quad)[:2])
 
 
-def _columns(quad, ctx, L, bc, f, normal, rows=slice(None)) -> np.ndarray:
+def _columns(quad, ctx, L, bc, f, normal, rows=slice(None), real=None) -> np.ndarray:
     quad.check_aliasing(L)
     ells = specfun.mode_degrees(L)
-    Y = specfun._grid_modes(L, quad.legendre(L)[..., rows], quad.azimuths(L))
+    E = quad.azimuths(L) if real is None else real  # a real-harmonic table of _parity_plan
+    Y = specfun._grid_modes(L, quad.legendre(L)[..., rows], E)
     if bc == DIRICHLET:
         return Y * specfun.hankel_out_table(L, ctx.k, f)[ells].T
     H, Hd = specfun._hankel_out_pair(L, ctx.k, f)
-    dY = specfun._grid_modes(L, quad.legendre_dtheta(L)[..., rows], quad.azimuths(L))
+    dY = specfun._grid_modes(L, quad.legendre_dtheta(L)[..., rows], E)
     nr, nt, nph = normal
-    theta = quad.theta.reshape(quad.n_theta, quad.n_phi)[rows].ravel()
-    ang = nt[:, None] * dY + nph[:, None] * specfun._dphi_over_sin(L, theta, Y)
+    theta = np.repeat(quad.theta_axis[rows], E.shape[1])
+    ang = nt[:, None] * dY + nph[:, None] * specfun._dphi_over_sin(L, theta, Y, real is not None)
     return (nr * Hd)[ells].T * Y + (H / f)[ells].T * ang
 
 
-def _parity_system(quad, ctx, L, bc, f, normal, scale, b):
-    """A mirror-symmetric surface's system after the unitary row transform g *
-    (top +- bottom) over mirror pairs of polar rows (g = 1/sqrt(2), 1/2 at the
-    equator, its own pair), built by _columns on the upper rows and the equator:
-    system 0 holds the columns with ell + m even, system 1 the odd ones,
-    zero-padded; each flat mode sits at (parity, column, 0)."""
-    h, eq = divmod(quad.n_theta, 2)
-    up = slice(h * quad.n_phi, None)
-    g = np.repeat(np.where(np.arange(h + eq) < eq, 0.5, math.sqrt(0.5)), quad.n_phi)
-    A = (2 * g * scale[up])[:, None] * _columns(
-        quad, ctx, L, bc, f[up], [x[up] for x in normal], slice(h, None))
-    b = b.reshape(quad.n_theta, quad.n_phi)
-    rhs = np.stack((b[h:] + b[::-1][h:], b[h:] - b[::-1][h:])).reshape(2, -1) * g
-    ells = specfun.mode_degrees(L)
-    odd = (ells + specfun.mode_orders(L)) % 2
-    M = np.zeros((2, len(g), odd.size - odd.sum()), dtype=complex)
-    M[0], M[1, eq * quad.n_phi :, : odd.sum()] = A[:, odd == 0], A[eq * quad.n_phi :, odd == 1]
-    i = np.arange(odd.size)  # lower degrees hold ell(ell+1)/2 even and ell(ell-1)/2 odd modes
-    modes = (odd, np.where(odd, i - ells - 1, i + ells) // 2, 0 * odd)
-    n = 2 if L else 1  # at L=0 no column is odd: the odd rows are all residual
-    return M[:n], rhs[:n], rhs[n:].ravel(), modes
+def _parity_system(quad, ctx, L, bc, f, normal, scale, b, xz=False):
+    """A mirror-symmetric surface's system (see the module docstring) after the
+    unitary fold (x +- x') * w/2 of each node x with its mirror x' about z = 0
+    and, if ``xz``, about the xz-plane (w = sqrt(2), but 1 for + and 0 for - on
+    its own mirror), built by _columns times w on the nodes they keep."""
+    w, used, columns, modes, pairs, E, images, signs = _parity_plan(L, quad.n_theta, quad.n_phi, xz)
+    f, *normal, scale = (x[images[0]] for x in (f, *normal, scale))  # at the kept nodes
+    A = _columns(quad, ctx, L, bc, f, normal, slice(quad.n_theta // 2, None), E)
+    M = np.zeros((len(columns), len(A), len(columns[0])), dtype=complex)
+    for system, modes_in in zip(M, columns):
+        system[:, : len(modes_in)] = A[:, modes_in]
+    M *= (w[used] * scale)[..., None]
+    rhs = (signs @ b[images]) * (w / (4 if xz else 2))  # b at each kept node and its mirrors
+    return (M, rhs[used], rhs[~used].ravel(), modes) + ((pairs,) if xz else ())
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_plan(L: int, n_theta: int, n_phi: int, xz: bool):
+    """For _parity_system, shared by its calls (read-only): w per system and
+    kept node, the systems with a column, the flat modes of each, each mode's
+    place, the flat norm indices of the cos and sin column of each (ell, m > 0),
+    the real azimuth table (sqrt(2) cos(m*phi), 1 and i*sqrt(2) sin(|m|*phi) in
+    rows m + L > L, L and < L) if ``xz``, the flat indices of each kept node and
+    its mirrors, and the signs that fold their values into the systems' rows."""
+    t, j = np.arange(n_theta // 2, n_theta), np.arange(n_phi // 2 + 1 if xz else n_phi)
+    rows, cols = np.array((t, n_theta - 1 - t)), np.array((j, -j % n_phi) if xz else (j,))
+    images = (rows[:, None, :, None] * n_phi + cols[:, None, :]).reshape(len(rows) * len(cols), -1)
+    signs = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]] if xz else 1.0)
+    fold = lambda own: np.where(own, [[1.0], [0.0]], 2.0)  # w**2 of the + and - rows
+    w2 = fold(rows[0] == rows[1])[:, None, :, None] * (
+        fold(cols[0] == cols[1]) if xz else np.ones(cols.shape))[:, None]
+    ells, ms = specfun.mode_degrees(L), specfun.mode_orders(L)
+    system = (ells + ms) % 2 * (1 + xz) + (ms < 0) * xz
+    columns = [np.flatnonzero(system == s) for s in range(4 if xz else 2)]
+    used, columns, col = np.array([c.size > 0 for c in columns]), [c for c in columns if c.size], 0 * ms
+    for s, c in enumerate(columns):
+        system[c], col[c] = s, np.arange(len(c))
+    pos, cos = system * len(columns[0]) + col, np.flatnonzero(ms > 0)  # system 0 is the widest
+    m, phi = np.arange(-L, L + 1)[:, None], 2.0 * math.pi * j / n_phi
+    E = np.where(m < 0, 1j * np.sin(-m * phi), np.cos(m * phi)) * np.sqrt(1.0 + (m != 0)) if xz else None
+    modes, pairs = (system, col, 0 * col), np.array((pos[cos], pos[cos - 2 * ms[cos]]))
+    plan = np.sqrt(w2.reshape(len(used), -1)), used, columns, modes, pairs, E, images, signs
+    for x in (plan[0], used, *columns, *modes, pairs, *[E] * xz, images, signs):
+        x.flags.writeable = False
+    return plan
 
 
 def _order_system(quad, hankel, L, bc, f, normal, scale, bh):
@@ -272,10 +303,13 @@ def assemble_basis_matrix(
 _DENSE = (0, slice(None), 0)
 
 
-def _factor(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _factor(matrix: np.ndarray, rhs: np.ndarray, pairs=None) -> tuple[np.ndarray, np.ndarray]:
     """R factor of [matrix / column norms | rhs], and the norms (0 read as 1),
     for one system (rhs a vector) or a stack of them (rhs a column each)."""
     col_norms = np.linalg.norm(matrix, axis=-2)
+    if pairs is not None:  # each (cos, sin) pair shares the rms of its norms: its complex column's norm
+        flat = col_norms.reshape(-1)
+        flat[pairs] = np.sqrt((flat[pairs[0]] ** 2 + flat[pairs[1]] ** 2) / 2)
     col_norms[col_norms == 0.0] = 1.0
     rhs = rhs.reshape(*matrix.shape[:-1], -1)
     augmented = np.concatenate((matrix / col_norms[..., None, :], rhs), axis=-1)
@@ -283,9 +317,9 @@ def _factor(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _stacked(system, factor):
-    """A (matrix, rhs, rest, modes) system and its _factor as stacks, with the
+    """A (matrix, rhs, rest, modes[, pairs]) system and its _factor as stacks, with the
     real column and right-hand-side counts of each: those ``modes`` reads."""
-    A, B, _, modes = system
+    A, B, _, modes = system[:4]
     A = A.reshape(-1, *A.shape[-2:])
     B = B.reshape(*A.shape[:2], -1)
     R, norms = factor[0].reshape(len(A), *factor[0].shape[-2:]), factor[1].reshape(len(A), -1)
@@ -325,6 +359,13 @@ def _solve_factored(system, factor, svd_cutoff) -> LeastSquaresInfo:
     condition = float(s.max() / s[keep].min()) if rank else math.inf
     residual = float(np.linalg.norm(np.concatenate(((A @ C + B).ravel(), system[2]))))
     return LeastSquaresInfo(C[system[3]], residual, rank, condition)
+
+
+def _complex_coeffs(y: np.ndarray) -> np.ndarray:
+    """c[ell, +-m] = (+-1)**m (y[ell, m] +- y[ell, -m]) / sqrt(2), m > 0, from real-slot coefficients y."""
+    ms, i = specfun.mode_orders(math.isqrt(y.size) - 1), np.arange(y.size)
+    pm = (y[i + np.abs(ms) - ms] + np.sign(ms) * y[i - np.abs(ms) - ms]) * (-1.0) ** np.minimum(ms, 0)
+    return np.where(ms == 0, y, pm / math.sqrt(2))
 
 
 def solve_least_squares(
@@ -410,13 +451,13 @@ def mrc_solve(
         if surface.axisymmetric:
             system = _order_system(quad, hankel, L, bc, f, normal, scale, b)
         elif surface.mirror_symmetric:
-            system = _parity_system(quad, ctx, L, bc, f, normal, scale, b)
+            system = _parity_system(quad, ctx, L, bc, f, normal, scale, b, surface.xz_symmetric)
         else:
             system = (scale[:, None] * _columns(quad, ctx, L, bc, f, normal), b, (), _DENSE)
         if not (np.isfinite(system[0]).all() and np.isfinite(system[1]).all()):
             logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
             break
-        factor = _factor(*system[:2])
+        factor = _factor(*system[:2], *system[4:])
         rel = _qr_residual(system, factor) / b_norm
         history.append((L, rel))
         logger.debug("L=%d relative residual %.3e", L, rel)
@@ -436,9 +477,11 @@ def mrc_solve(
             "escalation ended at L=%d; keeping L=%d with relative residual %.3e > %.3e",
             history[-1][0], L, info.residual / b_norm, eps_target,
         )
+    logger.debug("L=%d kept, split into %d systems x %d rows x %d columns", L,
+                 *step[0][0].reshape(-1, *step[0][0].shape[-2:]).shape)
     rel = info.residual / b_norm
     return DirectSolution(
-        coefficients=CoefficientSet(L, info.coeffs),
+        coefficients=CoefficientSet(L, _complex_coeffs(info.coeffs) if step[0][4:] else info.coeffs),
         residual=rel,
         boundary_condition=bc,
         converged=converged,

@@ -223,10 +223,11 @@ class StarSurface:
     along phi): ``axisymmetric`` when f depends on theta alone (a surface of
     revolution about z, whose boundary system splits by azimuthal order),
     ``mirror_symmetric`` when f(pi - theta, phi) = f(theta, phi) (symmetric
-    about z = 0, whose boundary system splits by equatorial parity)."""
+    about z = 0, whose boundary system splits by equatorial parity) and
+    ``xz_symmetric`` when f(theta, -phi) = f(theta, phi) (symmetric about the
+    xz-plane, which splits each parity by cos/sin of m*phi)."""
 
-    axisymmetric = False
-    mirror_symmetric = False
+    axisymmetric = mirror_symmetric = xz_symmetric = False
 
     def radial_map(self, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f, df/dtheta, df/dphi) at the given angles, from one evaluation."""
@@ -257,7 +258,7 @@ class StarSurface:
 @dataclass(frozen=True)
 class Sphere(StarSurface):
     radius_value: float
-    axisymmetric = mirror_symmetric = True
+    axisymmetric = mirror_symmetric = xz_symmetric = True
 
     def __post_init__(self) -> None:
         if not self.radius_value > 0:  # NaN too
@@ -309,6 +310,7 @@ class PerturbedSphere(StarSurface):
         self.axisymmetric = all(m == 0 for _, m, _ in bumps)
         # Pbar[ell, |m|](pi - theta) = (-1)**(ell + m) Pbar[ell, |m|](theta)
         self.mirror_symmetric = all((ell + m) % 2 == 0 for ell, m, _ in bumps)
+        self.xz_symmetric = all(m >= 0 for _, m, _ in bumps)  # cos(m*phi) is even in phi
 
     def radial_map(self, theta, phi):
         # the kernel takes 1-D angles: evaluate on the raveled broadcast
@@ -389,7 +391,7 @@ class Ellipsoid(StarSurface):
     b: float
     c: float
     axisymmetric = property(lambda self: self.a == self.b)
-    mirror_symmetric = True
+    mirror_symmetric = xz_symmetric = True
 
     def __post_init__(self) -> None:
         if not all(s > 0 for s in (self.a, self.b, self.c)):  # NaN too

@@ -155,22 +155,24 @@ def ray_function(coeffs: CoefficientSet, ctx: WaveContext, dir_out: Direction, r
     r * dir_out; its positive root estimates the boundary radius."""
     W, cosang = _ray_weights(coeffs, ctx, [dir_out])
     r = np.asarray(r, dtype=float)
-    return _ray_values(W[:, None], cosang[:, None], ctx.k, r.ravel())[0][0].reshape(r.shape)
+    return _ray_values(W[:, None], cosang[:, None], ctx.k, r.ravel(), False)[0][0].reshape(r.shape)
 
 
-def _ray_values(W: np.ndarray, cosang, k, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p, g = Re(conj(p) * p') and g' = |p'|**2 + Re(conj(p) * p'') on rays with
-    per-degree weights W[..., :], incidence cosines cosang and wavenumbers k,
-    with radii r broadcast against cosang and k.  H'' comes from H and H' by the
-    spherical Bessel equation (Abramowitz & Stegun 10.1.1):
+def _ray_values(W: np.ndarray, cosang, k, r: np.ndarray, dg: bool = True) -> tuple:
+    """p, g = Re(conj(p) * p') and g' = |p'|**2 + Re(conj(p) * p'') (None unless
+    ``dg``) on rays with per-degree weights W[..., :], incidence cosines cosang
+    and wavenumbers k, with radii r broadcast against cosang and k.  H'' comes
+    from H and H' by the spherical Bessel equation (Abramowitz & Stegun 10.1.1):
     H'' = -(2/r) H' - (k**2 - ell(ell+1)/r**2) H."""
     H, dH = specfun._hankel_out_pair(W.shape[-1] - 1, k, r)
-    ell = np.arange(len(H)).reshape((-1,) + (1,) * (H.ndim - 1))
-    d2H = -(2 / r) * dH - (k**2 - ell * (ell + 1) / r**2) * H  # on the table, before the degree sum
     ikc = 1j * k * cosang
     inc = np.exp(ikc * r)
     p, dp = inc + _degree_sum(W, H), ikc * inc + _degree_sum(W, dH)
     cp = np.conj(p)
+    if not dg:
+        return p, np.real(cp * dp), None
+    ell = np.arange(len(H)).reshape((-1,) + (1,) * (H.ndim - 1))
+    d2H = -(2 / r) * dH - (k**2 - ell * (ell + 1) / r**2) * H  # on the table, before the degree sum
     return p, np.real(cp * dp), np.abs(dp) ** 2 + np.real(cp * (ikc**2 * inc + _degree_sum(W, d2H)))
 
 
@@ -204,7 +206,7 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
     grid = np.linspace(r_lo, r_hi, grid_n)
-    p, g, _ = _ray_values(W[:, :, None], cosang[:, :, None], k[:, None, None], grid)
+    p, g, _ = _ray_values(W[:, :, None], cosang[:, :, None], k[:, None, None], grid, False)
     pg = np.abs(p)
     # strict interior minima; row-major order keeps each row's grid order
     inner = pg[..., 1:-1]
@@ -216,14 +218,14 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     polish = right | ((g0 < 0) & (g1 >= 0))
     i, j = np.flatnonzero(polish), np.flatnonzero(~polish)
     a, r0, f0 = (cells + right)[i], np.empty(rows.size), np.empty(rows.size)
-    ray = lambda n, r: _ray_values(W[ents[n], rows[n]], cosang[ents[n], rows[n]], k[ents[n]], r)
-    r0[i], steps = specfun.bracketed_root(
-        lambda r: ray(i, r)[1:], grid[a], grid[a + 1], g[ents[i], rows[i], a], g[ents[i], rows[i], a + 1]
-    )
-    f0[i] = np.abs(ray(i, r0[i])[0])
+    ray = lambda n, r, dg: _ray_values(W[ents[n], rows[n]], cosang[ents[n], rows[n]], k[ents[n]], r, dg)
+    r0[i], steps = specfun.bracketed_root(  # the one caller that reads g'
+        lambda r: ray(i, r, True)[1:], grid[a], grid[a + 1],
+        g[ents[i], rows[i], a], g[ents[i], rows[i], a + 1])
+    f0[i] = np.abs(ray(i, r0[i], False)[0])
     if j.size:
         b = cells[j]
-        r0[j], f0[j] = specfun.golden_min(lambda r: np.abs(ray(j, r)[0]), grid[b], grid[b + 2])
+        r0[j], f0[j] = specfun.golden_min(lambda r: np.abs(ray(j, r, False)[0]), grid[b], grid[b + 2])
     if logger.isEnabledFor(logging.DEBUG):
         count = lambda e: np.bincount(e, minlength=len(k)).tolist()
         logger.debug("ray search L=%d k=%s: %s candidates, %d Newton steps, %s golden fallbacks",

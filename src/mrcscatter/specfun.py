@@ -354,11 +354,14 @@ def sph_harm_dtheta_table(L: int, theta, phi) -> np.ndarray:
     return _assemble_modes(L, _norm_legendre_dtheta_table(L, P), E)
 
 
-def _dphi_over_sin(L: int, th: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _dphi_over_sin(L: int, th: np.ndarray, Y: np.ndarray, real: bool = False) -> np.ndarray:
     st = np.sin(th)
     if np.any(np.abs(st) < 1e-12):
         raise DomainError("azimuthal angular gradient undefined at the poles")
-    return 1j * mode_orders(L) * Y / st[:, None]
+    ms = mode_orders(L)
+    if real:  # slots (ell, +-m) of sqrt(2) Pbar cos(m*phi), i*sqrt(2) Pbar sin(m*phi): swapped, times i*m
+        Y, ms = Y[:, np.arange(ms.size) - 2 * ms], np.abs(ms)
+    return 1j * ms * Y / st[:, None]
 
 
 def sph_harm_dphi_over_sin_table(L: int, theta, phi) -> np.ndarray:
