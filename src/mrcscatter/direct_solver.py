@@ -8,8 +8,8 @@ derivatives.  The truncation degree L escalates until the relative residual
 meets the target; the smallest such L is kept.
 
 The surface is read once per block of four degrees, over the block's distinct
-rules, node by node (one Hankel table per block on a surface of revolution),
-so no step depends on its block.  Each step takes one Householder QR of [A | b]
+rules, node by node, with one Hankel table per block for every shape, so no
+step depends on its block.  Each step takes one Householder QR of [A | b]
 (columns of A at unit norm), reading the residual off the R factor as Q is
 orthonormal.  The QR is of a stack of systems, each zero-padded to one width
 (Householder no-ops).  The kept step solves the whole stack at once: one
@@ -181,17 +181,24 @@ def _basis_columns(
 ) -> np.ndarray:
     """Unweighted collocation matrix: psi[ell, m] (or its outward normal
     derivative) at the boundary points, rows by node, columns by flat mode."""
-    return _columns(quad, ctx, L, _check_bc(bc), *_read_boundary(surface, quad)[:2])
+    f, normal = _read_boundary(surface, quad)[:2]
+    return _columns(quad, _hankel(L, ctx.k, f, _check_bc(bc)), L, bc, f, normal)
 
 
-def _columns(quad, ctx, L, bc, f, normal, rows=slice(None), real=None) -> np.ndarray:
+def _hankel(L, k, f, bc):
+    """What the builders read at f: the Hankel table of degree L, and dH/dr for Neumann."""
+    return specfun._hankel_out_pair(L, k, f) if bc == NEUMANN else (specfun.hankel_out_table(L, k, f),)
+
+
+def _columns(quad, hankel, L, bc, f, normal, rows=slice(None), real=None) -> np.ndarray:
+    """The columns at f, reading rows 0..L of the given _hankel table (of degree >= L)."""
     quad.check_aliasing(L)
     ells = specfun.mode_degrees(L)
     E = quad.azimuths(L) if real is None else real  # a real-harmonic table of _parity_plan
     Y = specfun._grid_modes(L, quad.legendre(L)[..., rows], E)
     if bc == DIRICHLET:
-        return Y * specfun.hankel_out_table(L, ctx.k, f)[ells].T
-    H, Hd = specfun._hankel_out_pair(L, ctx.k, f)
+        return Y * hankel[0][ells].T
+    H, Hd = (T[: L + 1] for T in hankel)
     dY = specfun._grid_modes(L, quad.legendre_dtheta(L)[..., rows], E)
     nr, nt, nph = normal
     theta = np.repeat(quad.theta_axis[rows], E.shape[1])
@@ -199,14 +206,14 @@ def _columns(quad, ctx, L, bc, f, normal, rows=slice(None), real=None) -> np.nda
     return (nr * Hd)[ells].T * Y + (H / f)[ells].T * ang
 
 
-def _parity_system(quad, ctx, L, bc, f, normal, scale, b, xz=False):
+def _parity_system(quad, hankel, L, bc, f, normal, scale, b, xz=False):
     """A mirror-symmetric surface's system (see the module docstring) after the
     unitary fold (x +- x') * w/2 of each node x with its mirror x' about z = 0
     and, if ``xz``, about the xz-plane (w = sqrt(2), but 1 for + and 0 for - on
     its own mirror), built by _columns times w on the nodes they keep."""
     w, used, columns, modes, pairs, E, images, signs = _parity_plan(L, quad.n_theta, quad.n_phi, xz)
-    f, *normal, scale = (x[images[0]] for x in (f, *normal, scale))  # at the kept nodes
-    A = _columns(quad, ctx, L, bc, f, normal, slice(quad.n_theta // 2, None), E)
+    f, nr, nt, nph, scale, *hankel = (x[..., images[0]] for x in (f, *normal, scale, *hankel))  # kept nodes
+    A = _columns(quad, hankel, L, bc, f, (nr, nt, nph), slice(quad.n_theta // 2, None), E)
     M = np.zeros((len(columns), len(A), len(columns[0])), dtype=complex)
     for system, modes_in in zip(M, columns):
         system[:, : len(modes_in)] = A[:, modes_in]
@@ -296,7 +303,7 @@ def assemble_basis_matrix(
     """
     _check_bc(bc)
     f, normal, scale = _read_boundary(surface, quad)
-    return scale[:, None] * _columns(quad, ctx, L, bc, f, normal)
+    return scale[:, None] * _columns(quad, _hankel(L, ctx.k, f, bc), L, bc, f, normal)
 
 
 # where the flat modes sit in the solution of one system with one right-hand side
@@ -389,12 +396,10 @@ _BLOCK = 4  # escalation steps read ahead together: one radial_map per block
 
 
 def _escalation_steps(surface, ctx, bc, Ls, quad_degree_factor):
-    """Per degree L of ``Ls``: its rule, the boundary read (f, normal, scale; on
-    the polar axis of a surface of revolution, repeated along phi for b), the
-    incident data b (there its DFT along phi) with the norm of b, and there the
-    Hankel table at f (and dH/dr for Neumann) of the top degree of L's block."""
+    """Per degree L of ``Ls``: its rule, the boundary read (f, normal, scale; on the polar
+    axis of a surface of revolution, repeated along phi for b), the incident data b (there
+    its DFT along phi) with its norm, and the _hankel table at f of L's block's top degree."""
     axis, last = surface.axisymmetric, (None,)
-    hankel = specfun._hankel_out_pair if bc == NEUMANN else lambda *a: (specfun.hankel_out_table(*a),)
     for first in range(0, len(Ls), _BLOCK):
         block = Ls[first : first + _BLOCK]
         # >= 2L as quad_degree_factor >= 2; the floor keeps small-L residuals trustworthy
@@ -402,7 +407,7 @@ def _escalation_steps(surface, ctx, bc, Ls, quad_degree_factor):
         quads = {d: quadrature_for_degree(d) for d in rules}
         f, normal, scale, ends = _read_rules(surface, list(quads.values()), axis)
         logger.debug("L=%d..%d: one read of rules %s, %d nodes", block[0], block[-1], list(quads), len(f))
-        read = (f, *normal, scale, *(hankel(block[-1], ctx.k, f) if axis else ()))
+        read = (f, *normal, scale, *_hankel(block[-1], ctx.k, f, bc))
         nodes = dict(zip(quads, map(slice, [0, *ends], ends)))
         for L, d in zip(block, rules):
             quad, (f, nr, nt, nph, scale, *T) = quads[d], [x[..., nodes[d]] for x in read]
@@ -451,9 +456,9 @@ def mrc_solve(
         if surface.axisymmetric:
             system = _order_system(quad, hankel, L, bc, f, normal, scale, b)
         elif surface.mirror_symmetric:
-            system = _parity_system(quad, ctx, L, bc, f, normal, scale, b, surface.xz_symmetric)
+            system = _parity_system(quad, hankel, L, bc, f, normal, scale, b, surface.xz_symmetric)
         else:
-            system = (scale[:, None] * _columns(quad, ctx, L, bc, f, normal), b, (), _DENSE)
+            system = (scale[:, None] * _columns(quad, hankel, L, bc, f, normal), b, (), _DENSE)
         if not (np.isfinite(system[0]).all() and np.isfinite(system[1]).all()):
             logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
             break

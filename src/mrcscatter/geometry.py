@@ -37,6 +37,8 @@ class Direction:
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
+        if not math.isfinite(self.phi):  # NaN would reach ``vector``, inf fail in math.cos
+            raise ValueError(f"phi must be finite, got {self.phi}")
 
     @classmethod
     def from_vector(cls, v: Sequence[float]) -> "Direction":

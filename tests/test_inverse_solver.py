@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from mrcscatter import fields, serialize, specfun as sf
+from mrcscatter import fields, inverse_solver, serialize, specfun as sf
 from mrcscatter.direct_solver import CoefficientSet, WaveContext, mrc_solve
 from mrcscatter.geometry import Direction, PerturbedSphere, fibonacci_directions, make_quadrature
 from mrcscatter.inverse_solver import (
@@ -529,6 +529,19 @@ def test_empty_schedule_is_named():
     data = sphere_data(quad=make_quadrature(8, 16), L=8)
     with pytest.raises(ValueError, match="empty L_schedule"):
         stable_reconstruct(data, fibonacci_directions(4), L_schedule=())
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"L_schedule": (3.7,)}, "L_schedule degree must be an integer, got 3.7"),
+    ({"L_schedule": (3, 4.5, 6)}, "L_schedule degree must be an integer, got 4.5"),
+    ({"L_schedule": (3, math.inf)}, "L_schedule degree must be an integer, got inf"),
+    ({"harmonic_degree": 2.5}, "harmonic_degree must be an integer, got 2.5"),
+], ids=["L_schedule=(3.7,)", "L_schedule=(3,4.5,6)", "L_schedule=(3,inf)", "harmonic_degree=2.5"])
+def test_fractional_degrees_are_named_before_any_search(settings, message, monkeypatch):
+    data = sphere_data(quad=make_quadrature(8, 16), L=8)
+    monkeypatch.setattr(inverse_solver, "_search", None)  # a search would raise a TypeError
+    with pytest.raises(ValueError, match=message):
+        stable_reconstruct(data, fibonacci_directions(4), **{"L_schedule": (3,), **settings})
 
 
 class TestSettingsRefused:

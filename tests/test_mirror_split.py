@@ -140,7 +140,7 @@ def test_split_qr_residual_at_a_fixed_degree(surface, bc, L):
     quad = step_quadrature(L)
     f, normal, scale = _read_boundary(surface, quad)
     b = _incident(quad, CTX, bc, f, normal) * scale
-    split = _parity_system(quad, CTX, L, bc, f, normal, scale, b)
+    split = _parity_system(quad, direct_solver._hankel(L, CTX.k, f, bc), L, bc, f, normal, scale, b)
     # L=0 has no odd column: one system, and the odd rows' data is all residual
     assert len(split[0]) == (2 if L else 1) and (len(split[2]) > 0) is (L == 0)
     unsplit = (assemble_basis_matrix(surface, quad, CTX, L, bc), b, (), direct_solver._DENSE)

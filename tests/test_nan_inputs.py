@@ -20,6 +20,8 @@ QUAD = make_quadrature(4, 8)
 
 CASES = {
     "WaveContext.k": (lambda: WaveContext(NAN, CTX.alpha), "wavenumber must be > 0"),
+    "Direction.phi=nan": (lambda: Direction(0.5, NAN), "phi must be finite, got nan"),
+    "Direction.phi=inf": (lambda: Direction(0.5, math.inf), "phi must be finite, got inf"),
     "Sphere": (lambda: Sphere(NAN), "sphere radius must be > 0"),
     "PerturbedSphere.base_radius": (lambda: PerturbedSphere(NAN, []), "base radius must be > 0"),
     "PerturbedSphere.amplitude": (
