@@ -4,6 +4,8 @@ Subcommands: solve (direct problem), synthesize (near-field data generation),
 invert (shape reconstruction), oracle (exact sphere reference), fieldmap
 (field samples along a ray to CSV).  All outputs are deterministic given the
 configuration and seed; set MRC_LOG=DEBUG|INFO|WARNING for verbosity.
+synthesize solves the entries of one wavenumber by one escalation
+(``direct_solver.solve_entries``) and writes them in configuration order.
 
 The loader refuses ``NaN``, ``Infinity``, float literals that overflow (``1e999``)
 and integers beyond float range, with exit 1 and an error naming file and literal.
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fields, inverse_solver, serialize, sphere_oracle
-from .direct_solver import WaveContext, mrc_solve
+from .direct_solver import WaveContext, solve_entries
 from .geometry import (
     Direction,
     SurfaceError,
@@ -123,20 +125,26 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows([format(float(x), ".17g") for x in row] for row in rows)
 
 
-# escalation settings a configuration may set; mrc_solve holds their defaults
+# escalation settings a configuration may set; solve_entries holds their defaults
 _ESCALATION_KEYS = ("L_start", "L_max", "quad_degree_factor", "svd_cutoff")
 
 
-def _solve(surface, ctx: WaveContext, bc: str, eps_target: float, opts: dict):
+def _solve(surface, contexts: list[WaveContext], bc: str, eps_target: float, opts: dict):
+    """One solution per context, in order, by one escalation per wavenumber."""
     settings = {key: opts[key] for key in _ESCALATION_KEYS if key in opts}
-    return mrc_solve(surface, ctx, bc=bc, eps_target=eps_target, **settings)
+    sols = [None] * len(contexts)
+    for k in dict.fromkeys(ctx.k for ctx in contexts):
+        group = [i for i, ctx in enumerate(contexts) if ctx.k == k]
+        for i, sol in zip(group, solve_entries(surface, [contexts[i] for i in group], bc, eps_target, **settings)):
+            sols[i] = sol
+    return sols
 
 
 def cmd_solve(args) -> int:
     cfg = _load_document(args.config, "config_solve")
     surface = _surface(cfg)
     ctx = _context(cfg["k"], cfg["alpha"])
-    sol = _solve(surface, ctx, cfg["bc"], cfg["eps_target"], cfg)
+    (sol,) = _solve(surface, [ctx], cfg["bc"], cfg["eps_target"], cfg)
     out = _out_dir(args.out)
     doc = serialize.solution_to_jsonable(sol, ctx, surface.descriptor(), cfg["eps_target"])
     serialize.validate(doc, "direct_solution")
@@ -162,7 +170,7 @@ def cmd_synthesize(args) -> int:
     bc = cfg.get("bc", "dirichlet")
     fw_eps = fw.get("eps_target", 1e-8)
     contexts = [_context(e["k"], e["alpha"]) for e in cfg["entries"]]
-    sols = [(ctx, _solve(surface, ctx, bc, fw_eps, fw)) for ctx in contexts]
+    sols = list(zip(contexts, _solve(surface, contexts, bc, fw_eps, fw)))
     entries = []
     all_converged = True
     for ctx, sol in sols:

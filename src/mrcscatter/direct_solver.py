@@ -9,7 +9,10 @@ meets the target; the smallest such L is kept.
 
 The surface is read once per block of four degrees, over the block's distinct
 rules, node by node, with one Hankel table per block for every shape, so no
-step depends on its block.  Each step takes one Householder QR of [A | b]
+step depends on its block.  A depends on k and the surface alone, so incidences
+of one k escalate together (``solve_entries``; the T-matrix observation of
+Waterman, Phys. Rev. D 3 (1971) 825): one read, build and QR per step for all,
+each reading its own residual off R.  Each step takes one Householder QR of [A | b]
 (columns of A at unit norm), reading the residual off the R factor as Q is
 orthonormal.  The QR is of a stack of systems, each zero-padded to one width
 (Householder no-ops).  The kept step solves the whole stack at once: one
@@ -218,8 +221,11 @@ def _parity_system(quad, hankel, L, bc, f, normal, scale, b, xz=False):
     for system, modes_in in zip(M, columns):
         system[:, : len(modes_in)] = A[:, modes_in]
     M *= (w[used] * scale)[..., None]
-    rhs = (signs @ b[images]) * (w / (4 if xz else 2))  # b at each kept node and its mirrors
-    return (M, rhs[used], rhs[~used].ravel(), modes) + ((pairs,) if xz else ())
+    # b at each kept node and its mirrors, of each entry if b is a list of them
+    rhs = [(signs @ x[images]) * (w / (4 if xz else 2)) for x in (b if isinstance(b, list) else [b])]
+    rest = [x[~used].ravel() for x in rhs]
+    B = np.stack(rhs, axis=-1)[used] if isinstance(b, list) else rhs[0][used]
+    return (M, B, rest if isinstance(b, list) else rest[0], modes) + ((pairs,) if xz else ())
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,9 +252,10 @@ def _parity_plan(L: int, n_theta: int, n_phi: int, xz: bool):
     pos, cos = system * len(columns[0]) + col, np.flatnonzero(ms > 0)  # system 0 is the widest
     m, phi = np.arange(-L, L + 1)[:, None], 2.0 * math.pi * j / n_phi
     E = np.where(m < 0, 1j * np.sin(-m * phi), np.cos(m * phi)) * np.sqrt(1.0 + (m != 0)) if xz else None
-    modes, pairs = (system, col, 0 * col), np.array((pos[cos], pos[cos - 2 * ms[cos]]))
+    modes = _Modes((system, col, 0 * col), (np.array([len(c) for c in columns]), np.ones(len(columns), int)))
+    pairs = np.array((pos[cos], pos[cos - 2 * ms[cos]]))
     plan = np.sqrt(w2.reshape(len(used), -1)), used, columns, modes, pairs, E, images, signs
-    for x in (plan[0], used, *columns, *modes, pairs, *[E] * xz, images, signs):
+    for x in (plan[0], used, *columns, pairs, *[E] * xz, images, signs):
         x.flags.writeable = False
     return plan
 
@@ -259,7 +266,9 @@ def _order_system(quad, hankel, L, bc, f, normal, scale, bh):
     DFT along phi (``bh`` of b): the stack of L+1 systems B_|m| with right-hand
     sides (b_m, (-1)**m b_-m), the bins no column reaches, and where each flat
     mode (ell, m) sits in the solution stack: system |m|, column ell - |m|,
-    right-hand side 0 for m >= 0 and 1 for m < 0."""
+    right-hand side 0 for m >= 0 and 1 for m < 0.  Given a list of ``bh``, one
+    per entry, the entries' right-hand sides sit side by side, each entry's
+    pair in turn, and the bins are a list."""
     P, (nr, nt, _) = quad.legendre(L), normal
     if bc == DIRICHLET:  # rows 0..L of a higher-degree table are bitwise the degree-L table
         G = hankel[0][: L + 1, None] * P
@@ -267,25 +276,42 @@ def _order_system(quad, hankel, L, bc, f, normal, scale, bh):
         H, Hd = (T[: L + 1, None] for T in hankel)
         G = nr * Hd * P + nt * (H / f) * quad.legendre_dtheta(L)
     G *= math.sqrt(quad.n_phi) * scale
-    ells, ms = specfun.mode_degrees(L), specfun.mode_orders(L)
-    modes = (np.abs(ms), ells - np.abs(ms), (ms < 0).astype(int))
-    A = np.concatenate((G.ravel(), np.zeros(quad.n_theta)))[_order_plan(L, quad.n_theta)]
+    index, modes = _order_plan(L, quad.n_theta)
+    A = np.concatenate((G.ravel(), np.zeros(quad.n_theta)))[index]
+    many = isinstance(bh, list)
+    bh = np.stack(bh) if many else bh  # (entries,) n_theta, n_phi: .T puts the entries last
     # Y[ell, -m] = Pbar[ell, m] * (-1)**m * exp(-i*m*phi), so B_-m = (-1)**m B_m
-    rhs = np.zeros((L + 1, quad.n_theta, 2), dtype=complex)
-    rhs[:, :, 0] = bh[:, : L + 1].T * 1.0  # the complex product m < 0 takes: signed zeros round alike
-    rhs[1:, :, 1] = bh[:, -1 : -L - 1 : -1].T * (-1.0) ** np.arange(1, L + 1)[:, None]
-    return A, rhs, bh[:, L + 1 : quad.n_phi - L].ravel(), modes
+    rhs = np.zeros((L + 1, quad.n_theta, *bh.shape[:-2], 2), dtype=complex)
+    rhs[..., 0] = bh[..., : L + 1].T * 1.0  # the complex product m < 0 takes: signed zeros round alike
+    rhs[1:, ..., 1] = bh[..., -1 : -L - 1 : -1].T * (-1.0) ** np.arange(1, L + 1).reshape(-1, *[1] * many, 1)
+    rest = bh[..., L + 1 : quad.n_phi - L]
+    return A, rhs, list(rest.reshape(len(bh), -1)) if many else rest.ravel(), modes
 
 
 @functools.lru_cache(maxsize=None)
-def _order_plan(L: int, n_theta: int) -> np.ndarray:
-    """Flat indices taking G (L+1, L+1, n_theta), flattened with one zero row
-    appended, to the stack A[m, :, j] = G[m + j, m, :], zero where m + j > L."""
+def _order_plan(L: int, n_theta: int):
+    """For _order_system (read-only): the flat indices taking G (L+1, L+1,
+    n_theta), flattened with one zero row appended, to the stack A[m, :, j] =
+    G[m + j, m, :], zero where m + j > L, and where each flat mode sits."""
     m, j = np.arange(L + 1)[:, None], np.arange(L + 1)
     row = np.where(m + j <= L, (m + j) * (L + 1) + m, (L + 1) ** 2)
+    ells, ms = specfun.mode_degrees(L), specfun.mode_orders(L)
+    counts = np.arange(L + 1, 0, -1), np.minimum(np.arange(L + 1), 1) + 1  # columns, (b_m, b_-m)
     plan = row[:, None, :] * n_theta + np.arange(n_theta)[:, None]
     plan.flags.writeable = False
-    return plan
+    return plan, _Modes((np.abs(ms), ells - np.abs(ms), (ms < 0).astype(int)), counts)
+
+
+class _Modes(tuple):
+    """A plan's (system, column, right-hand side) of each flat mode, read-only,
+    with each system's real column and right-hand-side ``counts``."""
+
+    def __new__(cls, modes, counts):
+        self = super().__new__(cls, modes)
+        self.counts = counts
+        for x in (*modes, *counts):
+            x.flags.writeable = False
+        return self
 
 
 def assemble_basis_matrix(
@@ -325,34 +351,43 @@ def _factor(matrix: np.ndarray, rhs: np.ndarray, pairs=None) -> tuple[np.ndarray
 
 def _stacked(system, factor):
     """A (matrix, rhs, rest, modes[, pairs]) system and its _factor as stacks, with the
-    real column and right-hand-side counts of each: those ``modes`` reads."""
+    real column and right-hand-side counts of each: those ``modes`` reads, or its plan's."""
     A, B, _, modes = system[:4]
     A = A.reshape(-1, *A.shape[-2:])
     B = B.reshape(*A.shape[:2], -1)
     R, norms = factor[0].reshape(len(A), *factor[0].shape[-2:]), factor[1].reshape(len(A), -1)
+    if isinstance(modes, _Modes):
+        return A, B, R, norms, *modes.counts
     real = np.zeros((len(A), A.shape[2], B.shape[2]), dtype=bool)
     real[modes] = True
     return A, B, R, norms, real.any(axis=2).sum(axis=1), real.any(axis=1).sum(axis=1)
 
 
-def _qr_residual(system, factor) -> float:
-    """Least-squares residual off the R factors: each system's right-hand
-    sides below its real columns, and the part of b no column reaches."""
+def _qr_residual(system, factor):
+    """Least-squares residual off the R factors: each system's right-hand sides
+    below its real columns, and the part of b no column reaches; a list of them,
+    one per entry, if ``rest`` is a list (one per entry, their right-hand sides
+    side by side)."""
     A, _, R, _, n, _ = _stacked(system, factor)
+    w, rests = A.shape[2], system[2] if isinstance(system[2], list) else [system[2]]
     below = np.arange(R.shape[1]) >= n[:, None]
-    return float(np.linalg.norm(np.concatenate((R[..., A.shape[2] :][below].ravel(), system[2]))))
+    c = (R.shape[2] - w) // len(rests)
+    res = [float(np.linalg.norm(np.concatenate((R[..., w + c * j : w + c * (j + 1)][below].ravel(), rest))))
+           for j, rest in enumerate(rests)]
+    return res if isinstance(system[2], list) else res[0]
 
 
-def _solve_factored(system, factor, svd_cutoff) -> LeastSquaresInfo:
+def _solve_factored(system, factor, svd_cutoff, s=None) -> LeastSquaresInfo:
     """Solve of min ||A @ C + B|| over a (matrix, rhs, rest, modes) stack of
     systems on its _factor R as one operation (see the module docstring): a unit
     pivot in each padded column leaves each real triangle's back-substitution as
-    it is.  ``rest`` is the part of b no column reaches; ``modes`` picks C's modes."""
+    it is.  ``rest`` is the part of b no column reaches; ``modes`` picks C's
+    modes; ``s`` holds the singular values of R's triangles, if known."""
     A, B, R, norms, n, orders = _stacked(system, factor)
     w = A.shape[2]
     # a padded column of R is exactly zero and adds an exact-zero value; an
     # all-zero stack keeps nothing, and a system's kept values serve its orders
-    s = np.linalg.svd(R[:, :w, :w], compute_uv=False)
+    s = np.linalg.svd(R[:, :w, :w], compute_uv=False) if s is None else s
     keep = (s > 0.0) & (s >= svd_cutoff * s.max())
     rank = int(keep.sum(axis=1) @ orders)
     if (keep.sum(axis=1) == n).all():
@@ -398,8 +433,9 @@ _BLOCK = 4  # escalation steps read ahead together: one radial_map per block
 def _escalation_steps(surface, ctx, bc, Ls, quad_degree_factor):
     """Per degree L of ``Ls``: its rule, the boundary read (f, normal, scale; on the polar
     axis of a surface of revolution, repeated along phi for b), the incident data b (there
-    its DFT along phi) with its norm, and the _hankel table at f of L's block's top degree."""
-    axis, last = surface.axisymmetric, (None,)
+    its DFT along phi) with its norm, a list of those pairs if ``ctx`` is a list (of one k),
+    and the _hankel table at f of L's block's top degree."""
+    axis, last, ctxs = surface.axisymmetric, (None,), ctx if isinstance(ctx, list) else [ctx]
     for first in range(0, len(Ls), _BLOCK):
         block = Ls[first : first + _BLOCK]
         # >= 2L as quad_degree_factor >= 2; the floor keeps small-L residuals trustworthy
@@ -407,36 +443,60 @@ def _escalation_steps(surface, ctx, bc, Ls, quad_degree_factor):
         quads = {d: quadrature_for_degree(d) for d in rules}
         f, normal, scale, ends = _read_rules(surface, list(quads.values()), axis)
         logger.debug("L=%d..%d: one read of rules %s, %d nodes", block[0], block[-1], list(quads), len(f))
-        read = (f, *normal, scale, *_hankel(block[-1], ctx.k, f, bc))
+        read = (f, *normal, scale, *_hankel(block[-1], ctxs[0].k, f, bc))
         nodes = dict(zip(quads, map(slice, [0, *ends], ends)))
         for L, d in zip(block, rules):
             quad, (f, nr, nt, nph, scale, *T) = quads[d], [x[..., nodes[d]] for x in read]
             if d != last[0]:  # rules repeat only from one degree to the next
                 grid = [np.repeat(x, quad.n_phi if axis else 1, axis=-1) for x in (f, (nr, nt, nph), scale)]
-                b = _incident(quad, ctx, bc, *grid[:2]) * grid[2]
-                bh = np.fft.fft(b.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho") if axis else b
-                last = d, bh, np.linalg.norm(b)
-            yield L, quad, (f, (nr, nt, nph), scale), last[1:], T
+                # each context alone: points @ alpha picks its BLAS kernel by shape
+                data = [(np.fft.fft(b.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho") if axis else b,
+                         np.linalg.norm(b)) for b in (_incident(quad, c, bc, *grid[:2]) * grid[2] for c in ctxs)]
+                last = d, data if ctx is ctxs else data[0]
+            yield L, quad, (f, (nr, nt, nph), scale), last[1], T
 
 
-def mrc_solve(
+def _system(surface, quad, hankel, L, bc, f, normal, scale, b):
+    """A step's system for the incident data b (a list: of several entries)."""
+    if surface.axisymmetric:
+        return _order_system(quad, hankel, L, bc, f, normal, scale, b)
+    if surface.mirror_symmetric:
+        return _parity_system(quad, hankel, L, bc, f, normal, scale, b, surface.xz_symmetric)
+    rhs, rest = (np.stack(b, axis=-1), [()] * len(b)) if isinstance(b, list) else (b, ())
+    return scale[:, None] * _columns(quad, hankel, L, bc, f, normal), rhs, rest, _DENSE
+
+
+def _solve_step(step, svd_cutoff) -> LeastSquaresInfo:
+    """_solve_factored of entry j of a step's (system, factor, j, shared), of
+    several if ``rest`` is a list: its own columns of R, and the singular values
+    of A, which the step's entries share (kept in ``shared``)."""
+    (A, B, rest, *more), (R, norms), j, shared = step
+    w = A.shape[-1]
+    if isinstance(rest, list):
+        cols = np.r_[:w, w + j * (c := (R.shape[-1] - w) // len(rest)) : w + (j + 1) * c]
+        B, rest, R = B.reshape(*A.shape[:-1], len(rest), c)[..., j, :], rest[j], R[..., cols]
+    if not shared:
+        shared.append(np.linalg.svd(R.reshape(-1, *R.shape[-2:])[:, :w, :w], compute_uv=False))
+    return _solve_factored((A, B, rest, *more), (R, norms), svd_cutoff, shared[0])
+
+
+def solve_entries(
     surface: StarSurface,
-    ctx: WaveContext,
+    contexts: list[WaveContext],
     bc: str = DIRICHLET,
     eps_target: float = 1e-6,
     L_start: int = 0,
     L_max: int = 30,
     quad_degree_factor: float = 2.5,
     svd_cutoff: float = 1e-12,
-) -> DirectSolution:
-    """Escalate the truncation degree until the boundary residual (relative to
-    the incident-data norm) drops to eps_target; keep the smallest such L.
+) -> list[DirectSolution]:
+    """mrc_solve of every context, all of one wavenumber (ValueError naming the
+    values otherwise), by one escalation: A depends on k and the surface alone.
 
-    Exhausting L_max is not an error: the best coefficients found are
-    returned with ``converged = False``.  A step whose system is not finite
-    (overflow) ends the escalation the same way; ValueError if none was.  The
-    boundary is read per block of four degrees, each step bitwise as if alone.
-    """
+    Each step builds A once and takes one _factor of [A | b_1 | b_2 | ...] over
+    the entries not yet done; each entry reads its own residual off R, keeps its
+    own smallest L and history, and solves on its own columns of R, with the
+    singular values of A shared by the entries kept at one step."""
     _check_bc(bc)
     _check_svd_cutoff(svd_cutoff)
     if not eps_target > 0:  # NaN too
@@ -449,48 +509,63 @@ def mrc_solve(
         raise ValueError(
             f"quad_degree_factor must be finite and >= 2 (anti-aliasing), got {quad_degree_factor}"
         )
-    history: list[tuple[int, float]] = []
-    best, converged = None, False
-    steps = _escalation_steps(surface, ctx, bc, range(L_start, L_max + 1), quad_degree_factor)
-    for L, quad, (f, normal, scale), (b, b_norm), hankel in steps:
-        if surface.axisymmetric:
-            system = _order_system(quad, hankel, L, bc, f, normal, scale, b)
-        elif surface.mirror_symmetric:
-            system = _parity_system(quad, hankel, L, bc, f, normal, scale, b, surface.xz_symmetric)
-        else:
-            system = (scale[:, None] * _columns(quad, hankel, L, bc, f, normal), b, (), _DENSE)
+    if len({ctx.k for ctx in contexts}) != 1:
+        raise ValueError(f"contexts must share one wavenumber, got k = {[ctx.k for ctx in contexts]}")
+    many = len(contexts) > 1
+    tag = [f" (entry {e})" if many else "" for e in range(len(contexts))]
+    histories: list[list[tuple[int, float]]] = [[] for _ in contexts]
+    best, kept, active = [None] * len(contexts), [None] * len(contexts), list(range(len(contexts)))
+    steps = _escalation_steps(surface, list(contexts), bc, range(L_start, L_max + 1), quad_degree_factor)
+    for L, quad, (f, normal, scale), data, hankel in steps:
+        b = [data[e][0] for e in active] if many else data[0][0]
+        system = _system(surface, quad, hankel, L, bc, f, normal, scale, b)
         if not (np.isfinite(system[0]).all() and np.isfinite(system[1]).all()):
             logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
             break
         factor = _factor(*system[:2], *system[4:])
-        rel = _qr_residual(system, factor) / b_norm
-        history.append((L, rel))
-        logger.debug("L=%d relative residual %.3e", L, rel)
-        # truncation or rounding can leave the solved residual above the QR one
-        step = (system, factor, svd_cutoff)
-        if rel <= eps_target and (info := _solve_factored(*step)).residual <= eps_target * b_norm:
-            converged = True
+        residuals, shared = _qr_residual(system, factor), []
+        for j, e in enumerate(list(active)):
+            b_norm, step = data[e][1], (system, factor, j, shared)
+            rel = (residuals[j] if many else residuals) / b_norm
+            histories[e].append((L, rel))
+            logger.debug("L=%d relative residual %.3e%s", L, rel, tag[e])
+            # truncation or rounding can leave the solved residual above the QR one
+            if rel <= eps_target and (info := _solve_step(step, svd_cutoff)).residual <= eps_target * b_norm:
+                kept[e] = (L, b_norm, step, info)
+                active.remove(e)
+            elif best[e] is None or rel < best[e][0]:
+                best[e] = (rel, L, b_norm, step)
+        if not active:
             break
-        if best is None or rel < best[0]:
-            best = (rel, L, b_norm, step)
-    if not converged:
-        if best is None:
-            raise ValueError(f"no finite escalation step from L={L_start}")
-        _, L, b_norm, step = best
-        info = _solve_factored(*step)
-        logger.warning(
-            "escalation ended at L=%d; keeping L=%d with relative residual %.3e > %.3e",
-            history[-1][0], L, info.residual / b_norm, eps_target,
-        )
-    logger.debug("L=%d kept, split into %d systems x %d rows x %d columns", L,
-                 *step[0][0].reshape(-1, *step[0][0].shape[-2:]).shape)
-    rel = info.residual / b_norm
-    return DirectSolution(
-        coefficients=CoefficientSet(L, _complex_coeffs(info.coeffs) if step[0][4:] else info.coeffs),
-        residual=rel,
-        boundary_condition=bc,
-        converged=converged,
-        condition=info.condition,
-        rank=info.rank,
-        history=history,
-    )
+    solutions = []
+    for e, history in enumerate(histories):
+        if kept[e] is None:
+            if best[e] is None:
+                raise ValueError(f"no finite escalation step from L={L_start}")
+            _, L, b_norm, step = best[e]
+            info = _solve_step(step, svd_cutoff)
+            logger.warning("escalation ended at L=%d; keeping L=%d with relative residual %.3e > %.3e%s",
+                           history[-1][0], L, info.residual / b_norm, eps_target, tag[e])
+        else:
+            L, b_norm, step, info = kept[e]
+        logger.debug("L=%d kept, split into %d systems x %d rows x %d columns%s", L,
+                     *step[0][0].reshape(-1, *step[0][0].shape[-2:]).shape, tag[e])
+        coeffs = CoefficientSet(L, _complex_coeffs(info.coeffs) if step[0][4:] else info.coeffs)
+        solutions.append(DirectSolution(coeffs, info.residual / b_norm, bc, kept[e] is not None,
+                                        info.condition, info.rank, history))
+    return solutions
+
+
+def mrc_solve(surface: StarSurface, ctx: WaveContext, bc: str = DIRICHLET, eps_target: float = 1e-6,
+              L_start: int = 0, L_max: int = 30, quad_degree_factor: float = 2.5,
+              svd_cutoff: float = 1e-12) -> DirectSolution:
+    """Escalate the truncation degree until the boundary residual (relative to
+    the incident-data norm) drops to eps_target; keep the smallest such L.
+
+    Exhausting L_max is not an error: the best coefficients found are
+    returned with ``converged = False``.  A step whose system is not finite
+    (overflow) ends the escalation the same way; ValueError if none was.  The
+    boundary is read per block of four degrees, each step bitwise as if alone.
+    This is the one-entry call of ``solve_entries``.
+    """
+    return solve_entries(surface, [ctx], bc, eps_target, L_start, L_max, quad_degree_factor, svd_cutoff)[0]

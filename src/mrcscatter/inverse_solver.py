@@ -199,7 +199,8 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     rest); each candidate carries its entry's k.
     Returns entry, direction, r, residual and imag_score of the kept
     candidates, ordered by entry, direction and residual (a stable sort of the
-    grid order)."""
+    grid order), and per (entry, direction) whether the grid's least |p| is at
+    an end of the bracket."""
     r_lo, r_hi = bracket
     if not 0.0 < r_lo < r_hi < math.inf:
         raise ValueError(f"invalid bracket {bracket}")
@@ -234,7 +235,7 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     score = f0 / np.max(pg, axis=-1)[ents, rows]
     keep = np.flatnonzero(score <= residual_threshold)
     keep = keep[np.lexsort((f0[keep], rows[keep], ents[keep]))]
-    return ents[keep], rows[keep], r0[keep], f0[keep], score[keep]
+    return ents[keep], rows[keep], r0[keep], f0[keep], score[keep], np.argmin(pg, axis=-1) % (grid_n - 1) == 0
 
 
 def _ray_roots(coeffs, ctx, dirs: list[Direction], bracket: tuple[float, float], grid_n: int,
@@ -248,7 +249,7 @@ def _ray_roots(coeffs, ctx, dirs: list[Direction], bracket: tuple[float, float],
     Y = specfun.sph_harm_table(coeffs[0].L, *_angles(dirs))
     found = _search(_degree_weights(Y, coeffs), *_incidence(dirs, ctxs), bracket, grid_n, residual_threshold)
     roots: list[list[list[RayRoot]]] = [[[] for _ in dirs] for _ in ctxs]
-    for e, d, r, f, s in zip(*(v.tolist() for v in found)):
+    for e, d, r, f, s in zip(*(v.tolist() for v in found[:5])):
         roots[e][d].append(RayRoot(dir_out=dirs[d], r=r, residual=f, imag_score=s))
     return roots[0] if single else roots
 
@@ -366,7 +367,8 @@ def stable_reconstruct(
     are filled from the smoothed harmonic fit of the resolved ones and stay
     flagged.  Radii are clipped to the bracket, with a warning; resolved roots
     lie inside it by construction, so only radii filled from the model can be
-    clipped.
+    clipped.  Unresolved directions whose least |p| on the grid is at an end of
+    the bracket are counted in a warning: the boundary may lie beyond it.
     """
     if not data.entries:
         raise ValueError("no entries in near-field data")
@@ -401,10 +403,10 @@ def stable_reconstruct(
     cosang, ks = _incidence(dirs, [e.ctx for e in data.entries])
 
     n = len(dirs)
-    best = None  # (resolution, L, radii, residuals, spreads, resolved)
+    best = None  # (resolution, L, radii, residuals, spreads, resolved, least |p| at a bracket end)
     for L in schedule:
         W = _degree_weights(Y, [c.truncated(L) for c in full])
-        ents, rows, r, f, _ = _search(W, cosang, ks, bracket, grid_n, residual_threshold)
+        ents, rows, r, f, _, at_end = _search(W, cosang, ks, bracket, grid_n, residual_threshold)
         radii, residuals, spreads, resolved = _stable_roots(ents, rows, r, f, (len(ks), n))
         if len(ks) == 1:  # the spread of one root is undefined
             spreads[:] = np.nan
@@ -413,10 +415,10 @@ def stable_reconstruct(
         frac = float(np.count_nonzero(resolved)) / n
         logger.debug("L=%d resolves %.0f%% of directions", L, 100 * frac)
         if best is None or frac > best[0]:
-            best = (frac, L, radii, residuals, spreads, resolved)
+            best = (frac, L, radii, residuals, spreads, resolved, at_end.any(axis=0))
         if frac >= quorum:
             break
-    frac, L_sel, radii, residuals, spreads, resolved = best
+    frac, L_sel, radii, residuals, spreads, resolved, at_end = best
     # the first degree to reach the quorum is also the best so far
     converged = bool(frac >= quorum)
     if not converged:
@@ -426,6 +428,9 @@ def stable_reconstruct(
         )
 
     n_resolved, model_modes = int(np.count_nonzero(resolved)), specfun.n_modes(harmonic_degree)
+    if edge := np.count_nonzero(at_end & ~resolved):
+        logger.warning("%d of %d unresolved directions at L=%d have their least |p| at an end of the "
+                       "bracket %s: the boundary may lie outside it", edge, n - n_resolved, L_sel, bracket)
     if n_resolved > model_modes:
         model = _fit_harmonic_model(dirs, radii, resolved, harmonic_degree)
     else:
