@@ -12,12 +12,13 @@ rules, node by node, with one Hankel table per block for every shape, so no
 step depends on its block.  A depends on k and the surface alone, so incidences
 of one k escalate together (``solve_entries``; the T-matrix observation of
 Waterman, Phys. Rev. D 3 (1971) 825): one read, build and QR per step for all,
-each reading its own residual off R.  Each step takes one Householder QR of [A | b]
-(columns of A at unit norm), reading the residual off the R factor as Q is
-orthonormal.  The QR is of a stack of systems, each zero-padded to one width
-(Householder no-ops).  The kept step solves the whole stack at once: one
-batched SVD of R gives rank and condition over all systems, then one solve on
-R with a unit pivot per padded column, or a truncated SVD if a value drops.
+their incident data on a leading axis (a lone entry's has none), each reading its
+own residual off R.  Each step takes one Householder QR of [A | b] (columns of A
+at unit norm), reading the residual off the R factor as Q is orthonormal.  The QR
+is of a stack of systems, each zero-padded to one width (Householder no-ops).
+The kept step solves the whole stack at once: one batched SVD of R gives rank and
+condition over all systems, then one solve on R with a unit pivot per padded
+column, or a truncated SVD if a value drops.
 On a surface of revolution (``StarSurface.axisymmetric``) column
 (ell, m) is g(theta) * exp(i*m*phi) and n_phi >= 2L+1, so the unitary DFT along
 phi leaves L+1 systems [B_|m| | 0 | b_m | (-1)**m b_-m] of n_theta rows (B_-m =
@@ -83,8 +84,8 @@ class WaveContext:
     alpha: Direction
 
     def __post_init__(self) -> None:
-        if not self.k > 0:  # NaN too
-            raise ValueError(f"wavenumber must be > 0, got {self.k}")
+        if not 0 < self.k < math.inf:  # NaN too
+            raise ValueError(f"wavenumber must be > 0 and finite, got {self.k}")
 
 
 @dataclass
@@ -213,7 +214,8 @@ def _parity_system(quad, hankel, L, bc, f, normal, scale, b, xz=False):
     """A mirror-symmetric surface's system (see the module docstring) after the
     unitary fold (x +- x') * w/2 of each node x with its mirror x' about z = 0
     and, if ``xz``, about the xz-plane (w = sqrt(2), but 1 for + and 0 for - on
-    its own mirror), built by _columns times w on the nodes they keep."""
+    its own mirror), built by _columns times w on the nodes they keep; the
+    entries of b (a leading axis) give right-hand sides side by side, rows of rest."""
     w, used, columns, modes, pairs, E, images, signs = _parity_plan(L, quad.n_theta, quad.n_phi, xz)
     f, nr, nt, nph, scale, *hankel = (x[..., images[0]] for x in (f, *normal, scale, *hankel))  # kept nodes
     A = _columns(quad, hankel, L, bc, f, (nr, nt, nph), slice(quad.n_theta // 2, None), E)
@@ -221,11 +223,9 @@ def _parity_system(quad, hankel, L, bc, f, normal, scale, b, xz=False):
     for system, modes_in in zip(M, columns):
         system[:, : len(modes_in)] = A[:, modes_in]
     M *= (w[used] * scale)[..., None]
-    # b at each kept node and its mirrors, of each entry if b is a list of them
-    rhs = [(signs @ x[images]) * (w / (4 if xz else 2)) for x in (b if isinstance(b, list) else [b])]
-    rest = [x[~used].ravel() for x in rhs]
-    B = np.stack(rhs, axis=-1)[used] if isinstance(b, list) else rhs[0][used]
-    return (M, B, rest if isinstance(b, list) else rest[0], modes) + ((pairs,) if xz else ())
+    rhs = (signs @ b[..., images]) * (w / (4 if xz else 2))  # b at each kept node and its mirrors
+    B = rhs[..., used, :].T.swapaxes(0, 1)  # a view, the entries last
+    return (M, B, rhs[..., ~used, :].reshape(*b.shape[:-1], -1), modes) + ((pairs,) if xz else ())
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,9 +266,9 @@ def _order_system(quad, hankel, L, bc, f, normal, scale, bh):
     DFT along phi (``bh`` of b): the stack of L+1 systems B_|m| with right-hand
     sides (b_m, (-1)**m b_-m), the bins no column reaches, and where each flat
     mode (ell, m) sits in the solution stack: system |m|, column ell - |m|,
-    right-hand side 0 for m >= 0 and 1 for m < 0.  Given a list of ``bh``, one
-    per entry, the entries' right-hand sides sit side by side, each entry's
-    pair in turn, and the bins are a list."""
+    right-hand side 0 for m >= 0 and 1 for m < 0.  The entries of ``bh`` (a
+    leading axis, if any) give right-hand sides side by side, each entry's
+    pair in turn, and one row of bins each."""
     P, (nr, nt, _) = quad.legendre(L), normal
     if bc == DIRICHLET:  # rows 0..L of a higher-degree table are bitwise the degree-L table
         G = hankel[0][: L + 1, None] * P
@@ -278,14 +278,11 @@ def _order_system(quad, hankel, L, bc, f, normal, scale, bh):
     G *= math.sqrt(quad.n_phi) * scale
     index, modes = _order_plan(L, quad.n_theta)
     A = np.concatenate((G.ravel(), np.zeros(quad.n_theta)))[index]
-    many = isinstance(bh, list)
-    bh = np.stack(bh) if many else bh  # (entries,) n_theta, n_phi: .T puts the entries last
     # Y[ell, -m] = Pbar[ell, m] * (-1)**m * exp(-i*m*phi), so B_-m = (-1)**m B_m
-    rhs = np.zeros((L + 1, quad.n_theta, *bh.shape[:-2], 2), dtype=complex)
+    rhs = np.zeros((L + 1, quad.n_theta, *bh.shape[:-2], 2), dtype=complex)  # .T puts bh's entries last
     rhs[..., 0] = bh[..., : L + 1].T * 1.0  # the complex product m < 0 takes: signed zeros round alike
-    rhs[1:, ..., 1] = bh[..., -1 : -L - 1 : -1].T * (-1.0) ** np.arange(1, L + 1).reshape(-1, *[1] * many, 1)
-    rest = bh[..., L + 1 : quad.n_phi - L]
-    return A, rhs, list(rest.reshape(len(bh), -1)) if many else rest.ravel(), modes
+    rhs[1:, ..., 1] = (bh[..., -1 : -L - 1 : -1] * (-1.0) ** np.arange(1, L + 1)).T
+    return A, rhs, bh[..., L + 1 : quad.n_phi - L].reshape(*bh.shape[:-2], -1), modes
 
 
 @functools.lru_cache(maxsize=None)
@@ -363,18 +360,17 @@ def _stacked(system, factor):
     return A, B, R, norms, real.any(axis=2).sum(axis=1), real.any(axis=1).sum(axis=1)
 
 
-def _qr_residual(system, factor):
-    """Least-squares residual off the R factors: each system's right-hand sides
-    below its real columns, and the part of b no column reaches; a list of them,
-    one per entry, if ``rest`` is a list (one per entry, their right-hand sides
-    side by side)."""
+def _qr_residual(system, factor) -> list[float]:
+    """Least-squares residual off the R factors, one per entry: each system's
+    right-hand sides below its real columns, and the part of b no column
+    reaches.  ``rest`` has a row per entry (one row, with no leading axis, for a
+    lone entry), and the entries' right-hand sides sit side by side."""
     A, _, R, _, n, _ = _stacked(system, factor)
-    w, rests = A.shape[2], system[2] if isinstance(system[2], list) else [system[2]]
+    w, rests = A.shape[2], np.atleast_2d(system[2])
     below = np.arange(R.shape[1]) >= n[:, None]
     c = (R.shape[2] - w) // len(rests)
-    res = [float(np.linalg.norm(np.concatenate((R[..., w + c * j : w + c * (j + 1)][below].ravel(), rest))))
-           for j, rest in enumerate(rests)]
-    return res if isinstance(system[2], list) else res[0]
+    return [float(np.linalg.norm(np.concatenate((R[..., w + c * j : w + c * (j + 1)][below].ravel(), rest))))
+            for j, rest in enumerate(rests)]
 
 
 def _solve_factored(system, factor, svd_cutoff, s=None) -> LeastSquaresInfo:
@@ -433,8 +429,8 @@ _BLOCK = 4  # escalation steps read ahead together: one radial_map per block
 def _escalation_steps(surface, ctx, bc, Ls, quad_degree_factor):
     """Per degree L of ``Ls``: its rule, the boundary read (f, normal, scale; on the polar
     axis of a surface of revolution, repeated along phi for b), the incident data b (there
-    its DFT along phi) with its norm, a list of those pairs if ``ctx`` is a list (of one k),
-    and the _hankel table at f of L's block's top degree."""
+    its DFT along phi) with its norm, one such pair per context if ``ctx`` is a list (of one
+    k; solve_entries stacks them), and the _hankel table at f of L's block's top degree."""
     axis, last, ctxs = surface.axisymmetric, (None,), ctx if isinstance(ctx, list) else [ctx]
     for first in range(0, len(Ls), _BLOCK):
         block = Ls[first : first + _BLOCK]
@@ -457,24 +453,24 @@ def _escalation_steps(surface, ctx, bc, Ls, quad_degree_factor):
 
 
 def _system(surface, quad, hankel, L, bc, f, normal, scale, b):
-    """A step's system for the incident data b (a list: of several entries)."""
+    """A step's system for the incident data b (several entries: on a leading axis)."""
     if surface.axisymmetric:
         return _order_system(quad, hankel, L, bc, f, normal, scale, b)
     if surface.mirror_symmetric:
         return _parity_system(quad, hankel, L, bc, f, normal, scale, b, surface.xz_symmetric)
-    rhs, rest = (np.stack(b, axis=-1), [()] * len(b)) if isinstance(b, list) else (b, ())
-    return scale[:, None] * _columns(quad, hankel, L, bc, f, normal), rhs, rest, _DENSE
+    return scale[:, None] * _columns(quad, hankel, L, bc, f, normal), b.T, b[..., :0], _DENSE
 
 
 def _solve_step(step, svd_cutoff) -> LeastSquaresInfo:
-    """_solve_factored of entry j of a step's (system, factor, j, shared), of
-    several if ``rest`` is a list: its own columns of R, and the singular values
-    of A, which the step's entries share (kept in ``shared``)."""
+    """_solve_factored of entry j of a step's (system, factor, j, shared) on its
+    own columns of R, and the singular values of A, which the step's entries
+    share (kept in ``shared``).  A lone entry (no leading axis) is entry 0."""
     (A, B, rest, *more), (R, norms), j, shared = step
-    w = A.shape[-1]
-    if isinstance(rest, list):
-        cols = np.r_[:w, w + j * (c := (R.shape[-1] - w) // len(rest)) : w + (j + 1) * c]
-        B, rest, R = B.reshape(*A.shape[:-1], len(rest), c)[..., j, :], rest[j], R[..., cols]
+    w, rests = A.shape[-1], np.atleast_2d(rest)
+    c = (R.shape[-1] - w) // len(rests)
+    # entry 0's columns follow A's: a view, not a copy
+    R = R[..., : w + c] if j == 0 else R[..., np.r_[:w, w + j * c : w + (j + 1) * c]]
+    B, rest = B.reshape(*A.shape[:-1], len(rests), c)[..., j, :], rests[j]
     if not shared:
         shared.append(np.linalg.svd(R.reshape(-1, *R.shape[-2:])[:, :w, :w], compute_uv=False))
     return _solve_factored((A, B, rest, *more), (R, norms), svd_cutoff, shared[0])
@@ -511,13 +507,12 @@ def solve_entries(
         )
     if len({ctx.k for ctx in contexts}) != 1:
         raise ValueError(f"contexts must share one wavenumber, got k = {[ctx.k for ctx in contexts]}")
-    many = len(contexts) > 1
-    tag = [f" (entry {e})" if many else "" for e in range(len(contexts))]
+    tag = [f" (entry {e})" if len(contexts) > 1 else "" for e in range(len(contexts))]
     histories: list[list[tuple[int, float]]] = [[] for _ in contexts]
     best, kept, active = [None] * len(contexts), [None] * len(contexts), list(range(len(contexts)))
     steps = _escalation_steps(surface, list(contexts), bc, range(L_start, L_max + 1), quad_degree_factor)
     for L, quad, (f, normal, scale), data, hankel in steps:
-        b = [data[e][0] for e in active] if many else data[0][0]
+        b = np.stack([data[e][0] for e in active]) if len(active) > 1 else data[active[0]][0]
         system = _system(surface, quad, hankel, L, bc, f, normal, scale, b)
         if not (np.isfinite(system[0]).all() and np.isfinite(system[1]).all()):
             logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
@@ -526,7 +521,7 @@ def solve_entries(
         residuals, shared = _qr_residual(system, factor), []
         for j, e in enumerate(list(active)):
             b_norm, step = data[e][1], (system, factor, j, shared)
-            rel = (residuals[j] if many else residuals) / b_norm
+            rel = residuals[j] / b_norm
             histories[e].append((L, rel))
             logger.debug("L=%d relative residual %.3e%s", L, rel, tag[e])
             # truncation or rounding can leave the solved residual above the QR one

@@ -263,8 +263,8 @@ class Sphere(StarSurface):
     axisymmetric = mirror_symmetric = xz_symmetric = True
 
     def __post_init__(self) -> None:
-        if not self.radius_value > 0:  # NaN too
-            raise SurfaceError(f"sphere radius must be > 0, got {self.radius_value}")
+        if not 0 < self.radius_value < math.inf:  # NaN too
+            raise SurfaceError(f"sphere radius must be > 0 and finite, got {self.radius_value}")
 
     def radial_map(self, theta, phi):
         shape = np.broadcast(theta, phi).shape
@@ -289,8 +289,8 @@ class PerturbedSphere(StarSurface):
     """
 
     def __init__(self, base_radius: float, bumps: Sequence[tuple[int, int, float]]):
-        if not base_radius > 0:  # NaN too
-            raise SurfaceError(f"base radius must be > 0, got {base_radius}")
+        if not 0 < base_radius < math.inf:  # NaN too
+            raise SurfaceError(f"base radius must be > 0 and finite, got {base_radius}")
         for e, m, a in (bumps := tuple(bumps)):
             if not (float(e).is_integer() and float(m).is_integer()):  # NaN too
                 raise SurfaceError(f"bump ({e}, {m}, {a}): degree and order must be integers")
@@ -398,6 +398,9 @@ class Ellipsoid(StarSurface):
     def __post_init__(self) -> None:
         if not all(s > 0 for s in (self.a, self.b, self.c)):  # NaN too
             raise SurfaceError("all semi-axes must be > 0")
+        for s in (self.a, self.b, self.c):
+            if not 0 < (square := float(s) * float(s)) < math.inf:  # radial_map divides by it
+                raise SurfaceError(f"semi-axis {s} squares to {square}, not a positive finite float")
 
     def radial_map(self, theta, phi):
         st, ct = np.sin(theta), np.cos(theta)

@@ -82,6 +82,15 @@ class TestSolve:
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("axis", [1e200, 1e-170])
+    def test_semi_axis_out_of_float_range_is_one_error_line(self, tmp_path, capsys, axis):
+        # schema-valid (any positive number), but its square is not a positive finite float
+        cfg = dict(SOLVE_CFG, surface={"type": "ellipsoid", "semi_axes": [axis, 1.0, 1.0]})
+        path = write_cfg(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid surface: semi-axis")
+
 
 class TestSynthesize:
     def test_deterministic_under_seed(self, tmp_path):

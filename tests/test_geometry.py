@@ -1,6 +1,7 @@
 """Surfaces, quadrature, surface element, normals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ class TestSurfaces:
         assert e.radius(np.array([0.0]), np.array([0.0]))[0] == pytest.approx(2.0)
         assert e.radius(np.array([math.pi / 2]), np.array([0.0]))[0] == pytest.approx(1.0)
         assert e.radius(np.array([math.pi / 2]), np.array([math.pi / 2]))[0] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("axes, message", [
+        # radial_map divides by each square: 1e200 squares to inf, 1e-170 to 0
+        ((1e200, 1.0, 1.0), "semi-axis 1e+200 squares to inf, not a positive finite float"),
+        ((1.0, 1e-170, 1.0), "semi-axis 1e-170 squares to 0.0, not a positive finite float"),
+        ((1, 1, 10**200), f"semi-axis {10**200} squares to inf, not a positive finite float"),
+        ((1.0, 1.0, -1e200), "all semi-axes must be > 0"),  # the sign guard comes first
+    ])
+    def test_ellipsoid_refuses_a_semi_axis_whose_square_leaves_float_range(self, axes, message):
+        with pytest.raises(SurfaceError, match=re.escape(message)):
+            Ellipsoid(*axes)
+
+    def test_ellipsoid_at_the_edge_of_float_range_reads_finite(self):
+        e = Ellipsoid(1e150, 1e-150, 1.0)
+        f = e.radial_map(np.array([0.3, 1.2]), np.array([0.5, 2.0]))[0]
+        assert np.isfinite(f).all() and (f > 0).all()
 
     def test_degenerate_ellipsoid_is_sphere(self):
         e = Ellipsoid(1.3, 1.3, 1.3)

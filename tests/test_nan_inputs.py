@@ -27,6 +27,10 @@ CASES = {
     "PerturbedSphere.amplitude": (
         lambda: PerturbedSphere(1.0, [(2, 0, NAN)]), "sum of bump amplitudes nan must stay below"
     ),
+    # an infinite k or radius is refused here, not later as an overflow of the boundary system
+    "WaveContext.k=inf": (lambda: WaveContext(math.inf, CTX.alpha), "wavenumber must be > 0"),
+    "Sphere=inf": (lambda: Sphere(math.inf), "sphere radius must be > 0"),
+    "PerturbedSphere.base_radius=inf": (lambda: PerturbedSphere(math.inf, []), "base radius must be > 0"),
     "Ellipsoid.a": (lambda: Ellipsoid(NAN, 1.0, 1.0), "all semi-axes must be > 0"),
     "Ellipsoid.b": (lambda: Ellipsoid(1.0, NAN, 1.0), "all semi-axes must be > 0"),
     "Ellipsoid.c": (lambda: Ellipsoid(1.0, 1.0, NAN), "all semi-axes must be > 0"),
