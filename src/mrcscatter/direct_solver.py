@@ -24,20 +24,20 @@ On a surface of revolution (``StarSurface.axisymmetric``) column
 phi leaves L+1 systems [B_|m| | 0 | b_m | (-1)**m b_-m] of n_theta rows (B_-m =
 (-1)**m B_m), built on the polar axis: the azimuthal decoupling of bodies of
 revolution (Waterman 1971; Mishchenko, Travis & Mackowski, JQSRT 55 (1996) 535).
-On another shape symmetric about z = 0 (``mirror_symmetric``: every ellipsoid,
-bumps with ell + |m| even) column (ell, m) takes the sign (-1)**(ell+m) at the
-mirror node, so the rows (top +- bottom)/sqrt(2) leave two systems, the even
-columns and the odd ones, built on the upper rows and the equator (Waterman
-1971; the equatorial symmetry of Mishchenko & Travis, JQSRT 60 (1998) 309).
-Also symmetric about the xz-plane (``xz_symmetric``: every ellipsoid, bumps of
-order m >= 0), the rows (phi +- -phi)/sqrt(2) on phi in [0, pi] split each
-parity again, by the real harmonics (Y[ell, m] +- (-1)**m Y[ell, -m]) / sqrt(2)
-in slots (ell, +-m), m > 0, which share the complex column's norm: four systems
-unitarily equivalent to the unsplit one, condition included (Kahnert, Stamnes &
-Stamnes, Appl. Opt. 40 (2001) 3110).  A system with no column (the odd ones at
-L=0) leaves its data to the residual.  A general surface is one system.  The
-rule owns a step's harmonic tables: an escalation to L_max=30 leaves 3.0
-(Dirichlet, axisymmetric) to 6.1 MB (Neumann, general).
+Any other shape is folded by its mirror flags, each fold halving the nodes and
+doubling the systems, all unitarily equivalent to the unsplit one, condition
+included (Kahnert, Stamnes & Stamnes, Appl. Opt. 40 (2001) 3110).  About z = 0
+(``mirror_symmetric``: every ellipsoid, bumps with ell + |m| even) column
+(ell, m) takes the sign (-1)**(ell+m) at the mirror node, so the rows (top +-
+bottom)/sqrt(2) on the upper rows and the equator split even columns from odd
+(Waterman 1971; Mishchenko & Travis, JQSRT 60 (1998) 309).  About the xz-plane
+(``xz_symmetric``: every ellipsoid, bumps of order m >= 0) the rows (phi +-
+-phi)/sqrt(2) on phi in [0, pi] split cos from sin: the real harmonics (Y[ell,
+m] +- (-1)**m Y[ell, -m]) / sqrt(2) in slots (ell, +-m), m > 0, which share the
+complex column's norm.  No flag leaves the one dense system.  A system with no
+column (the odd ones at L=0) leaves its data to the residual.  The rule owns a
+step's harmonic tables: an escalation to L_max=30 leaves 3.0 (Dirichlet,
+axisymmetric) to 6.1 MB (Neumann, general).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class WaveContext:
     alpha: Direction
 
     def __post_init__(self) -> None:
-        if not 0 < self.k < math.inf:  # NaN too
+        if not 0 < self.k <= math.nextafter(math.inf, 0):  # NaN, inf and ints beyond float range too
             raise ValueError(f"wavenumber must be > 0 and finite, got {self.k}")
 
 
@@ -210,42 +210,43 @@ def _columns(quad, hankel, L, bc, f, normal, rows=slice(None), real=None) -> np.
     return (nr * Hd)[ells].T * Y + (H / f)[ells].T * ang
 
 
-def _parity_system(quad, hankel, L, bc, f, normal, scale, b, xz=False):
-    """A mirror-symmetric surface's system (see the module docstring) after the
-    unitary fold (x +- x') * w/2 of each node x with its mirror x' about z = 0
-    and, if ``xz``, about the xz-plane (w = sqrt(2), but 1 for + and 0 for - on
-    its own mirror), built by _columns times w on the nodes they keep; the
-    entries of b (a leading axis) give right-hand sides side by side, rows of rest."""
-    w, used, columns, modes, pairs, E, images, signs = _parity_plan(L, quad.n_theta, quad.n_phi, xz)
+def _parity_system(quad, hankel, L, bc, f, normal, scale, b, xz=False, z=True):
+    """A surface's system (not of revolution; see the module docstring) after the
+    unitary fold (x +- x') * w/2**F of each node x with its mirror x' about z = 0
+    if ``z`` and about the xz-plane if ``xz`` (F folds; w = sqrt(2)**F, but 1 for
+    + and 0 for - on its own mirror), built by _columns times w on the nodes they
+    keep; the entries of b (a leading axis) give right-hand sides side by side,
+    rows of rest.  With no fold: the one system (rows, columns), b's entries last."""
+    w, used, columns, modes, pairs, E, images, signs = _parity_plan(L, quad.n_theta, quad.n_phi, xz, z)
     f, nr, nt, nph, scale, *hankel = (x[..., images[0]] for x in (f, *normal, scale, *hankel))  # kept nodes
-    A = _columns(quad, hankel, L, bc, f, (nr, nt, nph), slice(quad.n_theta // 2, None), E)
+    A = _columns(quad, hankel, L, bc, f, (nr, nt, nph), slice(quad.n_theta // 2 * z, None), E)
     M = np.zeros((len(columns), len(A), len(columns[0])), dtype=complex)
     for system, modes_in in zip(M, columns):
-        system[:, : len(modes_in)] = A[:, modes_in]
+        system[:, : len(modes_in)] = A.take(modes_in, axis=1)  # faster than A[:, modes_in]
     M *= (w[used] * scale)[..., None]
-    rhs = (signs @ b[..., images]) * (w / (4 if xz else 2))  # b at each kept node and its mirrors
+    rhs = (signs @ b[..., images]) * (w / 2 ** (z + xz))  # b at each kept node and its mirrors
     B = rhs[..., used, :].T.swapaxes(0, 1)  # a view, the entries last
+    M, B = (M[0], B[0]) if len(images) == 1 else (M, B)
     return (M, B, rhs[..., ~used, :].reshape(*b.shape[:-1], -1), modes) + ((pairs,) if xz else ())
 
 
 @functools.lru_cache(maxsize=None)
-def _parity_plan(L: int, n_theta: int, n_phi: int, xz: bool):
+def _parity_plan(L: int, n_theta: int, n_phi: int, xz: bool, z: bool = True):
     """For _parity_system, shared by its calls (read-only): w per system and
     kept node, the systems with a column, the flat modes of each, each mode's
     place, the flat norm indices of the cos and sin column of each (ell, m > 0),
     the real azimuth table (sqrt(2) cos(m*phi), 1 and i*sqrt(2) sin(|m|*phi) in
     rows m + L > L, L and < L) if ``xz``, the flat indices of each kept node and
-    its mirrors, and the signs that fold their values into the systems' rows."""
-    t, j = np.arange(n_theta // 2, n_theta), np.arange(n_phi // 2 + 1 if xz else n_phi)
-    rows, cols = np.array((t, n_theta - 1 - t)), np.array((j, -j % n_phi) if xz else (j,))
+    its mirrors (by the folds ``z``, ``xz``), and the signs that fold them into rows."""
+    t, j = np.arange(n_theta // 2 * z, n_theta), np.arange(n_phi // 2 + 1 if xz else n_phi)
+    rows, cols = np.array((t, n_theta - 1 - t))[: 1 + z], np.array((j, -j % n_phi))[: 1 + xz]  # node, mirror
     images = (rows[:, None, :, None] * n_phi + cols[:, None, :]).reshape(len(rows) * len(cols), -1)
-    signs = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]] if xz else 1.0)
-    fold = lambda own: np.where(own, [[1.0], [0.0]], 2.0)  # w**2 of the + and - rows
-    w2 = fold(rows[0] == rows[1])[:, None, :, None] * (
-        fold(cols[0] == cols[1]) if xz else np.ones(cols.shape))[:, None]
+    fold = lambda x: np.where(x[0] == x[-1], [[1.0], [0.0]], 2.0)[: len(x)]  # w**2 of the + and - rows
+    w2 = fold(rows)[:, None, :, None] * fold(cols)[:, None]
+    signs = np.kron(*(np.array([[1.0, 1.0], [1.0, -1.0]])[: len(x), : len(x)] for x in (rows, cols)))
     ells, ms = specfun.mode_degrees(L), specfun.mode_orders(L)
-    system = (ells + ms) % 2 * (1 + xz) + (ms < 0) * xz
-    columns = [np.flatnonzero(system == s) for s in range(4 if xz else 2)]
+    system = (ells + ms) % 2 * z * (1 + xz) + (ms < 0) * xz
+    columns = [np.flatnonzero(system == s) for s in range(2 ** (z + xz))]
     used, columns, col = np.array([c.size > 0 for c in columns]), [c for c in columns if c.size], 0 * ms
     for s, c in enumerate(columns):
         system[c], col[c] = s, np.arange(len(c))
@@ -324,9 +325,8 @@ def assemble_basis_matrix(
     outward normal derivative), so the Euclidean residual of the linear system
     is the discretized L2 boundary norm.  Requires quadrature degree >= 2L.
     """
-    _check_bc(bc)
     f, normal, scale = _read_boundary(surface, quad)
-    return scale[:, None] * _columns(quad, _hankel(L, ctx.k, f, bc), L, bc, f, normal)
+    return scale[:, None] * _columns(quad, _hankel(L, ctx.k, f, _check_bc(bc)), L, bc, f, normal)
 
 
 # where the flat modes sit in the solution of one system with one right-hand side
@@ -419,8 +419,7 @@ def solve_least_squares(
     if matrix.size == 0:
         raise ValueError("empty system")
     _check_svd_cutoff(svd_cutoff)
-    system = (matrix, rhs, (), _DENSE)
-    return _solve_factored(system, _factor(matrix, rhs), svd_cutoff)
+    return _solve_factored((matrix, rhs, (), _DENSE), _factor(matrix, rhs), svd_cutoff)
 
 
 _BLOCK = 4  # escalation steps read ahead together: one radial_map per block
@@ -453,12 +452,10 @@ def _escalation_steps(surface, ctx, bc, Ls, quad_degree_factor):
 
 
 def _system(surface, quad, hankel, L, bc, f, normal, scale, b):
-    """A step's system for the incident data b (several entries: on a leading axis)."""
+    """A step's system for b (entries on a leading axis): per order, or folded by the mirror flags."""
     if surface.axisymmetric:
         return _order_system(quad, hankel, L, bc, f, normal, scale, b)
-    if surface.mirror_symmetric:
-        return _parity_system(quad, hankel, L, bc, f, normal, scale, b, surface.xz_symmetric)
-    return scale[:, None] * _columns(quad, hankel, L, bc, f, normal), b.T, b[..., :0], _DENSE
+    return _parity_system(quad, hankel, L, bc, f, normal, scale, b, surface.xz_symmetric, surface.mirror_symmetric)
 
 
 def _solve_step(step, svd_cutoff) -> LeastSquaresInfo:

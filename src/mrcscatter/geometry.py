@@ -23,6 +23,15 @@ class SurfaceError(ValueError):
     """Invalid surface parameters (e.g. radial map not positive)."""
 
 
+def _length(value, name: str, names: str = "") -> float:
+    """A radius or semi-axis (one of ``names``) as a float, if it and its square are positive finite floats."""
+    if not 0 < value <= math.nextafter(math.inf, 0):  # NaN and ints beyond float range too
+        raise SurfaceError(f"{names or name} must be > 0 and finite, got {value}")
+    if not 0 < (square := float(value) * float(value)) < math.inf:  # the boundary weight takes f**2
+        raise SurfaceError(f"{name} {value} squares to {square}, not a positive finite float")
+    return float(value)
+
+
 # --------------------------------------------------------------------------
 # Directions
 # --------------------------------------------------------------------------
@@ -227,7 +236,7 @@ class StarSurface:
     ``mirror_symmetric`` when f(pi - theta, phi) = f(theta, phi) (symmetric
     about z = 0, whose boundary system splits by equatorial parity) and
     ``xz_symmetric`` when f(theta, -phi) = f(theta, phi) (symmetric about the
-    xz-plane, which splits each parity by cos/sin of m*phi)."""
+    xz-plane, which splits the system, or each parity, by cos/sin of m*phi)."""
 
     axisymmetric = mirror_symmetric = xz_symmetric = False
 
@@ -263,8 +272,7 @@ class Sphere(StarSurface):
     axisymmetric = mirror_symmetric = xz_symmetric = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.radius_value < math.inf:  # NaN too
-            raise SurfaceError(f"sphere radius must be > 0 and finite, got {self.radius_value}")
+        _length(self.radius_value, "sphere radius")
 
     def radial_map(self, theta, phi):
         shape = np.broadcast(theta, phi).shape
@@ -289,8 +297,7 @@ class PerturbedSphere(StarSurface):
     """
 
     def __init__(self, base_radius: float, bumps: Sequence[tuple[int, int, float]]):
-        if not 0 < base_radius < math.inf:  # NaN too
-            raise SurfaceError(f"base radius must be > 0 and finite, got {base_radius}")
+        self.base_radius = base_radius = _length(base_radius, "base radius")
         for e, m, a in (bumps := tuple(bumps)):
             if not (float(e).is_integer() and float(m).is_integer()):  # NaN too
                 raise SurfaceError(f"bump ({e}, {m}, {a}): degree and order must be integers")
@@ -304,7 +311,6 @@ class PerturbedSphere(StarSurface):
                 f"sum of bump amplitudes {total} must stay below the base radius "
                 f"{base_radius} to keep the radial map positive"
             )
-        self.base_radius = float(base_radius)
         self.bumps = bumps
         self._scales = tuple(_legendre_peak(ell, abs(m)) for ell, m, _ in bumps)
         self._ells, self._ms = np.array([b[:2] for b in bumps], dtype=int).reshape(-1, 2).T
@@ -396,11 +402,8 @@ class Ellipsoid(StarSurface):
     mirror_symmetric = xz_symmetric = True
 
     def __post_init__(self) -> None:
-        if not all(s > 0 for s in (self.a, self.b, self.c)):  # NaN too
-            raise SurfaceError("all semi-axes must be > 0")
         for s in (self.a, self.b, self.c):
-            if not 0 < (square := float(s) * float(s)) < math.inf:  # radial_map divides by it
-                raise SurfaceError(f"semi-axis {s} squares to {square}, not a positive finite float")
+            _length(s, "semi-axis", "all semi-axes")
 
     def radial_map(self, theta, phi):
         st, ct = np.sin(theta), np.cos(theta)

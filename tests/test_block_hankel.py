@@ -2,8 +2,8 @@
 
 ``mrc_solve`` reads the boundary once per block of four degrees, and with it
 builds one Hankel table (with dH/dr for Neumann) of the block's top degree at
-the block's nodes.  Every builder -- the per-order stack, the mirror fold in
-two or four blocks and the dense system -- reads rows 0..L of it at its own
+the block's nodes.  Every builder -- the per-order stack and the fold in four,
+two (parity or cos/sin) or no blocks -- reads rows 0..L of it at its own
 nodes, so no step builds a table of its own.  Rows 0..L of a higher-degree
 table are bitwise the degree-L table and the table is elementwise in r, so
 each step's system must be bitwise the one built from a fresh degree-L table.
@@ -14,14 +14,15 @@ import pytest
 
 from mrcscatter import direct_solver
 from mrcscatter import specfun as sf
-from mrcscatter.direct_solver import WaveContext, _columns, _escalation_steps, _parity_system, mrc_solve
+from mrcscatter.direct_solver import WaveContext, _escalation_steps, _system, mrc_solve
 from mrcscatter.geometry import Direction, Ellipsoid, PerturbedSphere
 
 CTX = WaveContext(1.1, Direction(0.7, 0.3))
 SURFACES = {
     "ellipsoid86": Ellipsoid(1.0, 0.8, 0.6),  # four blocks: parity x cos/sin
     "mirror": PerturbedSphere(1.0, [(2, 0, 0.1), (3, -1, 0.05)]),  # two parity blocks
-    "bump21": PerturbedSphere(1.0, [(2, 1, 0.15)]),  # one dense system
+    "bump21": PerturbedSphere(1.0, [(2, 1, 0.15)]),  # two cos/sin blocks
+    "bump2-1": PerturbedSphere(1.0, [(2, -1, 0.15)]),  # no fold: one dense system
 }
 BCS = ("dirichlet", "neumann")
 
@@ -56,13 +57,6 @@ def test_one_hankel_table_per_block_reached(name, bc, monkeypatch):
     assert [args[0] for args in pairs] == ([5, 6] if bc == "neumann" else [])
 
 
-def build(surface, quad, hankel, L, bc, f, normal, scale, b):
-    """The system mrc_solve builds for a step of a shape that is not of revolution."""
-    if surface.mirror_symmetric:
-        return _parity_system(quad, hankel, L, bc, f, normal, scale, b, surface.xz_symmetric)
-    return (scale[:, None] * _columns(quad, hankel, L, bc, f, normal),)
-
-
 @pytest.mark.parametrize("bc", BCS)
 @pytest.mark.parametrize("name", SURFACES)
 def test_each_step_reads_its_degree_of_the_block_table_bitwise(name, bc):
@@ -74,8 +68,8 @@ def test_each_step_reads_its_degree_of_the_block_table_bitwise(name, bc):
         n_phi.add(quad.n_phi % 2)
         top = min(L - L % direct_solver._BLOCK + direct_solver._BLOCK - 1, 10)  # its block's
         assert [len(T) for T in hankel] == [top + 1] * (2 if bc == "neumann" else 1)
-        got = build(surface, quad, hankel, L, bc, f, normal, scale, b)
-        fresh = build(surface, quad, direct_solver._hankel(L, CTX.k, f, bc), L, bc, f, normal, scale, b)
+        got = _system(surface, quad, hankel, L, bc, f, normal, scale, b)
+        fresh = _system(surface, quad, direct_solver._hankel(L, CTX.k, f, bc), L, bc, f, normal, scale, b)
         assert len(got) == len(fresh)
         for x, y in zip(got, fresh):
             x, y = np.asarray(x), np.asarray(y)

@@ -91,6 +91,18 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid surface: semi-axis")
 
+    @pytest.mark.parametrize("surface", [
+        {"type": "sphere", "radius": 1e-170},
+        {"type": "perturbed_sphere", "radius": 1e-170, "bumps": [[2, 0, 1e-171]]},
+    ], ids=["sphere", "perturbed_sphere"])
+    def test_radius_whose_square_underflows_is_one_error_line(self, tmp_path, capsys, surface):
+        # schema-valid, but the boundary weight would underflow to 0 and the residual be NaN
+        path = write_cfg(tmp_path / "cfg.json", dict(SOLVE_CFG, surface=surface))
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid surface: ")
+        assert not (tmp_path / "solution.json").exists()
+
 
 class TestSynthesize:
     def test_deterministic_under_seed(self, tmp_path):

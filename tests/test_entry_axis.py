@@ -5,8 +5,9 @@ hands the builders its active entries' incident data stacked on a leading axis,
 and a lone entry's with no such axis.  Stacked, every entry's right-hand-side
 columns of B and its row of ``rest`` must be bitwise what the bare call of that
 entry gives, and ``_qr_residual`` must give one residual per entry, each that of
-the entry's own system to rounding.  Four builders are covered: the per-order
-stack, the two-block and the four-block parity fold, and the dense system.
+the entry's own system to rounding.  The per-order stack and every setting of
+the fold are covered: two parity blocks, four blocks, two cos/sin blocks and no
+fold, the one dense system.
 """
 
 import functools
@@ -21,6 +22,7 @@ from mrcscatter.direct_solver import (
     _factor,
     _qr_residual,
     _solve_step,
+    _columns,
     _system,
 )
 from mrcscatter.geometry import Direction, Ellipsoid, PerturbedSphere
@@ -28,12 +30,13 @@ from mrcscatter.geometry import Direction, Ellipsoid, PerturbedSphere
 ALPHAS = ((0.0, 0.0), (math.pi / 2, 0.3), (math.pi / 4, 1.3))
 CONTEXTS = tuple(WaveContext(1.0, Direction(*alpha)) for alpha in ALPHAS)
 LS = (0, 1, 9)
-# (axisymmetric, mirror_symmetric, xz_symmetric): the first two pick the builder, the third the fold
+# (axisymmetric, mirror_symmetric, xz_symmetric): the first picks the builder, the other two the folds
 SHAPES = {
     "per-order": (PerturbedSphere(1.0, [(2, 0, 0.1)]), (True, True, True)),
     "two-block": (PerturbedSphere(1.0, [(2, 0, 0.1), (3, -1, 0.05)]), (False, True, False)),
     "four-block": (Ellipsoid(1.0, 0.95, 0.9), (False, True, True)),
-    "dense": (PerturbedSphere(1.0, [(2, 1, 0.15)]), (False, False, True)),
+    "dense": (PerturbedSphere(1.0, [(2, 1, 0.15)]), (False, False, True)),  # two cos/sin blocks
+    "no-fold": (PerturbedSphere(1.0, [(2, -1, 0.15)]), (False, False, False)),
 }
 
 
@@ -106,3 +109,15 @@ def test_one_residual_and_solve_per_entry(shape, bc):
                 ref = _solve_step((bare[e], factor(bare[e]), 0, []), 1e-12)
                 assert info.rank == ref.rank
                 assert np.max(np.abs(info.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
+
+
+def test_no_fold_is_the_dense_system_bitwise(bc):
+    # the reference: the dense system of a shape with neither mirror, built directly
+    for lone, group in zip(steps("no-fold", bc, CONTEXTS[1]), steps("no-fold", bc, CONTEXTS)):
+        for step, b in ((lone, lone[3][0]), (group, np.stack([b for b, _ in group[3]]))):
+            L, quad, (f, normal, scale), _, hankel = step
+            system = build("no-fold", bc, step, b)
+            reference = scale[:, None] * _columns(quad, hankel, L, bc, f, normal), b.T, b[..., :0]
+            assert len(system) == 4 and system[0].flags.c_contiguous
+            for x, y in zip(system, reference):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -8,6 +8,7 @@ unsplit dense system (``solve_least_squares`` on ``assemble_basis_matrix``)
 and agree with it to rounding.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -125,11 +126,20 @@ def test_split_escalation_matches_the_unsplit_system(surface, bc, eps, L_max, mo
     assert np.max(np.abs(got.coefficients.coeffs - c)) <= 1e-12 * np.max(np.abs(c))
 
 
-@pytest.mark.parametrize("surface", [PerturbedSphere(1.0, [(2, 1, 0.15)]), Sphere(1.0)],
-                         ids=["bump21", "sphere"])
-def test_other_shapes_do_not_split(surface, monkeypatch):
-    monkeypatch.setattr(direct_solver, "_parity_system", None)  # a call would raise
-    assert mrc_solve(surface, CTX, "dirichlet", eps_target=1e-2, L_max=8).converged
+@pytest.mark.parametrize("surface, kept", [
+    # symmetric about the xz-plane only: its cos/sin blocks, no parity split
+    (PerturbedSphere(1.0, [(2, 1, 0.15)]), "L=6 kept, split into 2 systems x 81 rows x 28 columns"),
+    # neither mirror: the one system on every node
+    (PerturbedSphere(1.0, [(2, -1, 0.15)]), "L=6 kept, split into 1 systems x 153 rows x 49 columns"),
+    (Sphere(1.0), None),
+], ids=["bump21", "bump2-1", "sphere"])
+def test_other_shapes_do_not_split(surface, kept, monkeypatch, caplog):
+    if kept is None:  # a surface of revolution splits by order and never folds
+        monkeypatch.setattr(direct_solver, "_parity_system", None)  # a call would raise
+    with caplog.at_level(logging.DEBUG, logger="mrcscatter.direct_solver"):
+        assert mrc_solve(surface, CTX, "dirichlet", eps_target=1e-2, L_max=8).converged
+    if kept is not None:
+        assert [r.getMessage() for r in caplog.records if "kept" in r.getMessage()] == [kept]
 
 
 @pytest.mark.parametrize("L", [0, 1, 8, 9])  # n_theta 9, 9, 11, 12

@@ -31,6 +31,20 @@ CASES = {
     "WaveContext.k=inf": (lambda: WaveContext(math.inf, CTX.alpha), "wavenumber must be > 0"),
     "Sphere=inf": (lambda: Sphere(math.inf), "sphere radius must be > 0"),
     "PerturbedSphere.base_radius=inf": (lambda: PerturbedSphere(math.inf, []), "base radius must be > 0"),
+    # a Python int beyond float range is refused by value, not as a bare OverflowError later
+    "WaveContext.k=10**400": (
+        lambda: WaveContext(10**400, CTX.alpha), "wavenumber must be > 0 and finite, got 1000"
+    ),
+    "Sphere=10**400": (lambda: Sphere(10**400), "sphere radius must be > 0 and finite, got 1000"),
+    "PerturbedSphere.base_radius=10**400": (lambda: PerturbedSphere(10**400, []), "base radius must be > 0"),
+    "Ellipsoid.a=10**400": (
+        lambda: Ellipsoid(10**400, 1, 1), "all semi-axes must be > 0 and finite, got 1000"
+    ),
+    # a radius whose square underflows: the boundary weight would be 0 and the residual NaN
+    "Sphere=1e-170": (lambda: Sphere(1e-170), "sphere radius 1e-170 squares to 0.0"),
+    "PerturbedSphere.base_radius=1e-170": (
+        lambda: PerturbedSphere(1e-170, [(2, 0, 1e-171)]), "base radius 1e-170 squares to 0.0"
+    ),
     "Ellipsoid.a": (lambda: Ellipsoid(NAN, 1.0, 1.0), "all semi-axes must be > 0"),
     "Ellipsoid.b": (lambda: Ellipsoid(1.0, NAN, 1.0), "all semi-axes must be > 0"),
     "Ellipsoid.c": (lambda: Ellipsoid(1.0, 1.0, NAN), "all semi-axes must be > 0"),

@@ -33,7 +33,8 @@ HALF_PI = math.pi / 2
 ALPHAS = [(0.0, 0.0), (HALF_PI, 0.3), (HALF_PI / 2, 1.3), (2.0, 2.5)]
 MIRROR = PerturbedSphere(1.0, [(2, 0, 0.1), (3, -1, 0.05)])  # symmetric about z = 0 only: two blocks
 ELLIPSOID = Ellipsoid(1.0, 0.8, 0.6)  # four blocks
-BUMP21 = PerturbedSphere(1.0, [(2, 1, 0.15)])  # dense
+BUMP21 = PerturbedSphere(1.0, [(2, 1, 0.15)])  # symmetric about the xz-plane only: two cos/sin blocks
+NO_FOLD = PerturbedSphere(1.0, [(2, -1, 0.15)])  # neither mirror: the one dense system
 
 # (surface, bc, eps_target, L_start, L_max, entries, stacked)
 CASES = {
@@ -47,6 +48,8 @@ CASES = {
     "ellipsoid-N": (ELLIPSOID, "neumann", 1e-2, 3, 12, 2, True),
     "dense-D": (BUMP21, "dirichlet", 1e-3, 0, 16, 4, False),  # L = 9
     "dense-N": (BUMP21, "neumann", 1e-3, 3, 16, 3, False),  # L = 13
+    "no-fold-D": (NO_FOLD, "dirichlet", 1e-3, 0, 16, 4, False),  # L = 9, 8, 9, 8
+    "no-fold-N": (NO_FOLD, "neumann", 1e-3, 3, 16, 3, False),  # L = 13, 11, 13
 }
 
 

@@ -1,10 +1,12 @@
-"""The fold of a mirror-symmetric shape along phi -> -phi as well.
+"""The fold of a shape symmetric about the xz-plane along phi -> -phi.
 
 A shape symmetric about z = 0 (``mirror_symmetric``) and about the xz-plane
 (``xz_symmetric``: every ellipsoid, bumps of order m >= 0 only) is solved as
 four blocks: the parity of ell + m times the cos/sin slot of the real
 harmonics sqrt(2) Pbar cos(m phi) and i sqrt(2) Pbar sin(m phi), built on the
-nodes of theta <= pi/2 and phi <= pi.  The row fold is unitary and the cos and
+nodes of theta <= pi/2 and phi <= pi.  A shape symmetric about the xz-plane
+only is solved as two blocks, the cos and the sin slots, on the nodes of
+phi <= pi and every theta.  The row fold is unitary and the cos and
 sin columns of one (ell, m) share the norm of the complex column they come
 from, so the split solve must select the same degree and rank as the unsplit
 dense system and agree with it to rounding, condition number included.
@@ -157,6 +159,42 @@ def test_four_block_escalation_matches_the_unsplit_system(surface, bc, eps, L_st
     assert np.max(np.abs(got.coefficients.coeffs - c)) <= 1e-12 * np.max(np.abs(c))
 
 
+# symmetric about the xz-plane only: two blocks, cos and sin, on phi <= pi over
+# every polar row; eps sits between two steps' residuals (margins of 1.15 or
+# more), the escalations from L=0 reach L >= 9 and the last one exhausts L_max
+COS_SIN_CASES = {
+    "bump21-D": (PerturbedSphere(1.0, [(2, 1, 0.15)]), "dirichlet", 5e-4, 11),
+    "bump21-N": (PerturbedSphere(1.0, [(2, 1, 0.15)]), "neumann", 5e-3, 11),
+    "bumps2-D": (PerturbedSphere(1.0, [(2, 1, 0.1), (3, 2, 0.05)]), "dirichlet", 1e-3, 11),
+    "bumps2-N-exhausted": (PerturbedSphere(1.0, [(2, 1, 0.1), (3, 2, 0.05)]), "neumann", 1e-12, 10),
+}
+
+
+@pytest.mark.parametrize("name", COS_SIN_CASES)
+def test_cos_sin_escalation_matches_the_unsplit_system(name, monkeypatch):
+    surface, bc, eps, L_max = COS_SIN_CASES[name]
+    assert (surface.mirror_symmetric, surface.xz_symmetric) == (False, True)
+    blocks = []
+
+    def spy(*args):
+        system = _parity_system(*args)
+        blocks.append((args[2], args[8:], len(system[0]), len(system)))
+        return system
+
+    monkeypatch.setattr(direct_solver, "_parity_system", spy)
+    got = mrc_solve(surface, CTX, bc, eps_target=eps, L_max=L_max)
+    L, info, history = escalate_unsplit(surface, bc, eps, 0, L_max)
+    # (xz, z) = (True, False); the sin system has no column at L=0
+    assert blocks == [(L, (True, False), 1 if L == 0 else 2, 5) for L, _ in got.history]
+    assert got.converged is (eps > 1e-12)
+    assert (got.coefficients.L, got.rank) == (L, info.rank)
+    assert [L for L, _ in got.history] == [L for L, _ in history]
+    np.testing.assert_allclose([r for _, r in got.history], [r for _, r in history], rtol=1e-9, atol=0.0)
+    assert got.condition == pytest.approx(info.condition, rel=1e-9)
+    c = info.coeffs
+    assert np.max(np.abs(got.coefficients.coeffs - c)) <= 1e-12 * np.max(np.abs(c))
+
+
 def test_escalations_cover_odd_and_even_n_phi():
     assert {step_quadrature(L).n_phi % 2 for L in range(12)} == {0, 1}
 
@@ -171,16 +209,18 @@ def test_folded_reruns_are_bitwise(bc):
 
 def test_debug_log_names_the_split_once_per_escalation(caplog):
     shapes = [Ellipsoid(1.0, 0.95, 0.9), PerturbedSphere(1.0, [(2, 0, 0.1), (3, -1, 0.05)]),
-              PerturbedSphere(1.0, [(2, 0, 0.1)]), PerturbedSphere(1.0, [(2, 1, 0.15)])]
+              PerturbedSphere(1.0, [(2, 0, 0.1)]), PerturbedSphere(1.0, [(2, -1, 0.15)]),
+              PerturbedSphere(1.0, [(2, 1, 0.15)])]
     with caplog.at_level(logging.DEBUG, logger="mrcscatter.direct_solver"):
         for surface in shapes:
             mrc_solve(surface, CTX, "dirichlet", eps_target=1e-300, L_start=4, L_max=5)
     lines = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
     # L=5: rule of degree 16, n_theta 9 (5 of them at theta <= pi/2), n_phi 17
-    # (9 at phi <= pi); the four settings: parity x cos/sin, parity, per order, dense
+    # (9 at phi <= pi); the settings: parity x cos/sin, parity, per order, no fold, cos/sin
     assert lines == [
         "L=5 kept, split into 4 systems x 45 rows x 12 columns",
         "L=5 kept, split into 2 systems x 85 rows x 21 columns",
         "L=5 kept, split into 6 systems x 9 rows x 6 columns",
         "L=5 kept, split into 1 systems x 153 rows x 36 columns",
+        "L=5 kept, split into 2 systems x 81 rows x 21 columns",
     ]
