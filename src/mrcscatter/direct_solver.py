@@ -13,12 +13,12 @@ step depends on its block.  A depends on k and the surface alone, so incidences
 of one k escalate together (``solve_entries``; the T-matrix observation of
 Waterman, Phys. Rev. D 3 (1971) 825): one read, build and QR per step for all,
 their incident data on a leading axis (a lone entry's has none), each reading its
-own residual off R.  Each step takes one Householder QR of [A | b] (columns of A
-at unit norm), reading the residual off the R factor as Q is orthonormal.  The QR
-is of a stack of systems, each zero-padded to one width (Householder no-ops).
-The kept step solves the whole stack at once: one batched SVD of R gives rank and
-condition over all systems, then one solve on R with a unit pivot per padded
-column, or a truncated SVD if a value drops.
+own residual off R.  Each step takes one Householder QR of [A | b] (columns of A at unit
+norm), reading the residual off the R factor as Q is orthonormal.  Every builder gives a
+stack of systems (one with no fold), zero-padded to one width (Householder no-ops), and a
+_Modes plan of where each flat mode sits.  The kept step solves the stack at once: one
+batched SVD of R gives rank and condition over all systems, then one solve on R with a
+unit pivot per padded column, or a truncated SVD if a value drops.
 On a surface of revolution (``StarSurface.axisymmetric``) column
 (ell, m) is g(theta) * exp(i*m*phi) and n_phi >= 2L+1, so the unitary DFT along
 phi leaves L+1 systems [B_|m| | 0 | b_m | (-1)**m b_-m] of n_theta rows (B_-m =
@@ -34,7 +34,7 @@ bottom)/sqrt(2) on the upper rows and the equator split even columns from odd
 (``xz_symmetric``: every ellipsoid, bumps of order m >= 0) the rows (phi +-
 -phi)/sqrt(2) on phi in [0, pi] split cos from sin: the real harmonics (Y[ell,
 m] +- (-1)**m Y[ell, -m]) / sqrt(2) in slots (ell, +-m), m > 0, which share the
-complex column's norm.  No flag leaves the one dense system.  A system with no
+complex column's norm.  No flag leaves a one-system stack.  A system with no
 column (the odd ones at L=0) leaves its data to the residual.  The rule owns a
 step's harmonic tables: an escalation to L_max=30 leaves 3.0 (Dirichlet,
 axisymmetric) to 6.1 MB (Neumann, general).
@@ -216,8 +216,8 @@ def _parity_system(quad, hankel, L, bc, f, normal, scale, b, xz=False, z=True):
     if ``z`` and about the xz-plane if ``xz`` (F folds; w = sqrt(2)**F, but 1 for
     + and 0 for - on its own mirror), built by _columns times w on the nodes they
     keep; the entries of b (a leading axis) give right-hand sides side by side,
-    rows of rest.  With no fold: the one system (rows, columns), b's entries last."""
-    w, used, columns, modes, pairs, E, images, signs = _parity_plan(L, quad.n_theta, quad.n_phi, xz, z)
+    rows of rest.  With no fold: a one-system stack."""
+    w, used, columns, modes, E, images, signs = _parity_plan(L, quad.n_theta, quad.n_phi, xz, z)
     f, nr, nt, nph, scale, *hankel = (x[..., images[0]] for x in (f, *normal, scale, *hankel))  # kept nodes
     A = _columns(quad, hankel, L, bc, f, (nr, nt, nph), slice(quad.n_theta // 2 * z, None), E)
     M = np.zeros((len(columns), len(A), len(columns[0])), dtype=complex)
@@ -225,19 +225,18 @@ def _parity_system(quad, hankel, L, bc, f, normal, scale, b, xz=False, z=True):
         system[:, : len(modes_in)] = A.take(modes_in, axis=1)  # faster than A[:, modes_in]
     M *= (w[used] * scale)[..., None]
     rhs = (signs @ b[..., images]) * (w / 2 ** (z + xz))  # b at each kept node and its mirrors
-    B = rhs[..., used, :].T.swapaxes(0, 1)  # a view, the entries last
-    M, B = (M[0], B[0]) if len(images) == 1 else (M, B)
-    return (M, B, rhs[..., ~used, :].reshape(*b.shape[:-1], -1), modes) + ((pairs,) if xz else ())
+    B = rhs[..., used, :].T.swapaxes(0, 1).reshape(*M.shape[:2], -1)  # a view, the entries last
+    return M, B, rhs[..., ~used, :].reshape(*b.shape[:-1], -1), modes
 
 
 @functools.lru_cache(maxsize=None)
 def _parity_plan(L: int, n_theta: int, n_phi: int, xz: bool, z: bool = True):
     """For _parity_system, shared by its calls (read-only): w per system and
     kept node, the systems with a column, the flat modes of each, each mode's
-    place, the flat norm indices of the cos and sin column of each (ell, m > 0),
-    the real azimuth table (sqrt(2) cos(m*phi), 1 and i*sqrt(2) sin(|m|*phi) in
-    rows m + L > L, L and < L) if ``xz``, the flat indices of each kept node and
-    its mirrors (by the folds ``z``, ``xz``), and the signs that fold them into rows."""
+    place (its ``pairs``, if ``xz``: the flat norm indices of the cos and sin column
+    of each (ell, m > 0)), the real azimuth table (sqrt(2) cos(m*phi), 1 and i*sqrt(2)
+    sin(|m|*phi) in rows m + L > L, L and < L) if ``xz``, the flat indices of each kept
+    node and its mirrors (by the folds ``z``, ``xz``), and the signs that fold them into rows."""
     t, j = np.arange(n_theta // 2 * z, n_theta), np.arange(n_phi // 2 + 1 if xz else n_phi)
     rows, cols = np.array((t, n_theta - 1 - t))[: 1 + z], np.array((j, -j % n_phi))[: 1 + xz]  # node, mirror
     images = (rows[:, None, :, None] * n_phi + cols[:, None, :]).reshape(len(rows) * len(cols), -1)
@@ -253,10 +252,10 @@ def _parity_plan(L: int, n_theta: int, n_phi: int, xz: bool, z: bool = True):
     pos, cos = system * len(columns[0]) + col, np.flatnonzero(ms > 0)  # system 0 is the widest
     m, phi = np.arange(-L, L + 1)[:, None], 2.0 * math.pi * j / n_phi
     E = np.where(m < 0, 1j * np.sin(-m * phi), np.cos(m * phi)) * np.sqrt(1.0 + (m != 0)) if xz else None
-    modes = _Modes((system, col, 0 * col), (np.array([len(c) for c in columns]), np.ones(len(columns), int)))
-    pairs = np.array((pos[cos], pos[cos - 2 * ms[cos]]))
-    plan = np.sqrt(w2.reshape(len(used), -1)), used, columns, modes, pairs, E, images, signs
-    for x in (plan[0], used, *columns, pairs, *[E] * xz, images, signs):
+    modes = _Modes((system, col, 0 * col), (np.array([len(c) for c in columns]), np.ones(len(columns), int)),
+                   np.array((pos[cos], pos[cos - 2 * ms[cos]])) if xz else None)
+    plan = np.sqrt(w2.reshape(len(used), -1)), used, columns, modes, E, images, signs
+    for x in (plan[0], used, *columns, *[modes.pairs, E] * xz, images, signs):
         x.flags.writeable = False
     return plan
 
@@ -283,7 +282,7 @@ def _order_system(quad, hankel, L, bc, f, normal, scale, bh):
     rhs = np.zeros((L + 1, quad.n_theta, *bh.shape[:-2], 2), dtype=complex)  # .T puts bh's entries last
     rhs[..., 0] = bh[..., : L + 1].T * 1.0  # the complex product m < 0 takes: signed zeros round alike
     rhs[1:, ..., 1] = (bh[..., -1 : -L - 1 : -1] * (-1.0) ** np.arange(1, L + 1)).T
-    return A, rhs, bh[..., L + 1 : quad.n_phi - L].reshape(*bh.shape[:-2], -1), modes
+    return A, rhs.reshape(*A.shape[:2], -1), bh[..., L + 1 : quad.n_phi - L].reshape(*bh.shape[:-2], -1), modes
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,12 +300,13 @@ def _order_plan(L: int, n_theta: int):
 
 
 class _Modes(tuple):
-    """A plan's (system, column, right-hand side) of each flat mode, read-only,
-    with each system's real column and right-hand-side ``counts``."""
+    """A plan's (system, column, right-hand side) of each flat mode, read-only, with
+    each system's real column and right-hand-side ``counts``, and the cos/sin fold's
+    ``pairs`` of flat norm indices (None without that fold; see _parity_plan)."""
 
-    def __new__(cls, modes, counts):
+    def __new__(cls, modes, counts, pairs=None):
         self = super().__new__(cls, modes)
-        self.counts = counts
+        self.counts, self.pairs = counts, pairs
         for x in (*modes, *counts):
             x.flags.writeable = False
         return self
@@ -329,35 +329,16 @@ def assemble_basis_matrix(
     return scale[:, None] * _columns(quad, _hankel(L, ctx.k, f, _check_bc(bc)), L, bc, f, normal)
 
 
-# where the flat modes sit in the solution of one system with one right-hand side
-_DENSE = (0, slice(None), 0)
-
-
 def _factor(matrix: np.ndarray, rhs: np.ndarray, pairs=None) -> tuple[np.ndarray, np.ndarray]:
-    """R factor of [matrix / column norms | rhs], and the norms (0 read as 1),
-    for one system (rhs a vector) or a stack of them (rhs a column each)."""
+    """R factor of [matrix / column norms | rhs], and the norms (0 read as 1), of a stack
+    (systems, rows, columns | right-hand sides); each of the plan's ``pairs`` shares one norm."""
     col_norms = np.linalg.norm(matrix, axis=-2)
     if pairs is not None:  # each (cos, sin) pair shares the rms of its norms: its complex column's norm
         flat = col_norms.reshape(-1)
         flat[pairs] = np.sqrt((flat[pairs[0]] ** 2 + flat[pairs[1]] ** 2) / 2)
     col_norms[col_norms == 0.0] = 1.0
-    rhs = rhs.reshape(*matrix.shape[:-1], -1)
     augmented = np.concatenate((matrix / col_norms[..., None, :], rhs), axis=-1)
     return np.linalg.qr(augmented, mode="r"), col_norms
-
-
-def _stacked(system, factor):
-    """A (matrix, rhs, rest, modes[, pairs]) system and its _factor as stacks, with the
-    real column and right-hand-side counts of each: those ``modes`` reads, or its plan's."""
-    A, B, _, modes = system[:4]
-    A = A.reshape(-1, *A.shape[-2:])
-    B = B.reshape(*A.shape[:2], -1)
-    R, norms = factor[0].reshape(len(A), *factor[0].shape[-2:]), factor[1].reshape(len(A), -1)
-    if isinstance(modes, _Modes):
-        return A, B, R, norms, *modes.counts
-    real = np.zeros((len(A), A.shape[2], B.shape[2]), dtype=bool)
-    real[modes] = True
-    return A, B, R, norms, real.any(axis=2).sum(axis=1), real.any(axis=1).sum(axis=1)
 
 
 def _qr_residual(system, factor) -> list[float]:
@@ -365,22 +346,22 @@ def _qr_residual(system, factor) -> list[float]:
     right-hand sides below its real columns, and the part of b no column
     reaches.  ``rest`` has a row per entry (one row, with no leading axis, for a
     lone entry), and the entries' right-hand sides sit side by side."""
-    A, _, R, _, n, _ = _stacked(system, factor)
-    w, rests = A.shape[2], np.atleast_2d(system[2])
-    below = np.arange(R.shape[1]) >= n[:, None]
+    (A, _, rest, plan), R = system, factor[0]
+    w, rests = A.shape[2], np.atleast_2d(rest)
+    below = np.arange(R.shape[1]) >= plan.counts[0][:, None]
     c = (R.shape[2] - w) // len(rests)
     return [float(np.linalg.norm(np.concatenate((R[..., w + c * j : w + c * (j + 1)][below].ravel(), rest))))
             for j, rest in enumerate(rests)]
 
 
 def _solve_factored(system, factor, svd_cutoff, s=None) -> LeastSquaresInfo:
-    """Solve of min ||A @ C + B|| over a (matrix, rhs, rest, modes) stack of
+    """Solve of min ||A @ C + B|| over a (matrix, rhs, rest, plan) stack of
     systems on its _factor R as one operation (see the module docstring): a unit
     pivot in each padded column leaves each real triangle's back-substitution as
-    it is.  ``rest`` is the part of b no column reaches; ``modes`` picks C's
-    modes; ``s`` holds the singular values of R's triangles, if known."""
-    A, B, R, norms, n, orders = _stacked(system, factor)
-    w = A.shape[2]
+    it is.  ``rest`` is the part of b no column reaches; the _Modes ``plan`` picks
+    C's modes; ``s`` holds the singular values of R's triangles, if known."""
+    (A, B, rest, plan), (R, norms), w = system, factor, system[0].shape[2]
+    n, orders = plan.counts
     # a padded column of R is exactly zero and adds an exact-zero value; an
     # all-zero stack keeps nothing, and a system's kept values serve its orders
     s = np.linalg.svd(R[:, :w, :w], compute_uv=False) if s is None else s
@@ -395,8 +376,8 @@ def _solve_factored(system, factor, svd_cutoff, s=None) -> LeastSquaresInfo:
         C = -(Vh.conj().swapaxes(1, 2) @ y)
     C /= norms[..., None]
     condition = float(s.max() / s[keep].min()) if rank else math.inf
-    residual = float(np.linalg.norm(np.concatenate(((A @ C + B).ravel(), system[2]))))
-    return LeastSquaresInfo(C[system[3]], residual, rank, condition)
+    residual = float(np.linalg.norm(np.concatenate(((A @ C + B).ravel(), rest))))
+    return LeastSquaresInfo(C[plan], residual, rank, condition)
 
 
 def _complex_coeffs(y: np.ndarray) -> np.ndarray:
@@ -419,18 +400,20 @@ def solve_least_squares(
     if matrix.size == 0:
         raise ValueError("empty system")
     _check_svd_cutoff(svd_cutoff)
-    return _solve_factored((matrix, rhs, (), _DENSE), _factor(matrix, rhs), svd_cutoff)
+    n, stack = matrix.shape[1], (matrix[None], rhs.reshape(1, -1, 1))  # one system, one right-hand side
+    plan = _Modes((np.zeros(n, int), np.arange(n), np.zeros(n, int)), (np.array([n]), np.array([1])))
+    return _solve_factored((*stack, (), plan), _factor(*stack), svd_cutoff)
 
 
 _BLOCK = 4  # escalation steps read ahead together: one radial_map per block
 
 
-def _escalation_steps(surface, ctx, bc, Ls, quad_degree_factor):
+def _escalation_steps(surface, ctxs, bc, Ls, quad_degree_factor):
     """Per degree L of ``Ls``: its rule, the boundary read (f, normal, scale; on the polar
     axis of a surface of revolution, repeated along phi for b), the incident data b (there
-    its DFT along phi) with its norm, one such pair per context if ``ctx`` is a list (of one
+    its DFT along phi) with its norm, one such pair per context of the list ``ctxs`` (of one
     k; solve_entries stacks them), and the _hankel table at f of L's block's top degree."""
-    axis, last, ctxs = surface.axisymmetric, (None,), ctx if isinstance(ctx, list) else [ctx]
+    axis, last = surface.axisymmetric, (None,)
     for first in range(0, len(Ls), _BLOCK):
         block = Ls[first : first + _BLOCK]
         # >= 2L as quad_degree_factor >= 2; the floor keeps small-L residuals trustworthy
@@ -447,7 +430,7 @@ def _escalation_steps(surface, ctx, bc, Ls, quad_degree_factor):
                 # each context alone: points @ alpha picks its BLAS kernel by shape
                 data = [(np.fft.fft(b.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho") if axis else b,
                          np.linalg.norm(b)) for b in (_incident(quad, c, bc, *grid[:2]) * grid[2] for c in ctxs)]
-                last = d, data if ctx is ctxs else data[0]
+                last = d, data
             yield L, quad, (f, (nr, nt, nph), scale), last[1], T
 
 
@@ -462,15 +445,15 @@ def _solve_step(step, svd_cutoff) -> LeastSquaresInfo:
     """_solve_factored of entry j of a step's (system, factor, j, shared) on its
     own columns of R, and the singular values of A, which the step's entries
     share (kept in ``shared``).  A lone entry (no leading axis) is entry 0."""
-    (A, B, rest, *more), (R, norms), j, shared = step
-    w, rests = A.shape[-1], np.atleast_2d(rest)
-    c = (R.shape[-1] - w) // len(rests)
+    (A, B, rest, plan), (R, norms), j, shared = step
+    w, rests = A.shape[2], np.atleast_2d(rest)
+    c = (R.shape[2] - w) // len(rests)
     # entry 0's columns follow A's: a view, not a copy
     R = R[..., : w + c] if j == 0 else R[..., np.r_[:w, w + j * c : w + (j + 1) * c]]
-    B, rest = B.reshape(*A.shape[:-1], len(rests), c)[..., j, :], rests[j]
+    B, rest = B.reshape(*A.shape[:2], len(rests), c)[..., j, :], rests[j]
     if not shared:
-        shared.append(np.linalg.svd(R.reshape(-1, *R.shape[-2:])[:, :w, :w], compute_uv=False))
-    return _solve_factored((A, B, rest, *more), (R, norms), svd_cutoff, shared[0])
+        shared.append(np.linalg.svd(R[:, :w, :w], compute_uv=False))
+    return _solve_factored((A, B, rest, plan), (R, norms), svd_cutoff, shared[0])
 
 
 def solve_entries(
@@ -494,6 +477,10 @@ def solve_entries(
     _check_svd_cutoff(svd_cutoff)
     if not eps_target > 0:  # NaN too
         raise ValueError(f"eps_target must be > 0, got {eps_target}")
+    for name, value in (("L_start", L_start), ("L_max", L_max)):
+        if not value % 1 == 0:  # NaN and inf too; range() would refuse 2.5 bare, int() truncate it
+            raise ValueError(f"{name} must be an integer, got {value}")
+    L_start, L_max = int(L_start), int(L_max)
     if L_start < 0:
         raise ValueError(f"truncation degree must be >= 0, got L_start={L_start}")
     if L_start > L_max:
@@ -503,18 +490,19 @@ def solve_entries(
             f"quad_degree_factor must be finite and >= 2 (anti-aliasing), got {quad_degree_factor}"
         )
     if len({ctx.k for ctx in contexts}) != 1:
-        raise ValueError(f"contexts must share one wavenumber, got k = {[ctx.k for ctx in contexts]}")
+        raise ValueError("contexts must share one wavenumber, got "
+                         + (f"k = {[ctx.k for ctx in contexts]}" if contexts else "no contexts"))
     tag = [f" (entry {e})" if len(contexts) > 1 else "" for e in range(len(contexts))]
     histories: list[list[tuple[int, float]]] = [[] for _ in contexts]
     best, kept, active = [None] * len(contexts), [None] * len(contexts), list(range(len(contexts)))
-    steps = _escalation_steps(surface, list(contexts), bc, range(L_start, L_max + 1), quad_degree_factor)
+    steps = _escalation_steps(surface, contexts, bc, range(L_start, L_max + 1), quad_degree_factor)
     for L, quad, (f, normal, scale), data, hankel in steps:
         b = np.stack([data[e][0] for e in active]) if len(active) > 1 else data[active[0]][0]
         system = _system(surface, quad, hankel, L, bc, f, normal, scale, b)
         if not (np.isfinite(system[0]).all() and np.isfinite(system[1]).all()):
             logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
             break
-        factor = _factor(*system[:2], *system[4:])
+        factor = _factor(*system[:2], system[3].pairs)
         residuals, shared = _qr_residual(system, factor), []
         for j, e in enumerate(list(active)):
             b_norm, step = data[e][1], (system, factor, j, shared)
@@ -540,9 +528,8 @@ def solve_entries(
                            history[-1][0], L, info.residual / b_norm, eps_target, tag[e])
         else:
             L, b_norm, step, info = kept[e]
-        logger.debug("L=%d kept, split into %d systems x %d rows x %d columns%s", L,
-                     *step[0][0].reshape(-1, *step[0][0].shape[-2:]).shape, tag[e])
-        coeffs = CoefficientSet(L, _complex_coeffs(info.coeffs) if step[0][4:] else info.coeffs)
+        logger.debug("L=%d kept, split into %d systems x %d rows x %d columns%s", L, *step[0][0].shape, tag[e])
+        coeffs = CoefficientSet(L, info.coeffs if step[0][3].pairs is None else _complex_coeffs(info.coeffs))
         solutions.append(DirectSolution(coeffs, info.residual / b_norm, bc, kept[e] is not None,
                                         info.condition, info.rank, history))
     return solutions

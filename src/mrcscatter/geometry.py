@@ -46,7 +46,7 @@ class Direction:
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        if not math.isfinite(self.phi):  # NaN would reach ``vector``, inf fail in math.cos
+        if not abs(self.phi) <= math.nextafter(math.inf, 0):  # NaN, inf and ints beyond float range
             raise ValueError(f"phi must be finite, got {self.phi}")
 
     @classmethod
@@ -299,6 +299,8 @@ class PerturbedSphere(StarSurface):
     def __init__(self, base_radius: float, bumps: Sequence[tuple[int, int, float]]):
         self.base_radius = base_radius = _length(base_radius, "base radius")
         for e, m, a in (bumps := tuple(bumps)):
+            if any(math.nextafter(math.inf, 0) < abs(x) < math.inf for x in (e, m, a)):
+                raise SurfaceError(f"bump ({e}, {m}, {a}): an entry lies beyond float range")
             if not (float(e).is_integer() and float(m).is_integer()):  # NaN too
                 raise SurfaceError(f"bump ({e}, {m}, {a}): degree and order must be integers")
         bumps = tuple((int(e), int(m), float(a)) for e, m, a in bumps)

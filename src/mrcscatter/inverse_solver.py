@@ -238,20 +238,18 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     return ents[keep], rows[keep], r0[keep], f0[keep], score[keep], np.argmin(pg, axis=-1) % (grid_n - 1) == 0
 
 
-def _ray_roots(coeffs, ctx, dirs: list[Direction], bracket: tuple[float, float], grid_n: int,
-               residual_threshold: float) -> list:
-    """find_ray_root for every direction at once, of one entry (a list per
-    direction) or, given lists of CoefficientSet and WaveContext, of every
-    entry at one degree (a list per entry of those): one harmonic table and one
-    ``_search``, so a candidate is bitwise the same whichever entries share it."""
-    single = isinstance(coeffs, CoefficientSet)
-    coeffs, ctxs = ([coeffs], [ctx]) if single else (list(coeffs), list(ctx))
+def _ray_roots(coeffs: list[CoefficientSet], ctxs: list[WaveContext], dirs: list[Direction],
+               bracket: tuple[float, float], grid_n: int, residual_threshold: float) -> list:
+    """find_ray_root for every direction and every entry (its coefficient set
+    and context) at one degree, a list per entry of lists per direction: one
+    harmonic table and one ``_search``, so a candidate is bitwise the same
+    whichever entries share it."""
     Y = specfun.sph_harm_table(coeffs[0].L, *_angles(dirs))
     found = _search(_degree_weights(Y, coeffs), *_incidence(dirs, ctxs), bracket, grid_n, residual_threshold)
     roots: list[list[list[RayRoot]]] = [[[] for _ in dirs] for _ in ctxs]
     for e, d, r, f, s in zip(*(v.tolist() for v in found[:5])):
         roots[e][d].append(RayRoot(dir_out=dirs[d], r=r, residual=f, imag_score=s))
-    return roots[0] if single else roots
+    return roots
 
 
 def find_ray_root(
@@ -276,7 +274,7 @@ def find_ray_root(
     This is the one-direction call of the batched search that
     ``stable_reconstruct`` runs over all directions and entries at once.
     """
-    return _ray_roots(coeffs, ctx, [dir_out], bracket, grid_n, residual_threshold)[0]
+    return _ray_roots([coeffs], [ctx], [dir_out], bracket, grid_n, residual_threshold)[0][0]
 
 
 def _stable_roots(ents, rows, r, residual, shape: tuple[int, int]):

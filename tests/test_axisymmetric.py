@@ -86,9 +86,9 @@ def test_square_order_zero_block_at_the_smallest_quadrature(surface, bc, monkeyp
     # angles, as many as the order-0 block has columns: its residual is 0
     shapes, factor = [], direct_solver._factor
 
-    def recording(matrix, rhs):
+    def recording(matrix, rhs, pairs):
         shapes.append(matrix.shape)
-        return factor(matrix, rhs)
+        return factor(matrix, rhs, pairs)
 
     monkeypatch.setattr(direct_solver, "_factor", recording)
     ctx = WaveContext(1.0, ALPHA)
@@ -172,8 +172,8 @@ def _order_system_by_scatter(quad, hankel, L, bc, f, normal, scale, bh):
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 def test_order_system_gather_matches_the_scatter_bitwise(bc):
-    steps = direct_solver._escalation_steps(BUMPY, WaveContext(1.0, ALPHA), bc, range(0, 20), 2.5)
-    for L, quad, (f, normal, scale), (b, _), hankel in steps:
+    steps = direct_solver._escalation_steps(BUMPY, [WaveContext(1.0, ALPHA)], bc, range(0, 20), 2.5)
+    for L, quad, (f, normal, scale), [(b, _)], hankel in steps:
         signed = b.copy()
         signed.real[b.real < 0] = -0.0  # a product with 1.0 turns some -0.0 to +0.0
         for bh in (b, signed):

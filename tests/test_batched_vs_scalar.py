@@ -161,7 +161,7 @@ class TestRaySearch:
         full, ctx = coefficients(shape)
         c = full.truncated(L)
         dirs = [Direction(theta, phi) for theta, phi in angles]
-        batched = _ray_roots(c, ctx, dirs, BRACKET, 64, 0.5)
+        batched = _ray_roots([c], [ctx], dirs, BRACKET, 64, 0.5)[0]
         assert len(batched) == len(dirs)
         for d, got in zip(dirs, batched):
             ref = find_ray_root_scalar(c, ctx, d, BRACKET)

@@ -63,8 +63,8 @@ def test_each_step_reads_its_degree_of_the_block_table_bitwise(name, bc):
     surface, n_phi = SURFACES[name], set()
     # L = 0..6 share the degree-16 rule (n_phi 17), L = 7, 8 have n_phi 19, 21
     # and L = 9, 10 n_phi 24, 26; L = 0 and 1 leave the fold systems without a column
-    steps = _escalation_steps(surface, CTX, bc, range(0, 11), 2.5)
-    for L, quad, (f, normal, scale), (b, _), hankel in steps:
+    steps = _escalation_steps(surface, [CTX], bc, range(0, 11), 2.5)
+    for L, quad, (f, normal, scale), [(b, _)], hankel in steps:
         n_phi.add(quad.n_phi % 2)
         top = min(L - L % direct_solver._BLOCK + direct_solver._BLOCK - 1, 10)  # its block's
         assert [len(T) for T in hankel] == [top + 1] * (2 if bc == "neumann" else 1)

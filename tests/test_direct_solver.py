@@ -313,6 +313,21 @@ class TestMrcSolve:
             mrc_solve(surface, WaveContext(1.0, Z_HAT), **kwargs)
         assert reads == []
 
+    @pytest.mark.parametrize(
+        "name, value", [("L_max", 2.5), ("L_start", 0.5), ("L_max", math.nan), ("L_start", math.inf)]
+    )
+    def test_non_integral_degree_is_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            mrc_solve(Sphere(1.0), WaveContext(1.0, Z_HAT), **{name: value})
+
+    def test_integral_float_degrees_are_taken_as_ints(self):
+        ctx = WaveContext(1.0, Z_HAT)
+        got = mrc_solve(Sphere(1.0), ctx, eps_target=1e-300, L_start=1.0, L_max=np.float64(3.0))
+        want = mrc_solve(Sphere(1.0), ctx, eps_target=1e-300, L_start=1, L_max=3)
+        assert got.history == want.history and [type(L) for L, _ in got.history] == [int] * 3
+        assert type(got.coefficients.L) is int and got.coefficients.L == want.coefficients.L
+        assert got.coefficients.coeffs.tobytes() == want.coefficients.coeffs.tobytes()
+
 
 class TestCoefficientSet:
     def test_length_invariant(self):

@@ -18,6 +18,7 @@ import pytest
 
 from mrcscatter.direct_solver import (
     WaveContext,
+    _Modes,
     _escalation_steps,
     _factor,
     _qr_residual,
@@ -56,7 +57,7 @@ def bc(request):
 def steps(shape, bc, ctx):
     """(L, quad, boundary read, data, hankel) of the steps L in LS for one
     context, or for a tuple of them (passed as a list)."""
-    ctx = list(ctx) if isinstance(ctx, tuple) else ctx
+    ctx = list(ctx) if isinstance(ctx, tuple) else [ctx]
     return [s for s in _escalation_steps(SHAPES[shape][0], ctx, bc, range(max(LS) + 1), 2.5) if s[0] in LS]
 
 
@@ -66,7 +67,7 @@ def build(shape, bc, step, b):
 
 
 def factor(system):
-    return _factor(*system[:2], *system[4:])
+    return _factor(*system[:2], system[3].pairs)
 
 
 def contiguous_bytes(x):
@@ -79,7 +80,7 @@ def test_stacked_entries_are_bitwise_their_bare_calls(shape, bc):
     for lone, step in zip(steps(shape, bc, CONTEXTS[1]), group):
         data = step[3]
         # a lone context's data is its entry's in the group
-        assert contiguous_bytes(lone[3][0]) == contiguous_bytes(data[1][0]) and lone[3][1] == data[1][1]
+        assert contiguous_bytes(lone[3][0][0]) == contiguous_bytes(data[1][0]) and lone[3][0][1] == data[1][1]
         for n in (1, len(CONTEXTS)):
             A, B, rest = build(shape, bc, step, np.stack([b for b, _ in data[:n]]))[:3]
             assert len(rest) == n
@@ -114,10 +115,29 @@ def test_one_residual_and_solve_per_entry(shape, bc):
 def test_no_fold_is_the_dense_system_bitwise(bc):
     # the reference: the dense system of a shape with neither mirror, built directly
     for lone, group in zip(steps("no-fold", bc, CONTEXTS[1]), steps("no-fold", bc, CONTEXTS)):
-        for step, b in ((lone, lone[3][0]), (group, np.stack([b for b, _ in group[3]]))):
+        for step, b in ((lone, lone[3][0][0]), (group, np.stack([b for b, _ in group[3]]))):
             L, quad, (f, normal, scale), _, hankel = step
             system = build("no-fold", bc, step, b)
-            reference = scale[:, None] * _columns(quad, hankel, L, bc, f, normal), b.T, b[..., :0]
+            reference = ((scale[:, None] * _columns(quad, hankel, L, bc, f, normal))[None],
+                         b.T.reshape(1, len(scale), -1), b[..., :0])
             assert len(system) == 4 and system[0].flags.c_contiguous
             for x, y in zip(system, reference):
                 assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("group", [False, True], ids=["lone", "grouped"])
+def test_every_system_is_a_stack_with_its_plan(shape, bc, group):
+    surface = SHAPES[shape][0]
+    c = 2 if surface.axisymmetric else 1  # right-hand sides per entry and system: (b_m, b_-m) per order
+    for step in steps(shape, bc, CONTEXTS if group else CONTEXTS[1]):
+        data = step[3]
+        b = np.stack([b for b, _ in data]) if group else data[0][0]
+        system = build(shape, bc, step, b)
+        assert len(system) == 4
+        A, B, rest, plan = system
+        assert isinstance(plan, _Modes) and A.ndim == B.ndim == 3
+        assert B.shape == (*A.shape[:2], len(data) * c)
+        assert A.shape[0] == len(plan.counts[0]) and A.shape[2] == max(plan.counts[0])
+        assert np.ndim(rest) == (2 if group else 1)
+        # the plan's pairs mark the cos/sin columns exactly where the shape is folded about the xz-plane
+        assert (plan.pairs is not None) is (surface.xz_symmetric and not surface.axisymmetric)

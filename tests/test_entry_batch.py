@@ -95,7 +95,7 @@ class TestAllEntriesSearch:
         dirs = [Direction(theta, phi) for theta, phi in angles]
         together = _ray_roots(coeffs, ctxs, dirs, BRACKET, 64, 0.5)
         # RayRoot compares r, residual and imag_score exactly, in candidate order
-        assert together == [_ray_roots(c, ctx, dirs, BRACKET, 64, 0.5) for c, ctx in zip(coeffs, ctxs)]
+        assert together == [_ray_roots([c], [ctx], dirs, BRACKET, 64, 0.5)[0] for c, ctx in zip(coeffs, ctxs)]
 
     def test_one_secant_search_per_scheduled_degree(self, monkeypatch):
         coeffs = entry_coefficients("sphere")

@@ -166,7 +166,7 @@ def _polished_search():
         calls.clear()
         with pytest.MonkeyPatch.context() as m:
             m.setattr(sf, "hankel_out_table", counted)
-            found = _ray_roots(c, ctx, dirs, (0.3, 2.5), 64, 0.5)
+            found = _ray_roots([c], [ctx], dirs, (0.3, 2.5), 64, 0.5)[0]
         out.append((k, c, ctx, found, len(calls)))
     return tuple(out)
 

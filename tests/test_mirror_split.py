@@ -19,6 +19,7 @@ from mrcscatter.direct_solver import (
     WaveContext,
     _boundary_weight,
     _factor,
+    _parity_plan,
     _parity_system,
     _qr_residual,
     _read_boundary,
@@ -153,6 +154,7 @@ def test_split_qr_residual_at_a_fixed_degree(surface, bc, L):
     split = _parity_system(quad, direct_solver._hankel(L, CTX.k, f, bc), L, bc, f, normal, scale, b)
     # L=0 has no odd column: one system, and the odd rows' data is all residual
     assert len(split[0]) == (2 if L else 1) and (len(split[2]) > 0) is (L == 0)
-    unsplit = (assemble_basis_matrix(surface, quad, CTX, L, bc), b, (), direct_solver._DENSE)
+    unsplit = (assemble_basis_matrix(surface, quad, CTX, L, bc)[None], b.reshape(1, -1, 1), (),
+               _parity_plan(L, quad.n_theta, quad.n_phi, False, False)[3])
     got = _qr_residual(split, _factor(*split[:2]))
     assert got == pytest.approx(_qr_residual(unsplit, _factor(*unsplit[:2])), rel=1e-12)

@@ -40,6 +40,16 @@ CASES = {
     "Ellipsoid.a=10**400": (
         lambda: Ellipsoid(10**400, 1, 1), "all semi-axes must be > 0 and finite, got 1000"
     ),
+    "PerturbedSphere.degree=10**400": (
+        lambda: PerturbedSphere(1.0, [(10**400, 0, 0.1)]), r"bump \(1000.*beyond float range"
+    ),
+    "PerturbedSphere.order=10**400": (
+        lambda: PerturbedSphere(1.0, [(2, 10**400, 0.1)]), r"bump \(2, 1000.*beyond float range"
+    ),
+    "PerturbedSphere.amplitude=10**400": (
+        lambda: PerturbedSphere(1.0, [(2, 0, 10**400)]), r"bump \(2, 0, 1000.*beyond float range"
+    ),
+    "Direction.phi=10**400": (lambda: Direction(0.5, 10**400), "phi must be finite, got 1000"),
     # a radius whose square underflows: the boundary weight would be 0 and the residual NaN
     "Sphere=1e-170": (lambda: Sphere(1e-170), "sphere radius 1e-170 squares to 0.0"),
     "PerturbedSphere.base_radius=1e-170": (

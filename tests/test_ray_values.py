@@ -35,7 +35,7 @@ def test_only_the_newton_polish_asks_for_the_derivative(monkeypatch):
         return _ray_values(W, cosang, k, r, dg)
 
     monkeypatch.setattr(inverse_solver, "_ray_values", spy)
-    roots = _ray_roots(coefficients(), CTX, fibonacci_directions(12), (0.3, 2.5), 64, 1.0)
+    roots = _ray_roots([coefficients()], [CTX], fibonacci_directions(12), (0.3, 2.5), 64, 1.0)[0]
     assert any(roots)
     # the grid first, then the Newton steps, then the residual at the polished
     # roots (and golden sections where g has no sign change)

@@ -117,6 +117,11 @@ def test_mixed_wavenumbers_are_refused_by_value():
         solve_entries(MIRROR, [])
 
 
+def test_an_empty_group_is_refused_as_empty():
+    with pytest.raises(ValueError, match="got no contexts$"):
+        solve_entries(MIRROR, [])
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflow_stops_every_entry_as_alone(monkeypatch, caplog):
     hankel_out_table = sf.hankel_out_table

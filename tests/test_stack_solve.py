@@ -18,10 +18,9 @@ from mrcscatter import direct_solver
 from mrcscatter.direct_solver import (
     LeastSquaresInfo,
     WaveContext,
-    _DENSE,
+    _Modes,
     _factor,
     _solve_factored,
-    _stacked,
     mrc_solve,
 )
 from mrcscatter.geometry import Direction, Ellipsoid, PerturbedSphere, quadrature_for_degree
@@ -31,7 +30,8 @@ CTX = WaveContext(1.0, Direction(0.6, 0.4))
 
 def loop_solve_factored(system, factor, svd_cutoff) -> LeastSquaresInfo:
     """The per-system solve: one SVD and one branch per system of the stack."""
-    A, B, R, norms, n, orders = _stacked(system, factor)
+    (A, B, _, modes), (R, norms) = system[:4], factor
+    n, orders = modes.counts
     w = A.shape[2]
     svals = [np.linalg.svd(Rs[:ns, :ns], compute_uv=False) for Rs, ns in zip(R, n)]
     s_max = max(s[0] for s in svals)
@@ -97,7 +97,7 @@ def test_full_rank_steps_are_solved_bitwise_as_by_the_loop(steps):
     assert len(steps) >= 10
     for system, factor in steps:
         ref = loop_solve_factored(system, factor, 1e-12)
-        _, _, _, _, n, orders = _stacked(system, factor)
+        n, orders = system[3].counts
         assert ref.rank == n @ orders  # every system keeps all its columns
         assert_bitwise(_solve_factored(system, factor, 1e-12), ref)
 
@@ -121,7 +121,7 @@ def assert_close(info, ref):
 def test_stack_truncated_by_the_cutoff(name):
     system, factor = escalation_steps(name)[-1]
     ref = loop_solve_factored(system, factor, 0.5)
-    _, _, _, _, n, orders = _stacked(system, factor)
+    n, orders = system[3].counts
     assert 0 < ref.rank < n @ orders
     assert_close(_solve_factored(system, factor, 0.5), ref)
 
@@ -132,7 +132,8 @@ def two_system_stack(second):
     A = rng.standard_normal((2, 8, 3)) + 1j * rng.standard_normal((2, 8, 3))
     A[1] = second(A[1])
     B = rng.standard_normal((2, 8, 1)) + 1j * rng.standard_normal((2, 8, 1))
-    modes = (np.repeat([0, 1], 3), np.tile([0, 1, 2], 2), np.zeros(6, dtype=int))
+    modes = _Modes((np.repeat([0, 1], 3), np.tile([0, 1, 2], 2), np.zeros(6, dtype=int)),
+                   (np.array([3, 3]), np.array([1, 1])))
     return (A, B, (), modes)
 
 
@@ -152,7 +153,9 @@ def test_wide_system():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    system = (A, b, (), _DENSE)
-    ref = loop_solve_factored(system, _factor(A, b), 1e-12)
+    modes = _Modes((np.zeros(5, dtype=int), np.arange(5), np.zeros(5, dtype=int)),
+                   (np.array([5]), np.array([1])))
+    system = (A[None], b.reshape(1, -1, 1), (), modes)
+    ref = loop_solve_factored(system, _factor(*system[:2]), 1e-12)
     assert ref.rank == 3
-    assert_close(_solve_factored(system, _factor(A, b), 1e-12), ref)
+    assert_close(_solve_factored(system, _factor(*system[:2]), 1e-12), ref)

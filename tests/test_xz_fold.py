@@ -80,7 +80,7 @@ def test_real_azimuth_rows_are_the_unitary_mix_of_complex_harmonics(L):
     J = quad.n_phi // 2 + 1
     theta, phi = np.repeat(quad.theta_axis, J), np.tile(quad.phi_axis[:J], quad.n_theta)
     Y = sf.sph_harm_table(L, theta, phi)
-    real = sf._grid_modes(L, quad.legendre(L), direct_solver._parity_plan(L, quad.n_theta, quad.n_phi, True)[5])
+    real = sf._grid_modes(L, quad.legendre(L), direct_solver._parity_plan(L, quad.n_theta, quad.n_phi, True)[4])
     ms = sf.mode_orders(L)
     i = np.arange(ms.size)
     sign = (-1.0) ** ms
@@ -139,14 +139,14 @@ def test_four_block_escalation_matches_the_unsplit_system(surface, bc, eps, L_st
 
     def spy(*args):
         system = _parity_system(*args)
-        blocks.append((args[2], args[8], len(system[0]), len(system)))
+        blocks.append((args[2], args[8], len(system[0]), system[3].pairs is not None))
         return system
 
     monkeypatch.setattr(direct_solver, "_parity_system", spy)
     got = mrc_solve(surface, CTX, bc, eps_target=eps, L_start=L_start, L_max=L_max)
     L, info, history = escalate_unsplit(surface, bc, eps, L_start, L_max)
     # 4 systems, but the odd ones have no column at L=0 and the odd sin one none at L=1
-    assert blocks == [(L, True, {0: 1, 1: 3}.get(L, 4), 5) for L, _ in got.history]
+    assert blocks == [(L, True, {0: 1, 1: 3}.get(L, 4), True) for L, _ in got.history]
     assert got.converged is (eps > 1e-12)
     assert got.coefficients.L == L
     assert got.rank == info.rank
@@ -178,14 +178,14 @@ def test_cos_sin_escalation_matches_the_unsplit_system(name, monkeypatch):
 
     def spy(*args):
         system = _parity_system(*args)
-        blocks.append((args[2], args[8:], len(system[0]), len(system)))
+        blocks.append((args[2], args[8:], len(system[0]), system[3].pairs is not None))
         return system
 
     monkeypatch.setattr(direct_solver, "_parity_system", spy)
     got = mrc_solve(surface, CTX, bc, eps_target=eps, L_max=L_max)
     L, info, history = escalate_unsplit(surface, bc, eps, 0, L_max)
     # (xz, z) = (True, False); the sin system has no column at L=0
-    assert blocks == [(L, (True, False), 1 if L == 0 else 2, 5) for L, _ in got.history]
+    assert blocks == [(L, (True, False), 1 if L == 0 else 2, True) for L, _ in got.history]
     assert got.converged is (eps > 1e-12)
     assert (got.coefficients.L, got.rank) == (L, info.rank)
     assert [L for L, _ in got.history] == [L for L, _ in history]
