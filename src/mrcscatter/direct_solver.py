@@ -11,10 +11,13 @@ The surface is read once per block of four degrees, over the block's distinct
 rules, node by node, with one Hankel table per block for every shape, so no
 step depends on its block.  A depends on k and the surface alone, so incidences
 of one k escalate together (``solve_entries``; the T-matrix observation of
-Waterman, Phys. Rev. D 3 (1971) 825): one read, build and QR per step for all,
+Waterman, Phys. Rev. D 3 (1971) 825): one read, build and QR per rule for all,
 their incident data on a leading axis (a lone entry's has none), each reading its
-own residual off R.  Each step takes one Householder QR of [A | b] (columns of A at unit
-norm), reading the residual off the R factor as Q is orthonormal.  Every builder gives a
+own residual off R.  The steps of one rule (several only on the degree-16 floor, L = 0..6
+at quad_degree_factor 2.5) share one Householder QR of [A | b] (columns of A at unit norm)
+at its top degree: columns go by degree, so a lower degree's system is a column prefix on
+the same rows, its residual R's right-hand sides below it as Q is orthonormal (nested
+least squares; Bjorck 1996).  Every builder gives a
 stack of systems (one with no fold), zero-padded to one width (Householder no-ops), and a
 _Modes plan of where each flat mode sits.  The kept step solves the stack at once: one
 batched SVD of R gives rank and condition over all systems, then one solve on R with a
@@ -43,8 +46,10 @@ axisymmetric) to 6.1 MB (Neumann, general).
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +74,15 @@ def _check_bc(bc: str) -> str:
     if bc not in (DIRICHLET, NEUMANN):
         raise ValueError(f"boundary condition must be 'dirichlet' or 'neumann', got {bc!r}")
     return bc
+
+
+def _check_degree(name: str, value) -> int:
+    """An integral degree below sys.maxsize (range()'s bound) as an int, else ValueError naming it."""
+    if not value % 1 == 0:  # NaN and inf too; range() would refuse 2.5 bare, int() truncate it
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if not value < sys.maxsize:
+        raise ValueError(f"{name} must be below sys.maxsize = {sys.maxsize}, got {value}")
+    return int(value)
 
 
 def _check_svd_cutoff(svd_cutoff: float) -> None:
@@ -345,22 +359,27 @@ def _qr_residual(system, factor) -> list[float]:
     """Least-squares residual off the R factors, one per entry: each system's
     right-hand sides below its real columns, and the part of b no column
     reaches.  ``rest`` has a row per entry (one row, with no leading axis, for a
-    lone entry), and the entries' right-hand sides sit side by side."""
-    (A, _, rest, plan), R = system, factor[0]
-    w, rests = A.shape[2], np.atleast_2d(rest)
-    below = np.arange(R.shape[1]) >= plan.counts[0][:, None]
+    lone entry), and the entries' right-hand sides sit side by side.  Given a degree L as
+    a fifth element of ``system``, that of its columns of degree <= L alone: every builder
+    orders a system's columns by degree, so these lead it and share its Q."""
+    (A, _, rest, plan, *L), R = system, factor[0]
+    w, rests, counts = A.shape[2], np.atleast_2d(rest), plan.counts[0]
+    if L:  # the +-m modes of an order share a column
+        counts, n = np.zeros_like(counts), specfun.n_modes(L[0])
+        np.maximum.at(counts, plan[0][:n], plan[1][:n] + 1)
+    below = np.arange(R.shape[1]) >= counts[:, None]
     c = (R.shape[2] - w) // len(rests)
     return [float(np.linalg.norm(np.concatenate((R[..., w + c * j : w + c * (j + 1)][below].ravel(), rest))))
             for j, rest in enumerate(rests)]
 
 
 def _solve_factored(system, factor, svd_cutoff, s=None) -> LeastSquaresInfo:
-    """Solve of min ||A @ C + B|| over a (matrix, rhs, rest, plan) stack of
-    systems on its _factor R as one operation (see the module docstring): a unit
+    """Solve of min ||A @ C + B|| over a (matrix, rhs, rest, plan[, degree]) stack
+    of systems on its _factor R as one operation (see the module docstring): a unit
     pivot in each padded column leaves each real triangle's back-substitution as
     it is.  ``rest`` is the part of b no column reaches; the _Modes ``plan`` picks
     C's modes; ``s`` holds the singular values of R's triangles, if known."""
-    (A, B, rest, plan), (R, norms), w = system, factor, system[0].shape[2]
+    (A, B, rest, plan), (R, norms), w = system[:4], factor, system[0].shape[2]
     n, orders = plan.counts
     # a padded column of R is exactly zero and adds an exact-zero value; an
     # all-zero stack keeps nothing, and a system's kept values serve its orders
@@ -408,20 +427,28 @@ def solve_least_squares(
 _BLOCK = 4  # escalation steps read ahead together: one radial_map per block
 
 
+@functools.lru_cache(maxsize=None)
+def _rule(L, q):
+    """Step L's rule degree max(ceil(q L), 16), >= 2L as q >= 2 (the floor keeps small-L residuals
+    trustworthy), and the top degree on it, whatever the range: L = 0..16/q share the floor."""
+    degree = lambda L: max(math.ceil(q * L), 16)
+    return degree(L), next(top for top in itertools.count(L) if degree(top + 1) > degree(L))
+
+
 def _escalation_steps(surface, ctxs, bc, Ls, quad_degree_factor):
     """Per degree L of ``Ls``: its rule, the boundary read (f, normal, scale; on the polar
     axis of a surface of revolution, repeated along phi for b), the incident data b (there
     its DFT along phi) with its norm, one such pair per context of the list ``ctxs`` (of one
-    k; solve_entries stacks them), and the _hankel table at f of L's block's top degree."""
+    k; solve_entries stacks them), and the _hankel table at f of the top degree of L's block
+    or of its rules (_rule): a rule's one system is built at its top from its first block."""
     axis, last = surface.axisymmetric, (None,)
     for first in range(0, len(Ls), _BLOCK):
         block = Ls[first : first + _BLOCK]
-        # >= 2L as quad_degree_factor >= 2; the floor keeps small-L residuals trustworthy
-        rules = [max(math.ceil(quad_degree_factor * L), 16) for L in block]
+        rules = [_rule(L, quad_degree_factor)[0] for L in block]
         quads = {d: quadrature_for_degree(d) for d in rules}
         f, normal, scale, ends = _read_rules(surface, list(quads.values()), axis)
         logger.debug("L=%d..%d: one read of rules %s, %d nodes", block[0], block[-1], list(quads), len(f))
-        read = (f, *normal, scale, *_hankel(block[-1], ctxs[0].k, f, bc))
+        read = (f, *normal, scale, *_hankel(_rule(block[-1], quad_degree_factor)[1], ctxs[0].k, f, bc))
         nodes = dict(zip(quads, map(slice, [0, *ends], ends)))
         for L, d in zip(block, rules):
             quad, (f, nr, nt, nph, scale, *T) = quads[d], [x[..., nodes[d]] for x in read]
@@ -439,6 +466,13 @@ def _system(surface, quad, hankel, L, bc, f, normal, scale, b):
     if surface.axisymmetric:
         return _order_system(quad, hankel, L, bc, f, normal, scale, b)
     return _parity_system(quad, hankel, L, bc, f, normal, scale, b, surface.xz_symmetric, surface.mirror_symmetric)
+
+
+def _factored(surface, quad, hankel, bc, f, normal, scale, b, L):
+    """_system at degree L with its _factor, or None if the system is not finite (overflow)."""
+    system = _system(surface, quad, hankel, L, bc, f, normal, scale, b)
+    if np.isfinite(system[0]).all() and np.isfinite(system[1]).all():
+        return system, _factor(*system[:2], system[3].pairs)
 
 
 def _solve_step(step, svd_cutoff) -> LeastSquaresInfo:
@@ -469,18 +503,15 @@ def solve_entries(
     """mrc_solve of every context, all of one wavenumber (ValueError naming the
     values otherwise), by one escalation: A depends on k and the surface alone.
 
-    Each step builds A once and takes one _factor of [A | b_1 | b_2 | ...] over
-    the entries not yet done; each entry reads its own residual off R, keeps its
-    own smallest L and history, and solves on its own columns of R, with the
-    singular values of A shared by the entries kept at one step."""
+    Each rule builds A once, at its top degree, and takes one _factor of [A | b_1 | ...]
+    over the entries not yet done; each entry reads its residual at each degree off R's
+    column prefix, keeps its own smallest L and history, and solves on its own columns of
+    the R of its kept degree's own system, with the singular values shared at one step."""
     _check_bc(bc)
     _check_svd_cutoff(svd_cutoff)
     if not eps_target > 0:  # NaN too
         raise ValueError(f"eps_target must be > 0, got {eps_target}")
-    for name, value in (("L_start", L_start), ("L_max", L_max)):
-        if not value % 1 == 0:  # NaN and inf too; range() would refuse 2.5 bare, int() truncate it
-            raise ValueError(f"{name} must be an integer, got {value}")
-    L_start, L_max = int(L_start), int(L_max)
+    L_start, L_max = _check_degree("L_start", L_start), _check_degree("L_max", L_max)
     if L_start < 0:
         raise ValueError(f"truncation degree must be >= 0, got L_start={L_start}")
     if L_start > L_max:
@@ -496,21 +527,32 @@ def solve_entries(
     histories: list[list[tuple[int, float]]] = [[] for _ in contexts]
     best, kept, active = [None] * len(contexts), [None] * len(contexts), list(range(len(contexts)))
     steps = _escalation_steps(surface, contexts, bc, range(L_start, L_max + 1), quad_degree_factor)
+    rule = (None,)  # degree, entries, system and factor at its top degree
     for L, quad, (f, normal, scale), data, hankel in steps:
         b = np.stack([data[e][0] for e in active]) if len(active) > 1 else data[active[0]][0]
-        system = _system(surface, quad, hankel, L, bc, f, normal, scale, b)
-        if not (np.isfinite(system[0]).all() and np.isfinite(system[1]).all()):
+        build = functools.partial(_factored, surface, quad, hankel, bc, f, normal, scale, b)
+        d, top = _rule(L, quad_degree_factor)
+        if d != rule[0]:  # one QR of the rule at its top degree serves each degree on it
+            rule = d, list(active), build(top)
+            if rule[2] and top > L:
+                logger.debug("L=%d..%d: one QR of rule %d at L=%d", L, min(top, L_max), d, top)
+        entries, factored = rule[1:] if rule[2] else (active, build(L))  # one per degree if it overflows
+        if factored is None:
             logger.warning("escalation stops at L=%d: boundary system not finite (overflow)", L)
             break
-        factor = _factor(*system[:2], system[3].pairs)
-        residuals, shared = _qr_residual(system, factor), []
+        alone = top == L or not rule[2]  # the system is of degree L
+        residuals = dict(zip(entries, _qr_residual(factored[0] if alone else (*factored[0], L), factored[1])))
+        # the step's own system, bitwise as if alone, is built only if an entry keeps it
+        mine = alone and entries == active
+        own, shared = (lambda x=factored: x) if mine else functools.cache(functools.partial(build, L)), []
         for j, e in enumerate(list(active)):
-            b_norm, step = data[e][1], (system, factor, j, shared)
-            rel = residuals[j] / b_norm
+            b_norm, step = data[e][1], (own, j, shared)
+            rel = residuals[e] / b_norm
             histories[e].append((L, rel))
             logger.debug("L=%d relative residual %.3e%s", L, rel, tag[e])
             # truncation or rounding can leave the solved residual above the QR one
-            if rel <= eps_target and (info := _solve_step(step, svd_cutoff)).residual <= eps_target * b_norm:
+            if rel <= eps_target and (info := _solve_step((*own(), j, shared), svd_cutoff)).residual \
+                    <= eps_target * b_norm:
                 kept[e] = (L, b_norm, step, info)
                 active.remove(e)
             elif best[e] is None or rel < best[e][0]:
@@ -522,14 +564,14 @@ def solve_entries(
         if kept[e] is None:
             if best[e] is None:
                 raise ValueError(f"no finite escalation step from L={L_start}")
-            _, L, b_norm, step = best[e]
-            info = _solve_step(step, svd_cutoff)
+            _, L, b_norm, (own, j, shared) = best[e]
+            info = _solve_step((*own(), j, shared), svd_cutoff)
             logger.warning("escalation ended at L=%d; keeping L=%d with relative residual %.3e > %.3e%s",
                            history[-1][0], L, info.residual / b_norm, eps_target, tag[e])
         else:
-            L, b_norm, step, info = kept[e]
-        logger.debug("L=%d kept, split into %d systems x %d rows x %d columns%s", L, *step[0][0].shape, tag[e])
-        coeffs = CoefficientSet(L, info.coeffs if step[0][3].pairs is None else _complex_coeffs(info.coeffs))
+            L, b_norm, (own, _, _), info = kept[e]
+        logger.debug("L=%d kept, split into %d systems x %d rows x %d columns%s", L, *own()[0][0].shape, tag[e])
+        coeffs = CoefficientSet(L, info.coeffs if own()[0][3].pairs is None else _complex_coeffs(info.coeffs))
         solutions.append(DirectSolution(coeffs, info.residual / b_norm, bc, kept[e] is not None,
                                         info.condition, info.rank, history))
     return solutions
@@ -544,7 +586,8 @@ def mrc_solve(surface: StarSurface, ctx: WaveContext, bc: str = DIRICHLET, eps_t
     Exhausting L_max is not an error: the best coefficients found are
     returned with ``converged = False``.  A step whose system is not finite
     (overflow) ends the escalation the same way; ValueError if none was.  The
-    boundary is read per block of four degrees, each step bitwise as if alone.
-    This is the one-entry call of ``solve_entries``.
+    boundary is read per block of four degrees, each kept step bitwise as if alone;
+    the degrees of one rule read their residuals off one QR.  This is the one-entry
+    call of ``solve_entries``.
     """
     return solve_entries(surface, [ctx], bc, eps_target, L_start, L_max, quad_degree_factor, svd_cutoff)[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fields, specfun
-from .direct_solver import CoefficientSet, WaveContext
+from .direct_solver import CoefficientSet, WaveContext, _check_degree
 from .geometry import Direction, SphereQuadrature
 
 logger = logging.getLogger(__name__)
@@ -379,13 +379,10 @@ def stable_reconstruct(
             raise ValueError(f"{name} must be > 0, got {value}")
     if not harmonic_degree >= 0:
         raise ValueError(f"harmonic_degree must be >= 0, got {harmonic_degree}")
-    named = [("harmonic_degree", harmonic_degree)] + [("L_schedule degree", L) for L in L_schedule]
-    for name, value in named:
-        if not float(value).is_integer():  # before any search: int() would truncate 3.7 to 3
-            raise ValueError(f"{name} must be an integer, got {value}")
+    _check_degree("harmonic_degree", harmonic_degree)  # before any search: int() would truncate 3.7 to 3
+    schedule = sorted({_check_degree("L_schedule degree", L) for L in L_schedule})
     if bracket is None:
         bracket = (0.2 * data.R, 0.9 * data.R)
-    schedule = sorted(set(int(L) for L in L_schedule))
     if not schedule:
         raise ValueError("empty L_schedule: no degree to reconstruct at")
     if schedule[0] < 0:

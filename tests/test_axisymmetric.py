@@ -97,10 +97,12 @@ def test_square_order_zero_block_at_the_smallest_quadrature(surface, bc, monkeyp
     ref = mrc_solve_svd(surface, ctx, bc, eps_target=EPS[bc], L_max=16, quad_degree_factor=2.0)
     assert_same_solution(got, ref)
     assert got.converged and got.coefficients.L >= 8
-    # one factorization per step, of L+1 systems (one per |m|), the order-0
-    # system square (n_theta = L + 1 rows, L + 1 columns) at the kept L
-    assert [shape[0] for shape in shapes] == [L + 1 for L, _ in got.history]
-    kept = dict(zip((L for L, _ in got.history), shapes))[got.coefficients.L]
+    # one factorization per rule, of L+1 systems (one per |m|): L = 0..8 share
+    # the degree-16 floor, factored once at L = 8, each higher L has its own;
+    # the order-0 system is square (n_theta = L + 1 rows, L + 1 columns) at the kept L
+    built = [8] + [L for L, _ in got.history if L > 8]
+    assert [shape[0] for shape in shapes] == [L + 1 for L in built]
+    kept = dict(zip(built, shapes))[got.coefficients.L]
     assert kept == (got.coefficients.L + 1,) * 3
 
 
@@ -149,7 +151,9 @@ def test_only_the_general_path_builds_grid_modes(monkeypatch):
             mrc_solve(surface, ctx, bc, eps_target=EPS[bc], L_max=16)
     assert calls == []
     sol = mrc_solve(Ellipsoid(1.0, 0.95, 0.9), ctx, "dirichlet", eps_target=1e-3, L_max=12)
-    assert calls == [L for L, _ in sol.history]
+    # L = 0..6 share the degree-16 floor, built once at L = 6, its top and the kept L here
+    assert [L for L, _ in sol.history] == list(range(7)) and sol.coefficients.L == 6
+    assert calls == [6]
 
 
 def _order_system_by_scatter(quad, hankel, L, bc, f, normal, scale, bh):

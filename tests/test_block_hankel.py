@@ -43,18 +43,20 @@ def counting(monkeypatch, owner, name):
 def test_one_hankel_table_per_block_reached(name, bc, monkeypatch):
     tables = counting(monkeypatch, sf, "hankel_out_table")
     pairs = counting(monkeypatch, sf, "_hankel_out_pair")
-    # an unreachable target runs L = 0..9: the blocks 0..3, 4..7 and 8..9
+    # an unreachable target runs L = 0..9: the blocks 0..3, 4..7 and 8..9, each
+    # table of the block's top degree or of L = 6, the top of the degree-16 floor
+    # (L = 0..6) whose one system block 0 builds, if higher
     sol = mrc_solve(SURFACES[name], CTX, bc, eps_target=1e-300, L_max=9)
     assert [L for L, _ in sol.history] == list(range(10))
     # for Neumann each pair takes its H from one hankel_out_table call
-    assert [args[0] for args in tables] == [3, 7, 9]
-    assert [args[0] for args in pairs] == ([3, 7, 9] if bc == "neumann" else [])
+    assert [args[0] for args in tables] == [6, 7, 9]
+    assert [args[0] for args in pairs] == ([6, 7, 9] if bc == "neumann" else [])
     tables.clear()
     pairs.clear()
-    # L = 2..6: the blocks 2..5 and 6
+    # L = 2..6: the blocks 2..5 and 6, both on the floor
     assert len(mrc_solve(SURFACES[name], CTX, bc, eps_target=1e-300, L_start=2, L_max=6).history) == 5
-    assert [args[0] for args in tables] == [5, 6]
-    assert [args[0] for args in pairs] == ([5, 6] if bc == "neumann" else [])
+    assert [args[0] for args in tables] == [6, 6]
+    assert [args[0] for args in pairs] == ([6, 6] if bc == "neumann" else [])
 
 
 @pytest.mark.parametrize("bc", BCS)
@@ -66,7 +68,8 @@ def test_each_step_reads_its_degree_of_the_block_table_bitwise(name, bc):
     steps = _escalation_steps(surface, [CTX], bc, range(0, 11), 2.5)
     for L, quad, (f, normal, scale), [(b, _)], hankel in steps:
         n_phi.add(quad.n_phi % 2)
-        top = min(L - L % direct_solver._BLOCK + direct_solver._BLOCK - 1, 10)  # its block's
+        # its block's top degree, or L = 6, the top of the degree-16 floor, if higher
+        top = max(min(L - L % direct_solver._BLOCK + direct_solver._BLOCK - 1, 10), 6)
         assert [len(T) for T in hankel] == [top + 1] * (2 if bc == "neumann" else 1)
         got = _system(surface, quad, hankel, L, bc, f, normal, scale, b)
         fresh = _system(surface, quad, direct_solver._hankel(L, CTX.k, f, bc), L, bc, f, normal, scale, b)

@@ -66,10 +66,12 @@ def test_one_surface_read_per_step_and_the_same_system(bc, monkeypatch):
     monkeypatch.setattr(direct_solver, "_factor", recording)
     # an unreachable target runs every step from L_start to L_max
     sol = mrc_solve(surface, ctx, bc, eps_target=1e-300, L_start=2, L_max=7)
-    assert [L for L, _ in sol.history] == list(range(2, 8))
+    assert [L for L, _ in sol.history] == list(range(2, 8)) and sol.coefficients.L == 7
     assert surface.evaluations == 2  # one read per block: L = 2..5 and 6..7
     monkeypatch.undo()
-    for (L, _), (A, b) in zip(sol.history, systems):
+    # one system per rule: L = 2..6 share the degree-16 floor, built at its top L = 6
+    assert len(systems) == 2
+    for L, (A, b) in zip([6, 7], systems):
         quad = direct_solver.quadrature_for_degree(max(int(np.ceil(2.5 * L)), 2 * L, 16))
         A_ref, b_ref = reference_system(surface, quad, ctx, L, bc)
         assert A.flags.c_contiguous

@@ -3,6 +3,7 @@
 failure (or none at all)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ import pytest
 from mrcscatter import fields, specfun
 from mrcscatter.direct_solver import CoefficientSet, WaveContext, mrc_solve
 from mrcscatter.geometry import Direction, Ellipsoid, PerturbedSphere, Sphere, make_quadrature
-from mrcscatter.inverse_solver import NearFieldData, NearFieldEntry, add_noise
+from mrcscatter.inverse_solver import NearFieldData, NearFieldEntry, add_noise, stable_reconstruct
 from mrcscatter.sphere_oracle import sphere_scattering_coeffs
 
 NAN = math.nan
 CTX = WaveContext(1.0, Direction(0.0, 0.0))
 QUAD = make_quadrature(4, 8)
+# refused before any search: the samples need not be a field
+SPHERE_DATA = NearFieldData(R=3.0, quadrature=QUAD, entries=(NearFieldEntry(ctx=CTX, samples=np.ones(len(QUAD))),))
+DIRS = [Direction(0.5, 0.5)]
 
 
 CASES = {
@@ -81,6 +85,22 @@ CASES = {
     ),
     "hankel_out_table.r": (lambda: specfun.hankel_out_table(3, 1.0, NAN), "argument must be > 0"),
     "hankel_out_table.k": (lambda: specfun.hankel_out_table(3, NAN, 1.0), "wavenumber must be > 0"),
+    # a degree no table or range() reaches is refused by name, not as a bare OverflowError
+    "mrc_solve.L_max=10**400": (
+        lambda: mrc_solve(Sphere(1.0), CTX, L_max=10**400), "L_max must be below sys.maxsize = .*, got 1000"
+    ),
+    "mrc_solve.L_start=L_max=sys.maxsize": (
+        lambda: mrc_solve(Sphere(1.0), CTX, L_start=sys.maxsize, L_max=sys.maxsize),
+        "L_start must be below sys.maxsize",
+    ),
+    "stable_reconstruct.L_schedule=(10**400,)": (
+        lambda: stable_reconstruct(SPHERE_DATA, DIRS, L_schedule=(10**400,)),
+        "L_schedule degree must be below sys.maxsize = .*, got 1000",
+    ),
+    "stable_reconstruct.harmonic_degree=10**400": (
+        lambda: stable_reconstruct(SPHERE_DATA, DIRS, harmonic_degree=10**400),
+        "harmonic_degree must be below sys.maxsize = .*, got 1000",
+    ),
     "mrc_solve.quad_degree_factor=nan": (
         lambda: mrc_solve(Sphere(1.0), CTX, quad_degree_factor=NAN),
         "quad_degree_factor must be finite and >= 2",

@@ -1,7 +1,7 @@
 """One escalation per wavenumber: ``solve_entries`` against one ``mrc_solve`` per entry.
 
 The matrix A of a step depends on k and the surface alone, so the entries of
-one k share each step's read, build and QR of [A | b_1 | b_2 | ...]; each reads
+one k share each read, build and QR of [A | b_1 | b_2 | ...]; each reads
 its own residual off R and keeps its own degree.  Against separate solves the
 degree, convergence, rank and history length must be equal.  On the stacked
 paths (per order, the parity folds) the coefficients are bitwise: the triangle
@@ -84,8 +84,11 @@ def test_shared_escalation_matches_separate_solves(name, monkeypatch):
     assert len(shared) == len(ctxs)
     for got, want in zip(shared, separate):
         assert_as_separate(got, want, stacked)
-    # one QR per step for the whole group: as many as the longest history
-    assert len(factors) == max(len(s.history) for s in separate)
+    # one QR per rule for the whole group: the degree-16 floor (L = 0..6) once,
+    # each higher degree once; every entry here keeps a degree above the floor
+    assert min(s.coefficients.L for s in separate) > 6
+    longest = max((s.history for s in separate), key=len)
+    assert len(factors) == len({max(L, 6) for L, _ in longest})
 
 
 def test_the_cases_cover_what_they_claim():
