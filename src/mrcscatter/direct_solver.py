@@ -27,9 +27,12 @@ On a surface of revolution (``StarSurface.axisymmetric``) column
 phi leaves L+1 systems [B_|m| | 0 | b_m | (-1)**m b_-m] of n_theta rows (B_-m =
 (-1)**m B_m), built on the polar axis: the azimuthal decoupling of bodies of
 revolution (Waterman 1971; Mishchenko, Travis & Mackowski, JQSRT 55 (1996) 535).
-Any other shape is folded by its mirror flags, each fold halving the nodes and
-doubling the systems, all unitarily equivalent to the unsplit one, condition
-included (Kahnert, Stamnes & Stamnes, Appl. Opt. 40 (2001) 3110).  About z = 0
+If it is also symmetric about z = 0, the fold of the polar rows below splits each
+order by the parity of ell + |m|: 2L+1 systems on half the rows (the odd one of
+|m| = L has no column).  Any other shape is folded by its mirror flags, each fold
+halving the nodes and doubling the systems, all unitarily equivalent to the
+unsplit one, condition included (Kahnert, Stamnes & Stamnes, Appl. Opt. 40
+(2001) 3110).  About z = 0
 (``mirror_symmetric``: every ellipsoid, bumps with ell + |m| even) column
 (ell, m) takes the sign (-1)**(ell+m) at the mirror node, so the rows (top +-
 bottom)/sqrt(2) on the upper rows and the equator split even columns from odd
@@ -234,13 +237,22 @@ def _parity_system(quad, hankel, L, bc, f, normal, scale, b, xz=False, z=True):
     w, used, columns, modes, E, images, signs = _parity_plan(L, quad.n_theta, quad.n_phi, xz, z)
     f, nr, nt, nph, scale, *hankel = (x[..., images[0]] for x in (f, *normal, scale, *hankel))  # kept nodes
     A = _columns(quad, hankel, L, bc, f, (nr, nt, nph), slice(quad.n_theta // 2 * z, None), E)
-    M = np.zeros((len(columns), len(A), len(columns[0])), dtype=complex)
-    for system, modes_in in zip(M, columns):
-        system[:, : len(modes_in)] = A.take(modes_in, axis=1)  # faster than A[:, modes_in]
+    M = A[None]  # no fold: one system of every column in flat order, A itself
+    if len(columns) > 1:
+        M = np.zeros((len(columns), len(A), len(columns[0])), dtype=complex)
+        for system, modes_in in zip(M, columns):
+            system[:, : len(modes_in)] = A.take(modes_in, axis=1)  # faster than A[:, modes_in]
     M *= (w[used] * scale)[..., None]
     rhs = (signs @ b[..., images]) * (w / 2 ** (z + xz))  # b at each kept node and its mirrors
     B = rhs[..., used, :].T.swapaxes(0, 1).reshape(*M.shape[:2], -1)  # a view, the entries last
     return M, B, rhs[..., ~used, :].reshape(*b.shape[:-1], -1), modes
+
+
+def _fold(kept, mirrors, on):
+    """One grid axis's mirror fold: each kept node with its mirror (if ``on``), w**2 of
+    the + and - row of each (2, but 1 and 0 on its own mirror) and the signs that fold them."""
+    x, n = np.array((kept, mirrors))[: 1 + on], 1 + on
+    return x, np.where(x[0] == x[-1], [[1.0], [0.0]], 2.0)[:n], np.array([[1.0, 1.0], [1.0, -1.0]])[:n, :n]
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,11 +264,9 @@ def _parity_plan(L: int, n_theta: int, n_phi: int, xz: bool, z: bool = True):
     sin(|m|*phi) in rows m + L > L, L and < L) if ``xz``, the flat indices of each kept
     node and its mirrors (by the folds ``z``, ``xz``), and the signs that fold them into rows."""
     t, j = np.arange(n_theta // 2 * z, n_theta), np.arange(n_phi // 2 + 1 if xz else n_phi)
-    rows, cols = np.array((t, n_theta - 1 - t))[: 1 + z], np.array((j, -j % n_phi))[: 1 + xz]  # node, mirror
+    (rows, wr, sr), (cols, wc, sc) = _fold(t, n_theta - 1 - t, z), _fold(j, -j % n_phi, xz)
     images = (rows[:, None, :, None] * n_phi + cols[:, None, :]).reshape(len(rows) * len(cols), -1)
-    fold = lambda x: np.where(x[0] == x[-1], [[1.0], [0.0]], 2.0)[: len(x)]  # w**2 of the + and - rows
-    w2 = fold(rows)[:, None, :, None] * fold(cols)[:, None]
-    signs = np.kron(*(np.array([[1.0, 1.0], [1.0, -1.0]])[: len(x), : len(x)] for x in (rows, cols)))
+    w2, signs = wr[:, None, :, None] * wc[:, None], np.kron(sr, sc)
     ells, ms = specfun.mode_degrees(L), specfun.mode_orders(L)
     system = (ells + ms) % 2 * z * (1 + xz) + (ms < 0) * xz
     columns = [np.flatnonzero(system == s) for s in range(2 ** (z + xz))]
@@ -274,43 +284,68 @@ def _parity_plan(L: int, n_theta: int, n_phi: int, xz: bool, z: bool = True):
     return plan
 
 
-def _order_system(quad, hankel, L, bc, f, normal, scale, bh):
+def _order_system(quad, hankel, L, bc, f, normal, scale, bh, z=False):
     """An axisymmetric surface's system (f, normal, scale on the polar axis;
     Hankel table at f, and dH/dr for Neumann, of degree >= L) after the unitary
-    DFT along phi (``bh`` of b): the stack of L+1 systems B_|m| with right-hand
-    sides (b_m, (-1)**m b_-m), the bins no column reaches, and where each flat
-    mode (ell, m) sits in the solution stack: system |m|, column ell - |m|,
-    right-hand side 0 for m >= 0 and 1 for m < 0.  The entries of ``bh`` (a
-    leading axis, if any) give right-hand sides side by side, each entry's
-    pair in turn, and one row of bins each."""
-    P, (nr, nt, _) = quad.legendre(L), normal
+    DFT along phi (``bh`` of b), per order |m| and, if ``z`` (mirror symmetric),
+    per parity p = (ell + |m|) % 2 on the fold of the polar rows about z = 0 of
+    _parity_system: the stack of systems B_|m|,p with right-hand sides (b_m,
+    (-1)**m b_-m), the bins no column reaches (and the system |m| = L, p = 1,
+    which has no column), and where each flat mode (ell, m) sits in the solution
+    stack: system (1 + z)|m| + p, column (ell - |m|) // (1 + z), right-hand side 0
+    for m >= 0 and 1 for m < 0.  The entries of ``bh`` (a leading axis, if any)
+    give right-hand sides side by side, each entry's pair in turn, and one row of
+    ``rest`` each."""
+    index, modes, rows, signs, weight, factor, sel = _order_plan(L, quad.n_theta, quad.n_phi, z)
+    kept = slice(quad.n_theta // 2 * z, None)  # the polar rows of rows[0]
+    P, (nr, nt, _), f, scale = quad.legendre(L)[..., kept], normal, f[kept], scale[kept]
     if bc == DIRICHLET:  # rows 0..L of a higher-degree table are bitwise the degree-L table
-        G = hankel[0][: L + 1, None] * P
+        G = hankel[0][: L + 1, None, kept] * P
     else:  # the normal has no phi component on a surface of revolution
-        H, Hd = (T[: L + 1, None] for T in hankel)
-        G = nr * Hd * P + nt * (H / f) * quad.legendre_dtheta(L)
-    G *= math.sqrt(quad.n_phi) * scale
-    index, modes = _order_plan(L, quad.n_theta)
-    A = np.concatenate((G.ravel(), np.zeros(quad.n_theta)))[index]
-    # Y[ell, -m] = Pbar[ell, m] * (-1)**m * exp(-i*m*phi), so B_-m = (-1)**m B_m
-    rhs = np.zeros((L + 1, quad.n_theta, *bh.shape[:-2], 2), dtype=complex)  # .T puts bh's entries last
-    rhs[..., 0] = bh[..., : L + 1].T * 1.0  # the complex product m < 0 takes: signed zeros round alike
-    rhs[1:, ..., 1] = (bh[..., -1 : -L - 1 : -1] * (-1.0) ** np.arange(1, L + 1)).T
-    return A, rhs.reshape(*A.shape[:2], -1), bh[..., L + 1 : quad.n_phi - L].reshape(*bh.shape[:-2], -1), modes
+        H, Hd = (T[: L + 1, None, kept] for T in hankel)
+        G = nr[kept] * Hd * P + nt[kept] * (H / f) * quad.legendre_dtheta(L)[..., kept]
+    G *= math.sqrt(quad.n_phi) * scale * weight
+    A = np.concatenate((G.ravel(), np.zeros(len(scale))))[index]
+    # Y[ell, -m] = Pbar[ell, m] * (-1)**m * exp(-i*m*phi), so B_-m = (-1)**m B_m; one real
+    # product per bin, as with no fold (a factor 1.0 there), so signed zeros round alike
+    bins = bh[..., sel][..., rows, :]  # each selected bin on each kept row and its mirror
+    if z:  # (row +- mirror row), each entry's in one product
+        bins = (signs @ bins.reshape(*bh.shape[:-2], len(rows), -1)).reshape(bins.shape)
+    bins = (bins * factor).T.swapaxes(1, 2)  # .T puts bh's entries last
+    rhs = np.zeros((L + 1, *bins.shape[1:], 2), dtype=complex)
+    rhs[..., 0], rhs[1:, ..., 1] = bins[: L + 1], bins[L + 1 :]
+    rhs = rhs.reshape(-1, *rhs.shape[2:])
+    rest = (bh[..., L + 1 : quad.n_phi - L], rhs[len(A) :].swapaxes(0, -2))  # the system no column reaches
+    rest = np.concatenate([x.reshape(*bh.shape[:-2], -1) for x in rest], axis=-1)
+    return A, rhs[: len(A)].reshape(*A.shape[:2], -1), rest, modes
 
 
 @functools.lru_cache(maxsize=None)
-def _order_plan(L: int, n_theta: int):
-    """For _order_system (read-only): the flat indices taking G (L+1, L+1,
-    n_theta), flattened with one zero row appended, to the stack A[m, :, j] =
-    G[m + j, m, :], zero where m + j > L, and where each flat mode sits."""
-    m, j = np.arange(L + 1)[:, None], np.arange(L + 1)
-    row = np.where(m + j <= L, (m + j) * (L + 1) + m, (L + 1) ** 2)
+def _order_plan(L: int, n_theta: int, n_phi: int, z: bool):
+    """For _order_system (read-only): the flat indices taking G (L+1, L+1, K) on
+    the K kept polar rows, flattened with K zeros appended, to the stack A[s, :, j]
+    = G[m + p + P*j, m, :] of system s = P*m + p (P = 1 + z parities), zero where
+    that degree passes L or the fold's weight is 0, and where each flat mode sits;
+    then the fold of _fold (kept rows and mirrors, signs), each kept row's weight
+    in G (w of its + row), and the real factor (w/2**z, times (-1)**m for m < 0)
+    of each selected DFT bin (m = 0..L, then -1..-L) on each kept row and parity."""
+    t = np.arange(n_theta // 2 * z, n_theta)
+    rows, w2, signs = _fold(t, n_theta - 1 - t, z)
+    P, n, w = 1 + z, (L + 1) * (1 + z) - z, np.sqrt(w2)  # the system |m| = L, p = 1 has no column
+    m, p = np.arange(L + 1)[:, None, None], np.arange(P)[:, None]
+    ell = m + p + P * np.arange(L // P + 1)  # system P*m + p's columns
+    row = np.where(ell <= L, ell * (L + 1) + m, (L + 1) ** 2).reshape(P * (L + 1), -1)[:n]
+    plan = np.where(np.tile(w, (L + 1, 1))[:n, :, None] > 0, row[:, None, :] * len(t), (L + 1) ** 2 * len(t))
+    plan += np.arange(len(t))[:, None]
     ells, ms = specfun.mode_degrees(L), specfun.mode_orders(L)
-    counts = np.arange(L + 1, 0, -1), np.minimum(np.arange(L + 1), 1) + 1  # columns, (b_m, b_-m)
-    plan = row[:, None, :] * n_theta + np.arange(n_theta)[:, None]
-    plan.flags.writeable = False
-    return plan, _Modes((np.abs(ms), ells - np.abs(ms), (ms < 0).astype(int)), counts)
+    counts = ((L - m - p) // P + 1).ravel()[:n], np.repeat(np.minimum(np.arange(L + 1), 1) + 1, P)[:n]
+    modes = (P * np.abs(ms) + (ells + ms) % P, (ells - np.abs(ms)) // P, (ms < 0).astype(int))
+    sign = np.r_[np.ones(L + 1), (-1.0) ** np.arange(1, L + 1)]  # (b_m, (-1)**m b_-m)
+    factor, sel = (w / 2**z)[..., None] * sign, np.r_[: L + 1, n_phi - 1 : n_phi - L - 1 : -1]
+    plan = plan, _Modes(modes, counts), rows, signs, w[0], factor, sel
+    for x in (plan[0], *plan[2:]):
+        x.flags.writeable = False
+    return plan
 
 
 class _Modes(tuple):
@@ -462,9 +497,10 @@ def _escalation_steps(surface, ctxs, bc, Ls, quad_degree_factor):
 
 
 def _system(surface, quad, hankel, L, bc, f, normal, scale, b):
-    """A step's system for b (entries on a leading axis): per order, or folded by the mirror flags."""
+    """A step's system for b (entries on a leading axis): per order (and parity, if symmetric about
+    z = 0) on a surface of revolution, else folded by the mirror flags."""
     if surface.axisymmetric:
-        return _order_system(quad, hankel, L, bc, f, normal, scale, b)
+        return _order_system(quad, hankel, L, bc, f, normal, scale, b, surface.mirror_symmetric)
     return _parity_system(quad, hankel, L, bc, f, normal, scale, b, surface.xz_symmetric, surface.mirror_symmetric)
 
 

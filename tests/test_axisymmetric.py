@@ -5,10 +5,11 @@ On a surface whose radial map depends on theta alone, column (ell, m) of the
 boundary system is a function of theta times exp(i*m*phi), so the unitary DFT
 along phi takes the system to one block per order m, and the blocks of m and
 -m share one matrix up to (-1)**m: each step factors L+1 stacked systems,
-one per |m|, with two right-hand sides each.  The per-order solve must select
-the same degree, rank and convergence as the dense system built from
-``_basis_columns``, ``_boundary_weight`` and ``incident_trace``, and agree
-with it to rounding (the tolerances of ``assert_same_solution``).
+one per |m|, with two right-hand sides each (2L+1 on a shape symmetric about
+z = 0, each order split by parity; see test_order_parity.py).  The per-order
+solve must select the same degree, rank and convergence as the dense system
+built from ``_basis_columns``, ``_boundary_weight`` and ``incident_trace``, and
+agree with it to rounding (the tolerances of ``assert_same_solution``).
 """
 
 import logging
@@ -43,6 +44,7 @@ from test_qr_vs_svd import (
 
 BUMPY = PerturbedSphere(1.0, [(2, 0, 0.2), (4, 0, 0.05)])
 OBLATE = Ellipsoid(1.0, 1.0, 0.8)
+UNMIRRORED = PerturbedSphere(1.0, [(3, 0, 0.1)])  # of revolution, not symmetric about z = 0
 SURFACES = [Sphere(1.0), OBLATE, BUMPY]
 SURFACE_IDS = ["sphere", "oblate", "bumpy"]
 # targets the escalation meets between L=4 and L=14 on these shapes at k = 1
@@ -80,14 +82,18 @@ def test_per_order_solve_matches_the_dense_system(surface, bc):
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-@pytest.mark.parametrize("surface", [OBLATE, BUMPY], ids=["oblate", "bumpy"])
+@pytest.mark.parametrize("surface", [OBLATE, BUMPY, UNMIRRORED], ids=["oblate", "bumpy", "unmirrored"])
 def test_square_order_zero_block_at_the_smallest_quadrature(surface, bc, monkeypatch):
     # at quad_degree_factor 2 and L >= 8 the rule has n_theta = L + 1 polar
-    # angles, as many as the order-0 block has columns: its residual is 0
-    shapes, factor = [], direct_solver._factor
+    # angles, as many as the order-0 block has columns: its residual is 0; folded
+    # about z = 0 its even and odd blocks are square too, on ceil(n_theta / 2) rows
+    # (the odd block's equator row, for odd n_theta, is zero)
+    shapes, blocks, factor = [], [], direct_solver._factor
 
     def recording(matrix, rhs, pairs):
         shapes.append(matrix.shape)
+        # (rows, columns) not all zero of the first two systems
+        blocks.append([(np.any(M != 0, axis=1).sum(), np.any(M != 0, axis=0).sum()) for M in matrix[:2]])
         return factor(matrix, rhs, pairs)
 
     monkeypatch.setattr(direct_solver, "_factor", recording)
@@ -97,13 +103,18 @@ def test_square_order_zero_block_at_the_smallest_quadrature(surface, bc, monkeyp
     ref = mrc_solve_svd(surface, ctx, bc, eps_target=EPS[bc], L_max=16, quad_degree_factor=2.0)
     assert_same_solution(got, ref)
     assert got.converged and got.coefficients.L >= 8
-    # one factorization per rule, of L+1 systems (one per |m|): L = 0..8 share
-    # the degree-16 floor, factored once at L = 8, each higher L has its own;
-    # the order-0 system is square (n_theta = L + 1 rows, L + 1 columns) at the kept L
-    built = [8] + [L for L, _ in got.history if L > 8]
-    assert [shape[0] for shape in shapes] == [L + 1 for L in built]
-    kept = dict(zip(built, shapes))[got.coefficients.L]
-    assert kept == (got.coefficients.L + 1,) * 3
+    # one factorization per rule: L = 0..8 share the degree-16 floor, factored once
+    # at L = 8, each higher L has its own; 2L+1 systems (|m|, parity) on a mirror
+    # symmetric shape, L+1 (one per |m|) otherwise
+    built, mirror = [8] + [L for L, _ in got.history if L > 8], surface.mirror_symmetric
+    assert [shape[0] for shape in shapes] == [2 * L + 1 if mirror else L + 1 for L in built]
+    L = got.coefficients.L
+    kept, rows = dict(zip(built, zip(shapes, blocks)))[L]
+    if mirror:
+        assert kept == (2 * L + 1, (L + 2) // 2, (L + 2) // 2)
+        assert rows[0] == ((L + 2) // 2,) * 2 and rows[1] == ((L + 1) // 2,) * 2
+    else:
+        assert kept == (L + 1,) * 3 and rows[0] == (L + 1, L + 1)
 
 
 def test_exhausted_escalation_keeps_the_dense_choice(caplog):

@@ -5,9 +5,10 @@ hands the builders its active entries' incident data stacked on a leading axis,
 and a lone entry's with no such axis.  Stacked, every entry's right-hand-side
 columns of B and its row of ``rest`` must be bitwise what the bare call of that
 entry gives, and ``_qr_residual`` must give one residual per entry, each that of
-the entry's own system to rounding.  The per-order stack and every setting of
-the fold are covered: two parity blocks, four blocks, two cos/sin blocks and no
-fold, the one dense system.
+the entry's own system to rounding.  The per-order stack (folded per parity on
+a shape symmetric about z = 0, and not) and every setting of the fold are
+covered: two parity blocks, four blocks, two cos/sin blocks and no fold, the one
+dense system.
 """
 
 import functools
@@ -33,7 +34,8 @@ CONTEXTS = tuple(WaveContext(1.0, Direction(*alpha)) for alpha in ALPHAS)
 LS = (0, 1, 9)
 # (axisymmetric, mirror_symmetric, xz_symmetric): the first picks the builder, the other two the folds
 SHAPES = {
-    "per-order": (PerturbedSphere(1.0, [(2, 0, 0.1)]), (True, True, True)),
+    "per-order": (PerturbedSphere(1.0, [(2, 0, 0.1)]), (True, True, True)),  # and per parity
+    "per-order-unmirrored": (PerturbedSphere(1.0, [(3, 0, 0.1)]), (True, False, True)),
     "two-block": (PerturbedSphere(1.0, [(2, 0, 0.1), (3, -1, 0.05)]), (False, True, False)),
     "four-block": (Ellipsoid(1.0, 0.95, 0.9), (False, True, True)),
     "dense": (PerturbedSphere(1.0, [(2, 1, 0.15)]), (False, False, True)),  # two cos/sin blocks
@@ -138,6 +140,8 @@ def test_every_system_is_a_stack_with_its_plan(shape, bc, group):
         assert isinstance(plan, _Modes) and A.ndim == B.ndim == 3
         assert B.shape == (*A.shape[:2], len(data) * c)
         assert A.shape[0] == len(plan.counts[0]) and A.shape[2] == max(plan.counts[0])
+        if surface.axisymmetric:  # per |m| and, on a shape symmetric about z = 0, per parity
+            assert len(A) == (2 * step[0] + 1 if surface.mirror_symmetric else step[0] + 1)
         assert np.ndim(rest) == (2 if group else 1)
         # the plan's pairs mark the cos/sin columns exactly where the shape is folded about the xz-plane
         assert (plan.pairs is not None) is (surface.xz_symmetric and not surface.axisymmetric)

@@ -8,8 +8,9 @@ for; a smaller degree reads a slice.  The recurrences ascend in degree and
 order, so every slice must be bitwise the table built fresh at its degree,
 whatever the order the degrees are asked in.  On an axisymmetric surface
 ``mrc_solve`` reads the radial map once per block of four steps, on the n_theta
-polar nodes of each distinct rule of the block, and the per-order system it
-builds must be bitwise the one built from a full-grid read.
+polar nodes of each distinct rule of the block, and the system it builds per
+order (and parity, if symmetric about z = 0) must be bitwise the one built from
+a full-grid read.
 """
 
 import math
@@ -111,7 +112,8 @@ def test_aliasing_is_still_rejected_above_half_the_degree():
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-@pytest.mark.parametrize("surface", [Sphere(1.0), BUMPY], ids=["sphere", "bumpy"])
+@pytest.mark.parametrize("surface", [Sphere(1.0), BUMPY, PerturbedSphere(1.0, [(3, 0, 0.1)])],
+                         ids=["sphere", "bumpy", "unmirrored"])
 def test_surface_of_revolution_is_read_on_the_polar_axis(surface, bc, monkeypatch):
     reads, systems = [], []
     radial_map = type(surface).radial_map
@@ -123,9 +125,9 @@ def test_surface_of_revolution_is_read_on_the_polar_axis(surface, bc, monkeypatc
     monkeypatch.setattr(type(surface), "radial_map", counting)
     order_system = direct_solver._order_system
 
-    def recording(quad, hankel, L, bc, f, normal, scale, bh):
-        system = order_system(quad, hankel, L, bc, f, normal, scale, bh)
-        systems.append((quad, L, bh, system))
+    def recording(quad, hankel, L, bc, f, normal, scale, bh, z):
+        system = order_system(quad, hankel, L, bc, f, normal, scale, bh, z)
+        systems.append((quad, L, bh, z, system))
         return system
 
     monkeypatch.setattr(direct_solver, "_order_system", recording)
@@ -135,10 +137,13 @@ def test_surface_of_revolution_is_read_on_the_polar_axis(surface, bc, monkeypatc
     blocks = [{max(math.ceil(2.5 * L), 16) for L in range(first, min(first + 4, 15))}
               for first in range(0, steps[-1] + 1, 4)]
     assert reads == [(sum(quadrature_for_degree(d).n_theta for d in rules),) for rules in blocks]
-    assert [L for _, L, _, _ in systems] == built_degrees(sol)
+    assert [L for _, L, _, _, _ in systems] == built_degrees(sol)
+    # folded about z = 0 by the shape's flag: 2L+1 systems (|m|, parity), else L+1 (|m|)
+    assert all(z is surface.mirror_symmetric for _, _, _, z, _ in systems)
+    assert [len(A) for *_, (A, _, _, _) in systems] == [2 * L + 1 if z else L + 1 for _, L, _, z, _ in systems]
 
     # the same system from a full-grid read, sliced to the polar axis
-    for quad, L, bh, (A, rhs, rest, modes) in systems:
+    for quad, L, bh, z, (A, rhs, rest, modes) in systems:
         f, normal, scale = _read_boundary(surface, quad)
         assert reads.pop() == (len(quad),)
         b_ref = _incident(quad, CTX, bc, f, normal) * scale
@@ -146,7 +151,7 @@ def test_surface_of_revolution_is_read_on_the_polar_axis(surface, bc, monkeypatc
         axis = slice(None, None, quad.n_phi)
         f, normal, scale = f[axis], [x[axis] for x in normal], scale[axis]
         hankel = (sf.hankel_out_table(L, CTX.k, f),) if bc == "dirichlet" else sf._hankel_out_pair(L, CTX.k, f)
-        ref = order_system(quad, hankel, L, bc, f, normal, scale, bh_ref)
+        ref = order_system(quad, hankel, L, bc, f, normal, scale, bh_ref, z)
         assert bh.tobytes() == bh_ref.tobytes()
         for got, want in zip((A, rhs, rest), ref[:3]):
             assert got.tobytes() == want.tobytes()

@@ -33,9 +33,10 @@ from mrcscatter.geometry import Direction, Ellipsoid, PerturbedSphere
 
 # a lone entry off the z-axis: on it, the per-order stack's m != 0 systems would have no data
 CONTEXTS = [WaveContext(1.0, Direction(*alpha)) for alpha in ((math.pi / 2, 0.3), (0.0, 0.0), (math.pi / 4, 1.3))]
-# the per-order stack and the four fold settings
+# the per-order stack, per parity too and not (a shape not symmetric about z = 0), and the four fold settings
 SHAPES = {
     "per-order": PerturbedSphere(1.0, [(2, 0, 0.1)]),
+    "per-order-unmirrored": PerturbedSphere(1.0, [(3, 0, 0.1)]),
     "four-block": Ellipsoid(1.0, 0.95, 0.9),
     "parity": PerturbedSphere(1.0, [(2, 0, 0.1), (3, -1, 0.05)]),
     "cos-sin": PerturbedSphere(1.0, [(2, 1, 0.15)]),

@@ -54,11 +54,13 @@ def loop_solve_factored(system, factor, svd_cutoff) -> LeastSquaresInfo:
 
 
 # (surface, boundary condition, eps_target, L_max): per-order stacks under both
-# conditions, parity stacks over odd and even n_theta, the cos/sin stack of a
+# conditions (folded per parity: the shape is symmetric about z = 0) and on a
+# shape that is not, parity stacks over odd and even n_theta, the cos/sin stack of a
 # shape symmetric about the xz-plane only ("dense") and one dense system
 ESCALATIONS = {
     "per-order dirichlet": (PerturbedSphere(1.0, [(2, 0, 0.2)]), "dirichlet", 1e-6, 12),
     "per-order neumann": (PerturbedSphere(1.0, [(2, 0, 0.2)]), "neumann", 1e-4, 12),
+    "per-order unmirrored": (PerturbedSphere(1.0, [(3, 0, 0.1)]), "dirichlet", 1e-6, 12),
     "parity dirichlet": (Ellipsoid(1.0, 0.95, 0.9), "dirichlet", 1e-4, 12),
     "parity neumann": (Ellipsoid(1.0, 0.95, 0.9), "neumann", 1e-4, 12),
     "dense": (PerturbedSphere(1.0, [(2, 1, 0.15)]), "dirichlet", 1e-3, 10),
@@ -117,7 +119,7 @@ def assert_close(info, ref):
     assert info.condition == pytest.approx(ref.condition, rel=1e-12)
 
 
-@pytest.mark.parametrize("name", ["per-order dirichlet", "parity neumann", "dense", "no-fold"])
+@pytest.mark.parametrize("name", ["per-order dirichlet", "per-order unmirrored", "parity neumann", "dense", "no-fold"])
 def test_stack_truncated_by_the_cutoff(name):
     system, factor = escalation_steps(name)[-1]
     ref = loop_solve_factored(system, factor, 0.5)

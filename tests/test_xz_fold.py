@@ -210,17 +210,19 @@ def test_folded_reruns_are_bitwise(bc):
 
 def test_debug_log_names_the_split_once_per_escalation(caplog):
     shapes = [Ellipsoid(1.0, 0.95, 0.9), PerturbedSphere(1.0, [(2, 0, 0.1), (3, -1, 0.05)]),
-              PerturbedSphere(1.0, [(2, 0, 0.1)]), PerturbedSphere(1.0, [(2, -1, 0.15)]),
-              PerturbedSphere(1.0, [(2, 1, 0.15)])]
+              PerturbedSphere(1.0, [(2, 0, 0.1)]), PerturbedSphere(1.0, [(3, 0, 0.1)]),
+              PerturbedSphere(1.0, [(2, -1, 0.15)]), PerturbedSphere(1.0, [(2, 1, 0.15)])]
     with caplog.at_level(logging.DEBUG, logger="mrcscatter.direct_solver"):
         for surface in shapes:
             mrc_solve(surface, CTX, "dirichlet", eps_target=1e-300, L_start=4, L_max=5)
     lines = [r.getMessage() for r in caplog.records if "split" in r.getMessage()]
     # L=5: rule of degree 16, n_theta 9 (5 of them at theta <= pi/2), n_phi 17
-    # (9 at phi <= pi); the settings: parity x cos/sin, parity, per order, no fold, cos/sin
+    # (9 at phi <= pi); the settings: parity x cos/sin, parity, per order and parity
+    # (2L+1 systems), per order (L+1, not symmetric about z = 0), no fold, cos/sin
     assert lines == [
         "L=5 kept, split into 4 systems x 45 rows x 12 columns",
         "L=5 kept, split into 2 systems x 85 rows x 21 columns",
+        "L=5 kept, split into 11 systems x 5 rows x 3 columns",
         "L=5 kept, split into 6 systems x 9 rows x 6 columns",
         "L=5 kept, split into 1 systems x 153 rows x 36 columns",
         "L=5 kept, split into 2 systems x 81 rows x 21 columns",
