@@ -165,7 +165,7 @@ def cmd_synthesize(args) -> int:
             f"(max radius {surface.max_radius()})"
         )
     qcfg = cfg.get("quadrature", {"n_theta": 24, "n_phi": 48})
-    quad = make_quadrature(qcfg["n_theta"], qcfg["n_phi"])
+    quad = make_quadrature(int(qcfg["n_theta"]), int(qcfg["n_phi"]))
     fw = cfg.get("forward", {})
     bc = cfg.get("bc", "dirichlet")
     fw_eps = fw.get("eps_target", 1e-8)
@@ -211,7 +211,7 @@ def cmd_invert(args) -> int:
                        "sound-soft (Dirichlet) obstacle", args.data)
     dcfg = cfg["directions"]
     if dcfg["type"] == "fibonacci":
-        dirs = fibonacci_directions(dcfg["count"])
+        dirs = fibonacci_directions(int(dcfg["count"]))
     else:
         dirs = [Direction(float(t), float(p)) for t, p in dcfg["items"]]
     settings = {key: cfg[key] for key in _RECONSTRUCTION_KEYS if key in cfg}

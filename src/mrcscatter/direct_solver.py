@@ -19,9 +19,10 @@ at its top degree: columns go by degree, so a lower degree's system is a column 
 the same rows, its residual R's right-hand sides below it as Q is orthonormal (nested
 least squares; Bjorck 1996).  Every builder gives a
 stack of systems (one with no fold), zero-padded to one width (Householder no-ops), and a
-_Modes plan of where each flat mode sits.  The kept step solves the stack at once: one
-batched SVD of R gives rank and condition over all systems, then one solve on R with a
-unit pivot per padded column, or a truncated SVD if a value drops.
+_Modes plan of where each flat mode sits.  Each entry solves its kept step's stack at
+once, on its own columns of R: one batched SVD of R gives rank and condition over all
+systems, then one solve on R with a unit pivot per padded column, or a truncated SVD if a
+value drops.
 On a surface of revolution (``StarSurface.axisymmetric``) column
 (ell, m) is g(theta) * exp(i*m*phi) and n_phi >= 2L+1, so the unitary DFT along
 phi leaves L+1 systems [B_|m| | 0 | b_m | (-1)**m b_-m] of n_theta rows (B_-m =
@@ -80,7 +81,8 @@ def _check_bc(bc: str) -> str:
 
 
 def _check_degree(name: str, value) -> int:
-    """An integral degree below sys.maxsize (range()'s bound) as an int, else ValueError naming it."""
+    """An integral degree or count below sys.maxsize (range()'s bound) as an int, else a
+    ValueError naming it."""
     if not value % 1 == 0:  # NaN and inf too; range() would refuse 2.5 bare, int() truncate it
         raise ValueError(f"{name} must be an integer, got {value}")
     if not value < sys.maxsize:
@@ -157,11 +159,6 @@ class DirectSolution:
     history: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _read_boundary(surface: StarSurface, quad: SphereQuadrature):
-    """f, normal and scale of _read_rules on one rule's whole grid."""
-    return _read_rules(surface, [quad], False)[:3]
-
-
 def _read_rules(surface: StarSurface, quads, axis: bool):
     """From one radial_map at the nodes of all the rules (each one's polar axis
     if ``axis``): f, the outward normal's (r, theta, phi) components, the weight
@@ -180,7 +177,7 @@ def incident_trace(
 ) -> np.ndarray:
     """Incident plane-wave data on the boundary at the quadrature directions:
     the trace for Dirichlet, the outward normal derivative for Neumann."""
-    return _incident(quad, ctx, _check_bc(bc), *_read_boundary(surface, quad)[:2])
+    return _incident(quad, ctx, _check_bc(bc), *_read_rules(surface, [quad], False)[:2])
 
 
 def _incident(quad, ctx, bc, f, normal) -> np.ndarray:
@@ -190,20 +187,6 @@ def _incident(quad, ctx, bc, f, normal) -> np.ndarray:
         return u0
     N = _normal_vectors(quad.theta, quad.phi, *normal)
     return 1j * ctx.k * (N @ ctx.alpha.vector) * u0
-
-
-def _boundary_weight(surface: StarSurface, quad: SphereQuadrature) -> np.ndarray:
-    """The weight sqrt(w_p * omega_p) of _read_rules."""
-    return _read_boundary(surface, quad)[2]
-
-
-def _basis_columns(
-    surface: StarSurface, quad: SphereQuadrature, ctx: WaveContext, L: int, bc: str
-) -> np.ndarray:
-    """Unweighted collocation matrix: psi[ell, m] (or its outward normal
-    derivative) at the boundary points, rows by node, columns by flat mode."""
-    f, normal = _read_boundary(surface, quad)[:2]
-    return _columns(quad, _hankel(L, ctx.k, f, _check_bc(bc)), L, bc, f, normal)
 
 
 def _hankel(L, k, f, bc):
@@ -374,7 +357,7 @@ def assemble_basis_matrix(
     outward normal derivative), so the Euclidean residual of the linear system
     is the discretized L2 boundary norm.  Requires quadrature degree >= 2L.
     """
-    f, normal, scale = _read_boundary(surface, quad)
+    f, normal, scale, _ = _read_rules(surface, [quad], False)
     return scale[:, None] * _columns(quad, _hankel(L, ctx.k, f, _check_bc(bc)), L, bc, f, normal)
 
 
@@ -408,17 +391,22 @@ def _qr_residual(system, factor) -> list[float]:
             for j, rest in enumerate(rests)]
 
 
-def _solve_factored(system, factor, svd_cutoff, s=None) -> LeastSquaresInfo:
-    """Solve of min ||A @ C + B|| over a (matrix, rhs, rest, plan[, degree]) stack
-    of systems on its _factor R as one operation (see the module docstring): a unit
-    pivot in each padded column leaves each real triangle's back-substitution as
-    it is.  ``rest`` is the part of b no column reaches; the _Modes ``plan`` picks
-    C's modes; ``s`` holds the singular values of R's triangles, if known."""
+def _solve_factored(system, factor, svd_cutoff, j=0) -> LeastSquaresInfo:
+    """Solve of min ||A @ C + B|| for entry j of a (matrix, rhs, rest, plan[, degree])
+    stack of systems on its _factor R, on the entry's own columns of R, as one operation
+    (see the module docstring): a unit pivot in each padded column leaves each real
+    triangle's back-substitution as it is.  ``rest`` is the part of b no column reaches
+    (a row per entry; a lone entry's has no leading axis and is entry 0); the _Modes
+    ``plan`` picks C's modes."""
     (A, B, rest, plan), (R, norms), w = system[:4], factor, system[0].shape[2]
-    n, orders = plan.counts
+    rests, n, orders = np.atleast_2d(rest), *plan.counts
+    c = (R.shape[2] - w) // len(rests)
+    # entry 0's columns follow A's: a view, not a copy
+    R = R[..., : w + c] if j == 0 else R[..., np.r_[:w, w + j * c : w + (j + 1) * c]]
+    B, rest = B.reshape(*A.shape[:2], len(rests), c)[..., j, :], rests[j]
     # a padded column of R is exactly zero and adds an exact-zero value; an
     # all-zero stack keeps nothing, and a system's kept values serve its orders
-    s = np.linalg.svd(R[:, :w, :w], compute_uv=False) if s is None else s
+    s = np.linalg.svd(R[:, :w, :w], compute_uv=False)
     keep = (s > 0.0) & (s >= svd_cutoff * s.max())
     rank = int(keep.sum(axis=1) @ orders)
     if (keep.sum(axis=1) == n).all():
@@ -511,21 +499,6 @@ def _factored(surface, quad, hankel, bc, f, normal, scale, b, L):
         return system, _factor(*system[:2], system[3].pairs)
 
 
-def _solve_step(step, svd_cutoff) -> LeastSquaresInfo:
-    """_solve_factored of entry j of a step's (system, factor, j, shared) on its
-    own columns of R, and the singular values of A, which the step's entries
-    share (kept in ``shared``).  A lone entry (no leading axis) is entry 0."""
-    (A, B, rest, plan), (R, norms), j, shared = step
-    w, rests = A.shape[2], np.atleast_2d(rest)
-    c = (R.shape[2] - w) // len(rests)
-    # entry 0's columns follow A's: a view, not a copy
-    R = R[..., : w + c] if j == 0 else R[..., np.r_[:w, w + j * c : w + (j + 1) * c]]
-    B, rest = B.reshape(*A.shape[:2], len(rests), c)[..., j, :], rests[j]
-    if not shared:
-        shared.append(np.linalg.svd(R[:, :w, :w], compute_uv=False))
-    return _solve_factored((A, B, rest, plan), (R, norms), svd_cutoff, shared[0])
-
-
 def solve_entries(
     surface: StarSurface,
     contexts: list[WaveContext],
@@ -542,7 +515,7 @@ def solve_entries(
     Each rule builds A once, at its top degree, and takes one _factor of [A | b_1 | ...]
     over the entries not yet done; each entry reads its residual at each degree off R's
     column prefix, keeps its own smallest L and history, and solves on its own columns of
-    the R of its kept degree's own system, with the singular values shared at one step."""
+    the R of its kept degree's own system."""
     _check_bc(bc)
     _check_svd_cutoff(svd_cutoff)
     if not eps_target > 0:  # NaN too
@@ -580,14 +553,14 @@ def solve_entries(
         residuals = dict(zip(entries, _qr_residual(factored[0] if alone else (*factored[0], L), factored[1])))
         # the step's own system, bitwise as if alone, is built only if an entry keeps it
         mine = alone and entries == active
-        own, shared = (lambda x=factored: x) if mine else functools.cache(functools.partial(build, L)), []
+        own = (lambda x=factored: x) if mine else functools.cache(functools.partial(build, L))
         for j, e in enumerate(list(active)):
-            b_norm, step = data[e][1], (own, j, shared)
+            b_norm, step = data[e][1], (own, j)
             rel = residuals[e] / b_norm
             histories[e].append((L, rel))
             logger.debug("L=%d relative residual %.3e%s", L, rel, tag[e])
             # truncation or rounding can leave the solved residual above the QR one
-            if rel <= eps_target and (info := _solve_step((*own(), j, shared), svd_cutoff)).residual \
+            if rel <= eps_target and (info := _solve_factored(*own(), svd_cutoff, j)).residual \
                     <= eps_target * b_norm:
                 kept[e] = (L, b_norm, step, info)
                 active.remove(e)
@@ -600,12 +573,12 @@ def solve_entries(
         if kept[e] is None:
             if best[e] is None:
                 raise ValueError(f"no finite escalation step from L={L_start}")
-            _, L, b_norm, (own, j, shared) = best[e]
-            info = _solve_step((*own(), j, shared), svd_cutoff)
+            _, L, b_norm, (own, j) = best[e]
+            info = _solve_factored(*own(), svd_cutoff, j)
             logger.warning("escalation ended at L=%d; keeping L=%d with relative residual %.3e > %.3e%s",
                            history[-1][0], L, info.residual / b_norm, eps_target, tag[e])
         else:
-            L, b_norm, (own, _, _), info = kept[e]
+            L, b_norm, (own, _), info = kept[e]
         logger.debug("L=%d kept, split into %d systems x %d rows x %d columns%s", L, *own()[0][0].shape, tag[e])
         coeffs = CoefficientSet(L, info.coeffs if own()[0][3].pairs is None else _complex_coeffs(info.coeffs))
         solutions.append(DirectSolution(coeffs, info.residual / b_norm, bc, kept[e] is not None,

@@ -446,9 +446,8 @@ def surface_element(surface: StarSurface, theta, phi) -> np.ndarray:
     unit outward normal; equals f * sqrt(f^2 + f_theta^2 + (f_phi/sin)^2)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    f = surface.radius(theta, phi)
-    nr, _, _ = _normal_spherical_components(surface, theta, phi)
-    return f * f / nr
+    f, ft, fp = surface.radial_map(theta, phi)
+    return f * f / _normal_from_map(theta, f, ft, fp)[0]
 
 
 def outward_normal(surface: StarSurface, theta, phi) -> np.ndarray:
@@ -459,7 +458,7 @@ def outward_normal(surface: StarSurface, theta, phi) -> np.ndarray:
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    return _normal_vectors(theta, phi, *_normal_spherical_components(surface, theta, phi))
+    return _normal_vectors(theta, phi, *_normal_from_map(theta, *surface.radial_map(theta, phi)))
 
 
 def _normal_vectors(theta, phi, nr, nt, np_) -> np.ndarray:
@@ -472,13 +471,9 @@ def _normal_vectors(theta, phi, nr, nt, np_) -> np.ndarray:
     return nr[..., None] * rhat + nt[..., None] * that + np_[..., None] * phat
 
 
-def _normal_spherical_components(surface, theta, phi):
-    """Outward normal in the local (r, theta, phi) orthonormal basis."""
-    return _normal_from_map(theta, *surface.radial_map(theta, phi))
-
-
 def _normal_from_map(theta, f, ft, fp):
-    """_normal_spherical_components from the radial map's values at theta."""
+    """Outward normal in the local (r, theta, phi) orthonormal basis, from the
+    radial map's values (f, df/dtheta, df/dphi) at theta."""
     st = np.sin(theta)
     pole = st < 1e-14
     gp = np.zeros_like(f)

@@ -15,7 +15,8 @@ p and g = Re(conj(p) * p') on the (entry x direction x grid) array; every
 interior grid minimum of |p| is polished together, at its entry's k, as the
 root of g by one batched safeguarded Newton iteration on g and g', or by golden
 section where g shows no sign change.  One loop over anchor slots then picks
-the stable root of every direction.  ``find_ray_root`` searches one direction.
+the stable root of every direction.  ``find_ray_root`` runs the same search on
+one direction of one entry.
 """
 
 from __future__ import annotations
@@ -143,19 +144,12 @@ def _incidence(dirs: list[Direction], ctxs: list[WaveContext]) -> tuple[np.ndarr
     return np.array([vectors @ c.alpha.vector for c in ctxs]), np.array([c.k for c in ctxs], dtype=float)
 
 
-def _ray_weights(coeffs: CoefficientSet, ctx: WaveContext, dirs: list[Direction]):
-    """Per-degree weights sum_m c[ell, m] Y[ell, m](dir), shape (n_dir, L+1),
-    and cos(angle between each direction and the incidence)."""
-    Y = specfun.sph_harm_table(coeffs.L, *_angles(dirs))
-    return _degree_weights(Y, [coeffs])[0], _incidence(dirs, [ctx])[0][0]
-
-
 def ray_function(coeffs: CoefficientSet, ctx: WaveContext, dir_out: Direction, r) -> np.ndarray:
     """p(r) = incident plane wave + truncated outgoing expansion along the ray
     r * dir_out; its positive root estimates the boundary radius."""
-    W, cosang = _ray_weights(coeffs, ctx, [dir_out])
-    r = np.asarray(r, dtype=float)
-    return _ray_values(W[:, None], cosang[:, None], ctx.k, r.ravel(), False)[0][0].reshape(r.shape)
+    W = _degree_weights(specfun.sph_harm_table(coeffs.L, *_angles([dir_out])), [coeffs])
+    r, cosang = np.asarray(r, dtype=float), _incidence([dir_out], [ctx])[0]
+    return _ray_values(W, cosang, ctx.k, r.ravel(), False)[0][0].reshape(r.shape)
 
 
 def _ray_values(W: np.ndarray, cosang, k, r: np.ndarray, dg: bool = True) -> tuple:
@@ -204,6 +198,7 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     r_lo, r_hi = bracket
     if not 0.0 < r_lo < r_hi < math.inf:
         raise ValueError(f"invalid bracket {bracket}")
+    grid_n = _check_degree("grid_n", grid_n)  # np.linspace refuses a float count bare
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
     grid = np.linspace(r_lo, r_hi, grid_n)
@@ -220,7 +215,7 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     i, j = np.flatnonzero(polish), np.flatnonzero(~polish)
     a, r0, f0 = (cells + right)[i], np.empty(rows.size), np.empty(rows.size)
     ray = lambda n, r, dg: _ray_values(W[ents[n], rows[n]], cosang[ents[n], rows[n]], k[ents[n]], r, dg)
-    r0[i], steps = specfun.bracketed_root(  # the one caller that reads g'
+    r0[i], steps, bisections = specfun.bracketed_root(  # the one caller that reads g'
         lambda r: ray(i, r, True)[1:], grid[a], grid[a + 1],
         g[ents[i], rows[i], a], g[ents[i], rows[i], a + 1])
     f0[i] = np.abs(ray(i, r0[i], False)[0])
@@ -229,27 +224,14 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
         r0[j], f0[j] = specfun.golden_min(lambda r: np.abs(ray(j, r, False)[0]), grid[b], grid[b + 2])
     if logger.isEnabledFor(logging.DEBUG):
         count = lambda e: np.bincount(e, minlength=len(k)).tolist()
-        logger.debug("ray search L=%d k=%s: %s candidates, %d Newton steps, %s golden fallbacks",
-                     W.shape[-1] - 1, k.tolist(), count(ents), steps, count(ents[j]))
+        logger.debug("ray search L=%d k=%s: %s candidates, %d Newton steps, %d bisections, "
+                     "%s golden fallbacks", W.shape[-1] - 1, k.tolist(), count(ents), steps,
+                     bisections, count(ents[j]))
     # an all-zero row has no strict minimum, so max |p| > 0 on every candidate row
     score = f0 / np.max(pg, axis=-1)[ents, rows]
     keep = np.flatnonzero(score <= residual_threshold)
     keep = keep[np.lexsort((f0[keep], rows[keep], ents[keep]))]
     return ents[keep], rows[keep], r0[keep], f0[keep], score[keep], np.argmin(pg, axis=-1) % (grid_n - 1) == 0
-
-
-def _ray_roots(coeffs: list[CoefficientSet], ctxs: list[WaveContext], dirs: list[Direction],
-               bracket: tuple[float, float], grid_n: int, residual_threshold: float) -> list:
-    """find_ray_root for every direction and every entry (its coefficient set
-    and context) at one degree, a list per entry of lists per direction: one
-    harmonic table and one ``_search``, so a candidate is bitwise the same
-    whichever entries share it."""
-    Y = specfun.sph_harm_table(coeffs[0].L, *_angles(dirs))
-    found = _search(_degree_weights(Y, coeffs), *_incidence(dirs, ctxs), bracket, grid_n, residual_threshold)
-    roots: list[list[list[RayRoot]]] = [[[] for _ in dirs] for _ in ctxs]
-    for e, d, r, f, s in zip(*(v.tolist() for v in found[:5])):
-        roots[e][d].append(RayRoot(dir_out=dirs[d], r=r, residual=f, imag_score=s))
-    return roots
 
 
 def find_ray_root(
@@ -271,10 +253,12 @@ def find_ray_root(
     An exact zero may not exist on the real ray, so the depth of the minimum
     (``imag_score``) measures how close the root is to the positive semiaxis.
 
-    This is the one-direction call of the batched search that
+    This is the one-direction, one-entry call of ``_search``, which
     ``stable_reconstruct`` runs over all directions and entries at once.
     """
-    return _ray_roots([coeffs], [ctx], [dir_out], bracket, grid_n, residual_threshold)[0][0]
+    W = _degree_weights(specfun.sph_harm_table(coeffs.L, *_angles([dir_out])), [coeffs])
+    found = _search(W, *_incidence([dir_out], [ctx]), bracket, grid_n, residual_threshold)[2:5]
+    return [RayRoot(dir_out, r, f, s) for r, f, s in zip(*(v.tolist() for v in found))]
 
 
 def _stable_roots(ents, rows, r, residual, shape: tuple[int, int]):
@@ -379,7 +363,7 @@ def stable_reconstruct(
             raise ValueError(f"{name} must be > 0, got {value}")
     if not harmonic_degree >= 0:
         raise ValueError(f"harmonic_degree must be >= 0, got {harmonic_degree}")
-    _check_degree("harmonic_degree", harmonic_degree)  # before any search: int() would truncate 3.7 to 3
+    harmonic_degree = _check_degree("harmonic_degree", harmonic_degree)  # before any search
     schedule = sorted({_check_degree("L_schedule degree", L) for L in L_schedule})
     if bracket is None:
         bracket = (0.2 * data.R, 0.9 * data.R)

@@ -22,21 +22,17 @@ a quadrature rule for its two axes, where Y is their product per mode
 (``_grid_modes``) with bitwise the same values.  Real harmonics and their
 partials, for any list of weighted (ell, m), come from ``_real_harmonics``.
 
-All functions are pure, but ``bracketed_root`` logs its bisections at DEBUG;
-vectorized ``*_table`` variants return values for every degree 0..L at once
-and are what the solvers use internally.
+All functions are pure; vectorized ``*_table`` variants return values for
+every degree 0..L at once and are what the solvers use internally.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 
 class DomainError(ValueError):
@@ -424,16 +420,17 @@ def golden_min(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple[np.ndarray,
     return np.where(lt, c, d), np.where(lt, fc, fd)
 
 
-def bracketed_root(f: Callable[[np.ndarray], tuple], a, b, fa, fb) -> tuple[np.ndarray, int]:
+def bracketed_root(f: Callable[[np.ndarray], tuple], a, b, fa, fb) -> tuple[np.ndarray, int, int]:
     """Roots of g on the brackets [a[i], b[i]] with fa = g(a) < 0 <= fb = g(b),
-    and the number of calls of f, which returns (g, dg/dx) elementwise, by a
+    the number of calls of f, which returns (g, dg/dx) elementwise, and the
+    number of bisections over all brackets, by a
     safeguarded Newton iteration (``rtsafe``, Numerical Recipes 9.4) batched as
     in ``golden_min``.  Each bracket starts at its secant point (on an end, the
     root, with no call); the evaluated point replaces the end of its sign, and
     a step that leaves the bracket, is not finite or is not under half the step
     before bisects instead.  A bracket stops when |g/g'| there is at most
     _ROOT_REL_TOL * max(|a|, |b|), returning the Newton update (NaN for a NaN
-    g), or when it is that narrow.  The bisection count goes to the DEBUG log."""
+    g), or when it is that narrow."""
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     x = b - fb * (b - a) / (fb - fa)
     active, calls, step, bisections = (a < x) & (x < b), 0, b - a, 0
@@ -448,5 +445,4 @@ def bracketed_root(f: Callable[[np.ndarray], tuple], a, b, fa, fb) -> tuple[np.n
         t = np.where(active, np.where(newton, t, 0.5 * (a + b)), x)
         x, step, bisections = t, np.abs(t - x), bisections + np.count_nonzero(active & ~newton)
         active &= ~done & ((b - a) > tol)
-    logger.debug("polished %d roots: %d Newton steps, %d bisection fallbacks", x.size, calls, bisections)
-    return x, calls
+    return x, calls, bisections

@@ -8,7 +8,7 @@ along phi takes the system to one block per order m, and the blocks of m and
 one per |m|, with two right-hand sides each (2L+1 on a shape symmetric about
 z = 0, each order split by parity; see test_order_parity.py).  The per-order
 solve must select the same degree, rank and convergence as the dense system
-built from ``_basis_columns``, ``_boundary_weight`` and ``incident_trace``, and
+built from ``assemble_basis_matrix``, ``_read_rules``' weight and ``incident_trace``, and
 agree with it to rounding (the tolerances of ``assert_same_solution``).
 """
 
@@ -22,8 +22,8 @@ from mrcscatter import direct_solver
 from mrcscatter import specfun as sf
 from mrcscatter.direct_solver import (
     WaveContext,
-    _basis_columns,
-    _boundary_weight,
+    _read_rules,
+    assemble_basis_matrix,
     incident_trace,
     mrc_solve,
     solve_least_squares,
@@ -135,8 +135,8 @@ def test_truncating_cutoff_matches_the_dense_truncated_solve(bc):
     # with a clear gap to those kept
     L, cutoff, ctx = 8, 0.5, WaveContext(1.0, ALPHA)
     quad = quadrature_for_degree(max(math.ceil(2.5 * L), 2 * L, 16))
-    scale = _boundary_weight(BUMPY, quad)
-    A = scale[:, None] * _basis_columns(BUMPY, quad, ctx, L, bc)
+    scale = _read_rules(BUMPY, [quad], False)[2]
+    A = assemble_basis_matrix(BUMPY, quad, ctx, L, bc)
     b = incident_trace(BUMPY, quad, ctx, bc) * scale
     ref = solve_least_squares(A, b, cutoff)
     got = mrc_solve(BUMPY, ctx, bc, eps_target=1e-12, L_start=L, L_max=L, svd_cutoff=cutoff)

@@ -27,11 +27,11 @@ from mrcscatter.geometry import (
 from mrcscatter.inverse_solver import (
     NearFieldEntry,
     RayRoot,
-    _ray_roots,
     extract_coeffs,
     find_ray_root,
 )
 from mrcscatter.sphere_oracle import sphere_scattering_coeffs
+from test_ray_values import search_roots
 
 Z_HAT = Direction(0.0, 0.0)
 X_HAT = Direction(math.pi / 2, 0.0)
@@ -161,7 +161,7 @@ class TestRaySearch:
         full, ctx = coefficients(shape)
         c = full.truncated(L)
         dirs = [Direction(theta, phi) for theta, phi in angles]
-        batched = _ray_roots([c], [ctx], dirs, BRACKET, 64, 0.5)[0]
+        batched = search_roots([c], [ctx], dirs, BRACKET, 64, 0.5)[0]
         assert len(batched) == len(dirs)
         for d, got in zip(dirs, batched):
             ref = find_ray_root_scalar(c, ctx, d, BRACKET)

@@ -16,7 +16,7 @@ import pytest
 
 from mrcscatter import direct_solver
 from mrcscatter import specfun as sf
-from mrcscatter.direct_solver import WaveContext, _read_boundary, _read_rules, mrc_solve
+from mrcscatter.direct_solver import WaveContext, _read_rules, mrc_solve
 from mrcscatter.geometry import (
     Direction,
     Ellipsoid,
@@ -106,7 +106,7 @@ def test_a_read_of_concatenated_nodes_is_bitwise_per_segment(surface, axis):
         assert len(parts[0][i]) == len(q.theta[s])
         for got, want in zip(parts, per_rule(_read_rules(surface, [q], axis))):
             assert got[i].tobytes() == want[0].tobytes()
-    f, normal, scale = _read_boundary(surface, quads[1])
+    f, normal, scale, _ = _read_rules(surface, [quads[1]], False)
     for got, want in zip(per_rule(_read_rules(surface, quads, False)), (f, *normal, scale)):
         assert got[1].tobytes() == want.tobytes()
 

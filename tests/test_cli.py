@@ -488,3 +488,34 @@ class TestSynthesizeEllipsoid:
         assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == EXIT_ERROR
         assert "must enclose the obstacle (max radius 1.2)" in capsys.readouterr().err
         assert not (tmp_path / "near_field.json").exists()
+
+
+class TestIntegralFloatFields:
+    """JSON Schema's ``integer`` takes 2.0, so a config may give an integer field
+    as an integral float.  Such a run must exit as the integer config's does and
+    write its bytes, where a TypeError used to escape ``main``."""
+
+    INVERT = dict(INVERT_CFG, grid_n=64, harmonic_degree=2)
+    CASES = {
+        "harmonic_degree": (SYNTH_CFG, dict(INVERT, harmonic_degree=2.0)),
+        "grid_n": (SYNTH_CFG, dict(INVERT, grid_n=64.0)),
+        "count": (SYNTH_CFG, dict(INVERT, directions={"type": "fibonacci", "count": 20.0})),
+        "quadrature": (dict(SYNTH_CFG, quadrature={"n_theta": 16.0, "n_phi": 32.0}), INVERT),
+    }
+    FILES = ("near_field.json", "reconstruction.json", "reconstruction.csv")
+
+    @staticmethod
+    def pipeline(out, synth, invert):
+        out.mkdir()
+        synth, invert = write_cfg(out / "s.json", synth), write_cfg(out / "i.json", invert)
+        codes = (main(["synthesize", "--config", synth, "--out", str(out)]),
+                 main(["invert", str(out / "near_field.json"), "--config", invert, "--out", str(out)]))
+        return codes, [sha256(out / name) for name in TestIntegralFloatFields.FILES]
+
+    @pytest.fixture(scope="class")
+    def integer_run(self, tmp_path_factory):
+        return self.pipeline(tmp_path_factory.mktemp("integer") / "out", SYNTH_CFG, self.INVERT)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_runs_as_the_integer_config(self, tmp_path, integer_run, case):
+        assert self.pipeline(tmp_path / "out", *self.CASES[case]) == integer_run

@@ -12,8 +12,9 @@ import pytest
 from mrcscatter import specfun as sf
 from mrcscatter.direct_solver import (
     CoefficientSet,
-    _basis_columns,
-    _boundary_weight,
+    _columns,
+    _hankel,
+    _read_rules,
     WaveContext,
     assemble_basis_matrix,
     incident_trace,
@@ -25,7 +26,7 @@ from mrcscatter.geometry import (
     PerturbedSphere,
     Sphere,
     SphereQuadrature,
-    _normal_spherical_components,
+    _normal_from_map,
     make_quadrature,
     quadrature_for_degree,
     surface_element,
@@ -111,9 +112,11 @@ class TestAssembleBasisMatrix:
         Y = sf.sph_harm_table(L, quad.theta, quad.phi)
         dY = sf.sph_harm_dtheta_table(L, quad.theta, quad.phi)
         pY = sf.sph_harm_dphi_over_sin_table(L, quad.theta, quad.phi)
-        nr, nt, nph = _normal_spherical_components(surface, quad.theta, quad.phi)
+        nr, nt, nph = _normal_from_map(quad.theta, *surface.radial_map(quad.theta, quad.phi))
         ref = (nr * Hd)[ells].T * Y + (H / f)[ells].T * (nt[:, None] * dY + nph[:, None] * pY)
-        np.testing.assert_array_equal(_basis_columns(surface, quad, ctx, L, "neumann"), ref)
+        fr, normal = _read_rules(surface, [quad], False)[:2]
+        got = _columns(quad, _hankel(L, ctx.k, fr, "neumann"), L, "neumann", fr, normal)
+        np.testing.assert_array_equal(got, ref)
 
     def test_rejects_underresolved_quadrature(self):
         quad = quadrature_for_degree(8)
@@ -346,7 +349,8 @@ class TestCoefficientSet:
 def test_assemble_basis_matrix_reads_the_surface_once():
     surface = PerturbedSphere(1.0, [(2, 1, 0.15), (3, -2, 0.1)])
     quad, ctx = quadrature_for_degree(14), WaveContext(1.3, Direction(0.7, 0.2))
-    ref = {bc: _boundary_weight(surface, quad)[:, None] * _basis_columns(surface, quad, ctx, 6, bc)
+    f, normal, scale, _ = _read_rules(surface, [quad], False)
+    ref = {bc: scale[:, None] * _columns(quad, _hankel(6, ctx.k, f, bc), 6, bc, f, normal)
            for bc in ("dirichlet", "neumann")}
     calls = []
     radial_map = surface.radial_map

@@ -23,7 +23,7 @@ from mrcscatter.direct_solver import (
     _escalation_steps,
     _factor,
     _qr_residual,
-    _solve_step,
+    _solve_factored,
     _columns,
     _system,
 )
@@ -102,14 +102,14 @@ def test_one_residual_and_solve_per_entry(shape, bc):
         assert all(len(r) == 1 for r in alone)
         for n in (1, len(CONTEXTS)):
             system = build(shape, bc, step, np.stack([b for b, _ in step[3][:n]]))
-            R, shared = factor(system), []
+            R = factor(system)
             got = _qr_residual(system, R)
             assert len(got) == n
             for e in range(n):
                 assert got[e] == pytest.approx(alone[e][0], rel=1e-14, abs=0)
                 # each entry solves on its own columns of R as its bare system does
-                info = _solve_step((system, R, e, shared), 1e-12)
-                ref = _solve_step((bare[e], factor(bare[e]), 0, []), 1e-12)
+                info = _solve_factored(system, R, 1e-12, e)
+                ref = _solve_factored(bare[e], factor(bare[e]), 1e-12)
                 assert info.rank == ref.rank
                 assert np.max(np.abs(info.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
 

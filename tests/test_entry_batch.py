@@ -1,8 +1,9 @@
 """One ray search per degree over every entry, and the stable-root pick as arrays.
 
-``_ray_roots`` given lists of coefficient sets and contexts searches every
-(entry, direction) pair at once; each candidate carries its entry's k, and
-must be bitwise what a call of its entry alone finds.  ``_stable_roots`` picks
+``_search``, the kernel ``stable_reconstruct`` runs, given the weights of several
+coefficient sets and contexts searches every (entry, direction) pair at once;
+each candidate carries its entry's k, and must be bitwise what a search of its
+entry alone finds.  ``_stable_roots`` picks
 the root kept per direction for all directions at once; the per-direction
 pick it replaced, ``_consistent_roots``, is kept below verbatim as the
 reference it must match bitwise.
@@ -25,12 +26,12 @@ from mrcscatter.inverse_solver import (
     NearFieldData,
     NearFieldEntry,
     RayRoot,
-    _ray_roots,
     _stable_roots,
     extract_coeffs,
     stable_reconstruct,
 )
 from mrcscatter.sphere_oracle import sphere_scattering_coeffs
+from test_ray_values import search_roots
 
 BRACKET = (0.3, 2.5)
 # two entries share k = 1
@@ -93,9 +94,9 @@ class TestAllEntriesSearch:
         coeffs = [entry_coefficients(shape)[e].truncated(L) for e in picked]
         ctxs = [CONTEXTS[e] for e in picked]
         dirs = [Direction(theta, phi) for theta, phi in angles]
-        together = _ray_roots(coeffs, ctxs, dirs, BRACKET, 64, 0.5)
+        together = search_roots(coeffs, ctxs, dirs, BRACKET, 64, 0.5)
         # RayRoot compares r, residual and imag_score exactly, in candidate order
-        assert together == [_ray_roots([c], [ctx], dirs, BRACKET, 64, 0.5)[0] for c, ctx in zip(coeffs, ctxs)]
+        assert together == [search_roots([c], [ctx], dirs, BRACKET, 64, 0.5)[0] for c, ctx in zip(coeffs, ctxs)]
 
     def test_one_secant_search_per_scheduled_degree(self, monkeypatch):
         coeffs = entry_coefficients("sphere")
@@ -133,6 +134,34 @@ class TestAllEntriesSearch:
                                                           "ray search L=4 k=[1.0, 1.0, 1.5]"]
         # candidates and golden fallbacks per entry, one shared Newton-step count
         assert all("candidates" in line and "Newton steps" in line and "golden" in line for line in lines)
+
+    def test_search_line_carries_the_counts_bracketed_root_returns(self, caplog, monkeypatch):
+        coeffs = entry_coefficients("sphere")
+        quad = make_quadrature(16, 32)
+        entries = tuple(
+            NearFieldEntry(ctx=ctx, samples=fields.field_on_sphere(c, ctx, 3.0, quad))
+            for c, ctx in zip(coeffs[:2], CONTEXTS[:2])
+        )
+        data = NearFieldData(R=3.0, quadrature=quad, entries=entries)
+        counts, root = [], sf.bracketed_root
+
+        def counted(*args):
+            x, calls, _ = root(*args)
+            counts.append((calls, 40 + len(counts)))  # a stand-in bisection count per search
+            return x, *counts[-1]
+
+        monkeypatch.setattr(sf, "bracketed_root", counted)
+        # no degree reaches a spread of 1e-12, so both are searched
+        with caplog.at_level(logging.DEBUG, logger="mrcscatter"):
+            rec = stable_reconstruct(data, fibonacci_directions(6), L_schedule=(3, 4),
+                                     stability_tol=1e-12)
+        assert not rec.converged
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("ray search")]
+        assert len(lines) == len(counts) == 2
+        for line, (calls, bisections) in zip(lines, counts):
+            assert f", {calls} Newton steps, {bisections} bisections, " in line
+        # specfun is pure: the search line is the one record of the polish
+        assert not [r for r in caplog.records if r.name == "mrcscatter.specfun"]
 
 
 def _pick_both(per_entry_dir):

@@ -15,9 +15,7 @@ from mrcscatter.inverse_solver import (
     NearFieldData,
     NearFieldEntry,
     _fit_harmonic_model,
-    _ray_roots,
     _ray_values,
-    _ray_weights,
     _real_harmonic_basis,
     add_noise,
     evaluate_harmonic_model,
@@ -27,6 +25,7 @@ from mrcscatter.inverse_solver import (
     stable_reconstruct,
 )
 from mrcscatter.sphere_oracle import sphere_scattering_coeffs
+from test_ray_values import ray_weights, search_roots
 
 Z_HAT = Direction(0.0, 0.0)
 X_HAT = Direction(math.pi / 2, 0.0)
@@ -166,7 +165,7 @@ def _polished_search():
         calls.clear()
         with pytest.MonkeyPatch.context() as m:
             m.setattr(sf, "hankel_out_table", counted)
-            found = _ray_roots([c], [ctx], dirs, (0.3, 2.5), 64, 0.5)[0]
+            found = search_roots([c], [ctx], dirs, (0.3, 2.5), 64, 0.5)[0]
         out.append((k, c, ctx, found, len(calls)))
     return tuple(out)
 
@@ -186,7 +185,7 @@ class TestRootPolish:
         bracket, grid_n = (0.5, 2.5), 16
         roots = find_ray_root(c, ctx, d, bracket, grid_n, residual_threshold=1.0)
         grid = np.linspace(*bracket, grid_n)
-        W, cosang = _ray_weights(c, ctx, [d])
+        W, cosang = ray_weights(c, ctx, [d])
         p, g, _ = (v[0] for v in _ray_values(W[:, None], cosang[:, None], ctx.k, grid))
         pg = np.abs(p)
         cells = [i for i in range(grid_n - 2) if pg[i + 1] < pg[i] and pg[i + 1] < pg[i + 2]]
@@ -204,7 +203,7 @@ class TestRootPolish:
             assert calls <= 20
             for roots in found:
                 p, g, _ = _ray_values(
-                    *_ray_weights(c, ctx, [roots[0].dir_out]), k, np.array([roots[0].r])
+                    *ray_weights(c, ctx, [roots[0].dir_out]), k, np.array([roots[0].r])
                 )
                 # the polished radius is a stationary point of |p|
                 assert abs(g[0]) <= 1e-9 * abs(p[0]) * k
@@ -219,7 +218,7 @@ class TestRootPolish:
         # g' = |p'|**2 + Re(conj(p) p''), with p'' from the spherical Bessel equation
         c = extract_coeffs(sphere_data().entries[1], make_quadrature(24, 48), 3.0, 8)
         ctx = WaveContext(1.5, X_HAT)
-        W, cosang = _ray_weights(c, ctx, [Direction(1.1, 0.4), Direction(2.5, 4.0)])
+        W, cosang = ray_weights(c, ctx, [Direction(1.1, 0.4), Direction(2.5, 4.0)])
         r, h = np.array([0.4, 0.9, 1.0, 1.7, 2.4]), 1e-6
         for w, cos in zip(W, cosang):
             g = lambda x: _ray_values(w[None], cos, ctx.k, x)[1]
@@ -230,14 +229,15 @@ class TestRootPolish:
 def _illinois_root(f, a, b, fa, fb):
     """Illinois regula falsi on g alone, the reference for the Newton polish:
     the secant point replaces the end of its sign, and when one end moves
-    twice running the value at the other is halved."""
+    twice running the value at the other is halved.  It never bisects: the
+    third value it returns, the bisection count, is 0."""
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     moved, calls = np.zeros(a.shape), 0  # +1 where a moved last, -1 where b did
     while True:
         x = b - fb * (b - a) / (fb - fa)
         active = (a < x) & (x < b) & ((b - a) > 1e-10 * np.maximum(np.abs(a), np.abs(b)))
         if not np.any(active):
-            return x, calls
+            return x, calls, 0
         fx, calls = f(x)[0], calls + 1
         up, down = active & (fx < 0), active & ~(fx < 0)
         fa, fb = np.where(down & (moved < 0), 0.5 * fa, fa), np.where(up & (moved > 0), 0.5 * fb, fb)
@@ -542,6 +542,20 @@ def test_fractional_degrees_are_named_before_any_search(settings, message, monke
     monkeypatch.setattr(inverse_solver, "_search", None)  # a search would raise a TypeError
     with pytest.raises(ValueError, match=message):
         stable_reconstruct(data, fibonacci_directions(4), **{"L_schedule": (3,), **settings})
+
+
+def test_integral_float_settings_search_as_their_ints():
+    # 2.0 and 64.0 pass the invert schema's "integer": they act as 2 and 64
+    data, dirs = sphere_data(quad=make_quadrature(8, 16), L=8), fibonacci_directions(12)
+    kw = {"bracket": (0.3, 2.5), "L_schedule": (3,)}
+    ref = stable_reconstruct(data, dirs, grid_n=64, harmonic_degree=2, **kw)
+    got = stable_reconstruct(data, dirs, grid_n=64.0, harmonic_degree=2.0, **kw)
+    assert type(got.harmonic_degree) is int and got.harmonic_degree == ref.harmonic_degree
+    for name in ("radii", "residuals", "spreads", "resolved", "harmonic_coeffs"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    c, ctx = extract_coeffs(data.entries[0], data.quadrature, data.R, 3), data.entries[0].ctx
+    bracket = (0.3, 2.5)
+    assert find_ray_root(c, ctx, Z_HAT, bracket, grid_n=64.0) == find_ray_root(c, ctx, Z_HAT, bracket)
 
 
 class TestSettingsRefused:

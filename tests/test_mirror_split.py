@@ -17,12 +17,11 @@ import pytest
 from mrcscatter import direct_solver
 from mrcscatter.direct_solver import (
     WaveContext,
-    _boundary_weight,
     _factor,
     _parity_plan,
     _parity_system,
     _qr_residual,
-    _read_boundary,
+    _read_rules,
     _incident,
     assemble_basis_matrix,
     incident_trace,
@@ -86,7 +85,7 @@ def escalate_unsplit(surface, bc, eps, L_max):
     for L in range(L_max + 1):
         quad = step_quadrature(L)
         A = assemble_basis_matrix(surface, quad, CTX, L, bc)
-        b = incident_trace(surface, quad, CTX, bc) * _boundary_weight(surface, quad)
+        b = incident_trace(surface, quad, CTX, bc) * _read_rules(surface, [quad], False)[2]
         info = solve_least_squares(A, b)
         rel = info.residual / np.linalg.norm(b)
         history.append((L, rel))
@@ -157,7 +156,7 @@ def test_other_shapes_do_not_split(surface, kept, monkeypatch, caplog):
                          ids=["ellipsoid86", "bump31"])
 def test_split_qr_residual_at_a_fixed_degree(surface, bc, L):
     quad = step_quadrature(L)
-    f, normal, scale = _read_boundary(surface, quad)
+    f, normal, scale, _ = _read_rules(surface, [quad], False)
     b = _incident(quad, CTX, bc, f, normal) * scale
     split = _parity_system(quad, direct_solver._hankel(L, CTX.k, f, bc), L, bc, f, normal, scale, b)
     # L=0 has no odd column: one system, and the odd rows' data is all residual

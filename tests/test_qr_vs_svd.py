@@ -20,8 +20,8 @@ from mrcscatter.direct_solver import (
     DirectSolution,
     LeastSquaresInfo,
     WaveContext,
-    _basis_columns,
-    _boundary_weight,
+    _read_rules,
+    assemble_basis_matrix,
     incident_trace,
     mrc_solve,
 )
@@ -61,8 +61,8 @@ def mrc_solve_svd(
         # floor keeps small-L residual estimates trustworthy
         degree = max(math.ceil(quad_degree_factor * L), 2 * L, 16)
         quad = quadrature_for_degree(degree)
-        scale = _boundary_weight(surface, quad)
-        A = scale[:, None] * _basis_columns(surface, quad, ctx, L, bc)
+        scale = _read_rules(surface, [quad], False)[2]
+        A = assemble_basis_matrix(surface, quad, ctx, L, bc)
         b = incident_trace(surface, quad, ctx, bc) * scale
         info = solve_least_squares_svd(A, b, svd_cutoff)
         rel = info.residual / np.linalg.norm(b)

@@ -23,7 +23,7 @@ from mrcscatter import specfun as sf
 from mrcscatter.direct_solver import (
     WaveContext,
     _incident,
-    _read_boundary,
+    _read_rules,
     assemble_basis_matrix,
     mrc_solve,
 )
@@ -144,7 +144,7 @@ def test_surface_of_revolution_is_read_on_the_polar_axis(surface, bc, monkeypatc
 
     # the same system from a full-grid read, sliced to the polar axis
     for quad, L, bh, z, (A, rhs, rest, modes) in systems:
-        f, normal, scale = _read_boundary(surface, quad)
+        f, normal, scale, _ = _read_rules(surface, [quad], False)
         assert reads.pop() == (len(quad),)
         b_ref = _incident(quad, CTX, bc, f, normal) * scale
         bh_ref = np.fft.fft(b_ref.reshape(quad.n_theta, quad.n_phi), axis=1, norm="ortho")

@@ -19,8 +19,9 @@ from mrcscatter.geometry import (
     Ellipsoid,
     PerturbedSphere,
     Sphere,
-    _normal_spherical_components,
+    outward_normal,
     quadrature_for_degree,
+    surface_element,
 )
 
 
@@ -187,7 +188,14 @@ class CountingSurface(PerturbedSphere):
 def test_normal_reads_the_radial_map_once():
     s = CountingSurface(1.0, [(2, 0, 0.2)])
     quad = quadrature_for_degree(10)
-    _normal_spherical_components(s, quad.theta, quad.phi)
+    outward_normal(s, quad.theta, quad.phi)
+    assert s.evaluations == 1
+
+
+def test_surface_element_reads_the_radial_map_once():
+    s = CountingSurface(1.0, [(2, 0, 0.2)])
+    quad = quadrature_for_degree(10)
+    surface_element(s, quad.theta, quad.phi)
     assert s.evaluations == 1
 
 

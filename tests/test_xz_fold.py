@@ -22,9 +22,9 @@ from mrcscatter import direct_solver
 from mrcscatter import specfun as sf
 from mrcscatter.direct_solver import (
     WaveContext,
-    _boundary_weight,
     _complex_coeffs,
     _parity_system,
+    _read_rules,
     assemble_basis_matrix,
     incident_trace,
     mrc_solve,
@@ -101,7 +101,7 @@ def escalate_unsplit(surface, bc, eps, L_start, L_max):
     for L in range(L_start, L_max + 1):
         quad = step_quadrature(L)
         A = assemble_basis_matrix(surface, quad, CTX, L, bc)
-        b = incident_trace(surface, quad, CTX, bc) * _boundary_weight(surface, quad)
+        b = incident_trace(surface, quad, CTX, bc) * _read_rules(surface, [quad], False)[2]
         info = solve_least_squares(A, b)
         rel = info.residual / np.linalg.norm(b)
         history.append((L, rel))
