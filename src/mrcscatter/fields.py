@@ -77,10 +77,14 @@ def project_far_field(samples: np.ndarray, quad: SphereQuadrature, L: int) -> Co
     """Recover mode coefficients from far-field samples on quadrature nodes
     by orthonormal projection (the inverse of far_field_amplitude)."""
     quad.check_aliasing(L)
-    P, E = quad.legendre(L), quad.azimuths(L)
+    # the rule keeps Pbar[ell, |m|] per order m = -L..L and the conjugated azimuths, sliced
+    # for a lower L as its own tables are
+    Pm = quad._table("Pm", L, lambda: quad.legendre(L)[:, abs(np.arange(-L, L + 1))])
+    Ec = quad._table("Ec", L, lambda: quad.azimuths(L).conj())
+    top = len(Ec) // 2
     # azimuthal sums per order m on each polar ring, then polar sums per (ell, m)
-    F = (quad.weights * samples).reshape(quad.n_theta, quad.n_phi) @ E.conj().T
-    C = np.sum(P[:, abs(np.arange(-L, L + 1))] * F.T, axis=-1)
+    F = (quad.weights * samples).reshape(quad.n_theta, quad.n_phi) @ Ec[top - L : top + L + 1].T
+    C = np.sum(Pm[: L + 1, top - L : top + L + 1] * F.T, axis=-1)
     return CoefficientSet(L, C[specfun.mode_degrees(L), specfun.mode_orders(L) + L])
 
 

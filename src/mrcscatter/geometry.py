@@ -99,8 +99,9 @@ class SphereQuadrature:
     values reshape to (n_theta, n_phi); other node arrays are rejected.
 
     It owns the read-only tables of its nodes (``legendre``, ``legendre_dtheta``,
-    ``azimuths``, ``vectors``), built at the first L asked for, rebuilt for a
-    larger L and sliced, bitwise, for a smaller one; an escalation to
+    ``azimuths``, ``vectors``, and the two of ``fields.project_far_field``),
+    built at the first L asked for, rebuilt for a larger L and sliced, bitwise,
+    for a smaller one; an escalation to
     L_max=30 leaves 3.0 to 6.1 MB of them in ``quadrature_for_degree``'s rules.
     """
 

@@ -17,6 +17,9 @@ root of g by one batched safeguarded Newton iteration on g and g', or by golden
 section where g shows no sign change.  One loop over anchor slots then picks
 the stable root of every direction.  ``find_ray_root`` runs the same search on
 one direction of one entry.
+The coefficients are extracted once at the top degree, before any search; the
+directions' harmonic table is built at the first degree and rebuilt once, at
+the top degree, only if the schedule escalates.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -140,7 +144,9 @@ def _degree_weights(Y: np.ndarray, coeffs: list[CoefficientSet]) -> np.ndarray:
 def _incidence(dirs: list[Direction], ctxs: list[WaveContext]) -> tuple[np.ndarray, np.ndarray]:
     """cos(angle between each direction and each entry's incidence), shape
     (entries, n_dir), and the entries' wavenumbers."""
-    vectors = np.array([d.vector for d in dirs])
+    # Direction.vector's math calls, in one pass
+    vectors = np.array([(st * math.cos(d.phi), st * math.sin(d.phi), math.cos(d.theta))
+                        for d in dirs for st in (math.sin(d.theta),)])
     return np.array([vectors @ c.alpha.vector for c in ctxs]), np.array([c.k for c in ctxs], dtype=float)
 
 
@@ -214,14 +220,16 @@ def _search(W: np.ndarray, cosang: np.ndarray, k: np.ndarray, bracket: tuple[flo
     polish = right | ((g0 < 0) & (g1 >= 0))
     i, j = np.flatnonzero(polish), np.flatnonzero(~polish)
     a, r0, f0 = (cells + right)[i], np.empty(rows.size), np.empty(rows.size)
-    ray = lambda n, r, dg: _ray_values(W[ents[n], rows[n]], cosang[ents[n], rows[n]], k[ents[n]], r, dg)
+    # the rays of candidates n: their weights, cosines and k, gathered once per search
+    rays = lambda n: partial(_ray_values, W[ents[n], rows[n]], cosang[ents[n], rows[n]], k[ents[n]])
+    ray = rays(i)
     r0[i], steps, bisections = specfun.bracketed_root(  # the one caller that reads g'
-        lambda r: ray(i, r, True)[1:], grid[a], grid[a + 1],
+        lambda r: ray(r, True)[1:], grid[a], grid[a + 1],
         g[ents[i], rows[i], a], g[ents[i], rows[i], a + 1])
-    f0[i] = np.abs(ray(i, r0[i], False)[0])
+    f0[i] = np.abs(ray(r0[i], False)[0])
     if j.size:
-        b = cells[j]
-        r0[j], f0[j] = specfun.golden_min(lambda r: np.abs(ray(j, r, False)[0]), grid[b], grid[b + 2])
+        b, ray = cells[j], rays(j)
+        r0[j], f0[j] = specfun.golden_min(lambda r: np.abs(ray(r, False)[0]), grid[b], grid[b + 2])
     if logger.isEnabledFor(logging.DEBUG):
         count = lambda e: np.bincount(e, minlength=len(k)).tolist()
         logger.debug("ray search L=%d k=%s: %s candidates, %d Newton steps, %d bisections, "
@@ -318,11 +326,14 @@ def _real_harmonic_basis(degree: int, theta: np.ndarray, phi: np.ndarray) -> np.
     """Orthonormal real harmonics: sqrt(2) Re Y[ell, |m|] for m > 0,
     sqrt(2) Im Y[ell, |m|] for m < 0 and Y[ell, 0] for m = 0."""
     ells, ms = specfun.mode_degrees(degree), specfun.mode_orders(degree)
-    return specfun._real_harmonics(ells, ms, np.where(ms == 0, 1.0, math.sqrt(2.0)), theta, phi)[0].T
+    w = np.where(ms == 0, 1.0, math.sqrt(2.0))
+    return specfun._real_harmonic_values(ells, ms, w, theta, phi)[0].T
 
 
 def evaluate_harmonic_model(coeffs: np.ndarray, degree: int, dirs: list[Direction]) -> np.ndarray:
     """Evaluate a fitted radial model at the given directions."""
+    if len(coeffs) != (n := specfun.n_modes(degree)):
+        raise ValueError(f"a degree-{degree} model has {n} coefficients, got {len(coeffs)}")
     return _real_harmonic_basis(degree, *_angles(dirs)) @ coeffs
 
 
@@ -372,18 +383,22 @@ def stable_reconstruct(
     if schedule[0] < 0:
         raise ValueError(f"L_schedule degrees must be >= 0, got {schedule[0]}")
     L_top = schedule[-1]
-    # extract once at the top degree and truncate per scheduled L: the
-    # projections are independent mode by mode, so this equals extracting at
-    # each L up to rounding (radii move by about 5e-10 between schedules
-    # (3,) and (3, 4, 5, 6), as the projection rounds differently per degree)
+    # extract once at the top degree, before any search (an aliasing schedule is
+    # refused here), and truncate per scheduled L: the projections are independent
+    # mode by mode, so this equals extracting at each L up to rounding (radii move
+    # by about 5e-10 between schedules (3,) and (3, 4, 5, 6), as the projection
+    # rounds differently per degree)
     full = [extract_coeffs(e, data.quadrature, data.R, L_top) for e in data.entries]
-    # one harmonic table, sliced per degree, and one set of incidence cosines
-    Y = specfun.sph_harm_table(L_top, *_angles(dirs))
-    cosang, ks = _incidence(dirs, [e.ctx for e in data.entries])
+    # one harmonic table at the first degree, rebuilt once at the top degree if the
+    # schedule escalates, sliced per degree; and one set of incidence cosines
+    angles, cosang, ks = _angles(dirs), *_incidence(dirs, [e.ctx for e in data.entries])
+    Y = specfun.sph_harm_table(schedule[0], *angles)
 
     n = len(dirs)
     best = None  # (resolution, L, radii, residuals, spreads, resolved, least |p| at a bracket end)
     for L in schedule:
+        if specfun.n_modes(L) > Y.shape[1]:
+            Y = specfun.sph_harm_table(L_top, *angles)
         W = _degree_weights(Y, [c.truncated(L) for c in full])
         ents, rows, r, f, _, at_end = _search(W, cosang, ks, bracket, grid_n, residual_threshold)
         radii, residuals, spreads, resolved = _stable_roots(ents, rows, r, f, (len(ks), n))

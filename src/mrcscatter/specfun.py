@@ -19,8 +19,9 @@ a per-degree or per-order factor is applied by indexing with them, e.g.
 Harmonics come from a Legendre table on polar angles and an azimuth table,
 paired node by node on scattered directions (``_harmonic_factors``) or kept by
 a quadrature rule for its two axes, where Y is their product per mode
-(``_grid_modes``) with bitwise the same values.  Real harmonics and their
-partials, for any list of weighted (ell, m), come from ``_real_harmonics``.
+(``_grid_modes``) with bitwise the same values.  Real harmonics, for any list
+of weighted (ell, m), come from ``_real_harmonic_values``, and with their
+partials, off the same Legendre table, from ``_real_harmonics``.
 
 All functions are pure; vectorized ``*_table`` variants return values for
 every degree 0..L at once and are what the solvers use internally.
@@ -99,7 +100,7 @@ _MILLER_EXTRA = 20
 def _check_radial_args(ell: int, x) -> None:
     if ell < 0:
         raise DomainError(f"degree must be >= 0, got {ell}")
-    if not np.all(np.asarray(x) > 0):  # NaN too
+    if not (np.asarray(x) > 0).all():  # NaN too
         raise DomainError(f"argument must be > 0, got {x}")
 
 
@@ -208,7 +209,7 @@ def hankel_out_table(L: int, k, r) -> np.ndarray:
     of k and r, each value bitwise that of its scalar k.  Rows 0..L of a
     degree-(L+1) table are bitwise this table (see ``_h1_table``)."""
     _check_radial_args(L, r)
-    if not (np.all(k > 0) if isinstance(k, np.ndarray) else k > 0):  # NaN too
+    if not ((k > 0).all() if isinstance(k, np.ndarray) else k > 0):  # NaN too
         raise DomainError(f"wavenumber must be > 0, got {k}")
     kr = k * np.asarray(r, dtype=float)
     return _h1_table(L, kr) * (_outgoing_phase(L).reshape((L + 1,) + (1,) * kr.ndim) * k)
@@ -224,8 +225,12 @@ def _hankel_out_pair(L: int, k, r) -> tuple[np.ndarray, np.ndarray]:
     max(L, 1): dH_0/dr = i*k*H_1, dH_ell/dr = k*(i*H_{ell-1} - (ell+1)/(k*r)*H_ell)."""
     H = hankel_out_table(L or 1, k, r)  # a negative L still raises
     kr = k * np.asarray(r, dtype=float)
-    dH = np.arange(2, L + 2).reshape((L,) + (1,) * kr.ndim) / kr * H[1 : L + 1]
-    return H[: L + 1], k * np.concatenate([1j * H[1:2], 1j * H[:L] - dH])
+    dH = np.empty_like(H[: L + 1])
+    np.multiply(1j, H[1:2], out=dH[:1])
+    np.multiply(1j, H[:L], out=dH[1:])
+    dH[1:] -= np.arange(2, L + 2).reshape((L,) + (1,) * kr.ndim) / kr * H[1 : L + 1]
+    dH *= k
+    return H[: L + 1], dH
 
 
 def hankel_out_dr_table(L: int, k: float, r) -> np.ndarray:
@@ -268,7 +273,7 @@ def _norm_legendre_table(L: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
     _, _, diag_step, off_step, a, b = _legendre_factors(L)
     P = np.zeros((L + 1, L + 1, n))
     # Pbar[m, m] is row m*(L+2) of the flat view and Pbar[m, m-1] the row before it
-    diag, off = (P.reshape(-1, n)[first :: L + 2] for first in (0, L + 1))
+    diag, off = (P.reshape((L + 1) ** 2, n)[first :: L + 2] for first in (0, L + 1))
     diag[0] = 1.0 / math.sqrt(4.0 * math.pi)
     np.cumprod(np.concatenate([diag[:1], diag_step * st]), axis=0, out=diag)
     np.multiply(off_step * ct, diag[:-1], out=off)
@@ -292,15 +297,24 @@ def _norm_legendre_dtheta_table(L: int, P: np.ndarray) -> np.ndarray:
     return 0.5 * (c_up * Pz[:, 1:] - c_down * below)
 
 
-def _real_harmonics(ells, ms, w, theta: np.ndarray, phi: np.ndarray):
-    """Rows w * Pbar[ell, |m|](theta) * (cos(m*phi) if m >= 0 else sin(|m|*phi)) and their theta
-    and phi partials, (len(ells), len(theta)) each, all off one Legendre table; 1-D arguments."""
+def _real_harmonic_values(ells, ms, w, theta: np.ndarray, phi: np.ndarray):
+    """Rows w * Pbar[ell, |m|](theta) * (cos(m*phi) if m >= 0 else sin(|m|*phi)), (len(ells),
+    len(theta)); 1-D arguments.  Then what the partials read: the Legendre table, the rows'
+    w * Pbar and azimuth factors, cos(|m|*phi) and sin(|m|*phi)."""
     P = _norm_legendre_table(int(ells.max(initial=0)), np.cos(theta), np.sin(theta))
-    am, neg, w = np.abs(ms)[:, None], (ms < 0)[:, None], w[:, None]
-    wP, wdP = (w * T[ells, am[:, 0]] for T in (P, _norm_legendre_dtheta_table(len(P) - 1, P)))
-    cos, sin = np.cos(am * phi), np.sin(am * phi)
-    az = np.where(neg, sin, cos)
-    return wP * az, wdP * az, wP * (am * np.where(neg, cos, -sin))
+    am = np.abs(ms)[:, None]
+    wP, cos, sin = w[:, None] * P[ells, am[:, 0]], np.cos(am * phi), np.sin(am * phi)
+    az = np.where((ms < 0)[:, None], sin, cos)
+    return wP * az, P, wP, az, cos, sin
+
+
+def _real_harmonics(ells, ms, w, theta: np.ndarray, phi: np.ndarray):
+    """The rows of ``_real_harmonic_values`` and their theta and phi partials, (len(ells),
+    len(theta)) each, all off one Legendre table; 1-D arguments."""
+    Y, P, wP, az, cos, sin = _real_harmonic_values(ells, ms, w, theta, phi)
+    am = np.abs(ms)[:, None]
+    wdP = w[:, None] * _norm_legendre_dtheta_table(len(P) - 1, P)[ells, am[:, 0]]
+    return Y, wdP * az, wP * (am * np.where((ms < 0)[:, None], cos, -sin))
 
 
 def _azimuth_factors(L: int, phi: np.ndarray) -> np.ndarray:
@@ -434,14 +448,14 @@ def bracketed_root(f: Callable[[np.ndarray], tuple], a, b, fa, fb) -> tuple[np.n
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     x = b - fb * (b - a) / (fb - fa)
     active, calls, step, bisections = (a < x) & (x < b), 0, b - a, 0
-    while np.any(active):
+    while active.any():
         (g, dg), calls = f(x), calls + 1
         a, b = np.where(active & (g < 0), x, a), np.where(active & (g >= 0), x, b)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = x - np.where(g == 0, 0.0, g / dg)
-        tol = _ROOT_REL_TOL * np.maximum(np.abs(a), np.abs(b))
-        done = ~(np.abs(t - x) > tol)  # a NaN g too
-        newton = done | ((a < t) & (t < b) & (np.abs(t - x) < 0.5 * step))
+        tol, dist = _ROOT_REL_TOL * np.maximum(np.abs(a), np.abs(b)), np.abs(t - x)
+        done = ~(dist > tol)  # a NaN g too
+        newton = done | ((a < t) & (t < b) & (dist < 0.5 * step))
         t = np.where(active, np.where(newton, t, 0.5 * (a + b)), x)
         x, step, bisections = t, np.abs(t - x), bisections + np.count_nonzero(active & ~newton)
         active &= ~done & ((b - a) > tol)

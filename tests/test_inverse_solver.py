@@ -448,6 +448,16 @@ class TestStableReconstruct:
         with pytest.raises(ValueError):
             stable_reconstruct(data, fibonacci_directions(4), L_schedule=(20,))
 
+    def test_aliasing_is_refused_before_any_search(self, monkeypatch):
+        # the top degree is extracted first, though L = 3 alone reaches the quorum
+        data, dirs = sphere_data(quad=make_quadrature(12, 24)), fibonacci_directions(10)
+        assert stable_reconstruct(data, dirs, L_schedule=(3,)).converged
+        searches = []
+        monkeypatch.setattr(inverse_solver, "_search", lambda *args: searches.append(args))
+        with pytest.raises(ValueError, match="aliasing"):
+            stable_reconstruct(data, dirs, L_schedule=(3, 20))
+        assert searches == []
+
 
 class TestEntryOrder:
     def test_permuted_entries_give_bitwise_equal_results(self):
@@ -613,3 +623,12 @@ def test_real_harmonic_basis_matches_the_complex_harmonics(degree):
     B = _real_harmonic_basis(degree, theta, phi)
     assert B.shape == (60, sf.n_modes(degree))
     np.testing.assert_allclose(B, _complex_real_harmonic_basis(degree, theta, phi), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 4, 7])
+def test_real_harmonic_basis_is_the_value_rows_of_the_real_harmonics(degree):
+    rng = np.random.default_rng(3)
+    theta, phi = rng.uniform(0, math.pi, 41), rng.uniform(-7.0, 7.0, 41)
+    ells, ms = sf.mode_degrees(degree), sf.mode_orders(degree)
+    rows = sf._real_harmonics(ells, ms, np.where(ms == 0, 1.0, math.sqrt(2.0)), theta, phi)[0]
+    assert np.array_equal(_real_harmonic_basis(degree, theta, phi), rows.T)

@@ -169,3 +169,14 @@ def test_cold_and_warm_solves_are_bitwise_equal(surface, bc):
     quadrature_for_degree.cache_clear()
     assert solve() == warm
     assert solve() == warm
+
+
+@pytest.mark.parametrize("order", [(3, 10, 3), (10, 3, 10)])
+def test_projection_is_bitwise_whichever_degree_came_first(order):
+    quad = make_quadrature(24, 48)
+    rng = np.random.default_rng(11)
+    samples = rng.standard_normal(len(quad)) + 1j * rng.standard_normal(len(quad))
+    first, _, again = (project_far_field(samples, quad, L).coeffs for L in order)
+    assert np.array_equal(first, again)
+    fresh = make_quadrature(24, 48)
+    assert np.array_equal(first, project_far_field(samples, fresh, order[0]).coeffs)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,13 @@ class TestSphHarm:
                 assert abs(out[sf.mode_index(ell, m)] - expect) < 1e-13
 
 
+    def test_a_lower_degree_table_is_the_leading_columns_of_a_higher_one(self):
+        rng = np.random.default_rng(3)
+        theta = np.concatenate([[0.0, math.pi], rng.uniform(0, math.pi, 39)])
+        phi = rng.uniform(-7.0, 7.0, 41)
+        low, high = sf.sph_harm_table(3, theta, phi), sf.sph_harm_table(10, theta, phi)
+        assert np.array_equal(low, high[:, :16])
+
 class TestGoldenMin:
     def test_batch_is_bitwise_per_element(self):
         f = lambda x: np.cos(3.0 * x) + 0.1 * x * x
@@ -318,6 +326,18 @@ class TestBracketedRoot:
         assert bisections > 0
 
 
+    def test_a_nan_g_ends_its_bracket_and_leaves_the_others_alone(self):
+        g = lambda x: (0.2 * x - np.cos(3.0 * x), 0.2 + 3.0 * np.sin(3.0 * x))
+        nan_inside = lambda x: (np.where((x > 2.0) & (x < 2.5), np.nan, g(x)[0]), g(x)[1])
+        a, b = np.array([0.3, 2.0, 4.3]), np.array([0.9, 2.5, 4.6])
+        x, _, _ = sf.bracketed_root(nan_inside, a, b, g(a)[0], g(b)[0])
+        assert np.isnan(x[1])
+        for i in (0, 2):
+            assert x[i] == self._solve(g, a[i], b[i])[0][0]
+        # a NaN g moves neither end and is no bisection: its bracket stops after one call
+        x, calls, bisections = self._solve(nan_inside, a[1], b[1])
+        assert np.isnan(x[0]) and calls == 1 and bisections == 0
+
 class TestBesselEquation:
     """The second radial derivative the ray search reads off H and dH/dr."""
 
@@ -375,3 +395,28 @@ class TestHankelOutPair:
     def test_domain(self, L, r):
         with pytest.raises(sf.DomainError):
             sf._hankel_out_pair(L, 1.0, r)
+
+    @pytest.mark.parametrize("L", [0, 1, 3, 10])
+    @pytest.mark.parametrize("k, r", [
+        (1.0, 2.0),
+        (np.array([1.0, 1.5])[:, None, None], np.linspace(0.3, 3.0, 64)),
+        (np.array([1.0, 1.5, 2.0]), np.array([0.4, 1.0, 2.2])),
+    ])
+    def test_bitwise_one_table_of_one_degree_more(self, L, k, r):
+        # dH_0/dr = i*k*H_1, dH_ell/dr = k*(i*H_{ell-1} - (ell+1)/(k*r)*H_ell)
+        H, dH = sf._hankel_out_pair(L, k, r)
+        T, kr = sf.hankel_out_table(L + 1, k, r), k * np.asarray(r, dtype=float)
+        step = np.arange(2, L + 2).reshape((L,) + (1,) * kr.ndim) / kr * T[1 : L + 1]
+        assert np.array_equal(H, sf.hankel_out_table(L, k, r))
+        assert np.array_equal(dH, k * np.concatenate([1j * T[1:2], 1j * T[:L] - step]))
+
+    @pytest.mark.parametrize("L, k, r", [
+        (3, 1.0, 0.0), (3, 1.0, np.array([1.0, -0.5])), (3, 1.0, math.nan),
+        (3, 1.0, np.array([1.0, math.nan])), (3, 0.0, 1.0), (3, np.array([1.0, -1.0]), 1.0),
+        (3, math.nan, 1.0), (-1, 1.0, 1.0),
+    ])
+    def test_refuses_what_the_table_refuses(self, L, k, r):
+        with pytest.raises(sf.DomainError) as table:
+            sf.hankel_out_table(L, k, r)
+        with pytest.raises(sf.DomainError, match=re.escape(str(table.value))):
+            sf._hankel_out_pair(L, k, r)
